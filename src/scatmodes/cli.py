@@ -210,7 +210,11 @@ def cmd_sweep(config: RunConfig) -> int:
 
 
 def _validate_one(path: str, tolerances: dict) -> bool:
-    smat = dataio.read_dataset(path)
+    try:
+        smat = dataio.read_dataset(path)
+    except OSError as exc:
+        print(f"{path}: cannot read dataset ({exc.strerror}) -> FAIL")
+        return False
     report = dataio.validation_report(smat)
     ok = (report["reciprocity_residual"] < tolerances["reciprocity"]
           and report["lossless_residual_max"] < tolerances["lossless"]

@@ -10,9 +10,11 @@ full layout is documented in docs/format.md.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import os
+from typing import NoReturn
 
 import numpy as np
 
@@ -26,6 +28,12 @@ FORMAT_VERSION = 1
 _SCALING_NOTE = ("unweighted scattering samples; rows/cols stack the theta "
                  "polarization block before the phi block")
 _BODY_COLUMNS = ("row_index", "col_index", "re", "im")
+_BODY_DTYPE = np.dtype([("i", np.int64), ("j", np.int64),
+                        ("re", np.float64), ("im", np.float64)])
+#: body rows parsed per np.loadtxt call; bounds the text held at once
+_CHUNK_ROWS = 4096
+#: empty lines, skipped in the body (csv.reader yields them as [])
+_BLANK_LINES = frozenset(("\n", "\r\n", "\r"))
 
 
 def _fmt(x: float) -> str:
@@ -44,15 +52,14 @@ def write_dataset(smat: ScatteringMatrix, path: str) -> None:
                  for p, w in zip(smat.rule.points, smat.rule.weights)],
         "scaling_note": _SCALING_NOTE,
     }
-    n2 = 2 * smat.rule.n_points
     with open(path, "w", newline="") as fh:
         fh.write(json.dumps(header) + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(_BODY_COLUMNS)
-        for i in range(n2):
-            for j in range(n2):
-                v = smat.matrix[i, j]
-                writer.writerow([i, j, _fmt(v.real), _fmt(v.imag)])
+        fh.write(",".join(_BODY_COLUMNS) + "\r\n")
+        # the bytes csv.writer gives: CRLF rows; %.17g fields need no quotes
+        for i, row in enumerate(smat.matrix):
+            lead = f"{i},"
+            fh.write("".join([f"{lead}{j},{v.real:.17g},{v.imag:.17g}\r\n"
+                              for j, v in enumerate(row.tolist())]))
 
 
 def _reconstruct_rule(rule_rows, line_no: int) -> QuadratureRule:
@@ -96,30 +103,31 @@ def read_dataset(path: str) -> ScatteringMatrix:
                 f"wavenumber {k} inconsistent with frequency {f_hz} Hz", line=1)
         rule = _reconstruct_rule(header["rule"], line_no=1)
 
-        reader = csv.reader(fh)
-        try:
-            columns = next(reader)
-        except StopIteration:
-            raise ParseError("missing body header row", line=2) from None
+        column_line = fh.readline()
+        if not column_line:
+            raise ParseError("missing body header row", line=2)
+        columns = next(csv.reader([column_line]))
         if tuple(c.strip() for c in columns) != _BODY_COLUMNS:
             raise ParseError(f"unexpected body columns {columns}", line=2)
 
         n2 = 2 * rule.n_points
         matrix = np.full((n2, n2), np.nan, dtype=complex)
         count = 0
-        for line_no, row in enumerate(reader, start=3):
-            if not row:
-                continue
+        body = itertools.filterfalse(_BLANK_LINES.__contains__, fh)
+        while lines := list(itertools.islice(body, _CHUNK_ROWS)):
             try:
-                i, j = int(row[0]), int(row[1])
-                value = complex(float(row[2]), float(row[3]))
-            except (IndexError, ValueError) as exc:
-                raise ParseError(f"bad body row {row}: {exc}", line=line_no) from exc
-            if not (0 <= i < n2 and 0 <= j < n2):
-                raise DimensionMismatch(
-                    f"line {line_no}: index ({i}, {j}) outside {n2}x{n2} matrix")
-            matrix[i, j] = value
-            count += 1
+                # like csv.reader: quoted fields, fields past the fourth ignored
+                chunk = np.loadtxt(lines, dtype=_BODY_DTYPE, delimiter=",",
+                                   comments=None, quotechar='"', ndmin=1,
+                                   usecols=(0, 1, 2, 3))
+            except ValueError as exc:
+                _raise_first_bad_row(path, n2, exc)
+            i, j = chunk["i"], chunk["j"]
+            if min(i.min(), j.min()) < 0 or max(i.max(), j.max()) >= n2:
+                _raise_first_bad_row(path, n2, None)
+            matrix.real[i, j] = chunk["re"]
+            matrix.imag[i, j] = chunk["im"]
+            count += len(chunk)
     if count != n2 * n2:
         raise DimensionMismatch(
             f"body has {count} entries, expected {n2 * n2} for a "
@@ -129,6 +137,31 @@ def read_dataset(path: str) -> ScatteringMatrix:
         raise DimensionMismatch(
             f"duplicate rows shadow entry ({missing[0]}, {missing[1]})")
     return ScatteringMatrix(rule=rule, k=k, matrix=matrix, weighted=False)
+
+
+def _raise_first_bad_row(path: str, n2: int,
+                         exc: ValueError | None) -> NoReturn:
+    """Rescan a body that failed to load and raise for its first bad row.
+
+    Runs only on failure; the row-by-row parse names the line number.
+    """
+    with open(path, newline="") as fh:
+        fh.readline()
+        reader = csv.reader(fh)
+        next(reader, None)
+        for line_no, row in enumerate(reader, start=3):
+            if not row:
+                continue
+            try:
+                i, j = int(row[0]), int(row[1])
+                float(row[2]), float(row[3])
+            except (IndexError, ValueError) as err:
+                raise ParseError(f"bad body row {row}: {err}",
+                                 line=line_no) from err
+            if not (0 <= i < n2 and 0 <= j < n2):
+                raise DimensionMismatch(
+                    f"line {line_no}: index ({i}, {j}) outside {n2}x{n2} matrix")
+    raise ParseError(f"body does not parse: {exc}") from exc
 
 
 def validation_report(smat: ScatteringMatrix, top: int = 25) -> dict:

@@ -54,45 +54,65 @@ def frequency(k: float) -> float:
     return k * C0 / (2.0 * math.pi)
 
 
-def _phase_fix(vec: np.ndarray) -> np.ndarray:
-    i = int(np.argmax(np.abs(vec)))
-    pivot = vec[i]
-    if pivot == 0:
-        return vec
-    return vec * (abs(pivot) / pivot)
+#: eigenvalues closer than this (relative) are treated as one multiplet
+DEGENERACY_TOL = 1e-8
+
+
+def degenerate_groups(values: np.ndarray) -> list[slice]:
+    """Runs of two or more consecutive eigenvalues that form one multiplet.
+
+    A run extends while |t_i - t_start| <= DEGENERACY_TOL * max(1, |t_start|),
+    measured from its first member, so the values must already be sorted
+    with multiplet members adjacent (as decompose returns them).
+    """
+    groups, start = [], 0
+    for i in range(1, len(values) + 1):
+        if (i == len(values)
+                or abs(values[i] - values[start])
+                > DEGENERACY_TOL * max(1.0, abs(values[start]))):
+            if i - start > 1:
+                groups.append(slice(start, i))
+            start = i
+    return groups
+
+
+def _phase_fix(vectors: np.ndarray) -> None:
+    """Rotate each column, in place, so its largest-magnitude entry is real
+    and positive; all-zero columns are left alone."""
+    pivots = vectors[np.argmax(np.abs(vectors), axis=0),
+                     np.arange(vectors.shape[1])]
+    pivots[pivots == 0] = 1.0
+    vectors *= np.abs(pivots) / pivots
 
 
 def _sort_order(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    keys = []
-    for n, t in enumerate(values):
-        first = vectors[np.argmax(np.abs(vectors[:, n]) > 0), n] if vectors.size else 0
-        keys.append((-abs(t), np.angle(t) % (2 * math.pi), abs(first)))
-    return np.array(sorted(range(len(values)), key=lambda n: keys[n]))
+    """Indices ordering modes by |t| descending, then arg t in [0, 2 pi),
+    then the magnitude of each eigenvector's first nonzero entry.
+
+    The keys use scalar abs and angle: the vectorized forms can differ in
+    the last ulp and reorder the members of a multiplet.
+    """
+    firsts = vectors[np.argmax(vectors != 0, axis=0),
+                     np.arange(vectors.shape[1])]
+    keys = [(-abs(t), np.angle(t) % (2 * math.pi), abs(f))
+            for t, f in zip(values, firsts)]
+    return np.array(sorted(range(len(values)), key=keys.__getitem__))
 
 
-def _orthonormalize_degenerate(values, vectors, weights, tol=1e-8):
-    """Pivoted Gram-Schmidt inside each numerically degenerate eigenspace."""
-    order = np.arange(len(values))
-    groups = []
-    start = 0
-    for i in range(1, len(values) + 1):
-        if i == len(values) or abs(values[i] - values[start]) > tol * max(1.0, abs(values[start])):
-            if i - start > 1:
-                groups.append(order[start:i])
-            start = i
-    for grp in groups:
-        basis = []
-        for n in grp:
-            v = vectors[:, n].copy()
-            for b in basis:
-                v -= b * ((np.conj(b) * weights) @ v)
-            nrm = math.sqrt(abs((np.conj(v) * weights) @ v))
-            if nrm > 1e-14:
-                v /= nrm
-            basis.append(v)
-        for v, n in zip(basis, grp):
-            vectors[:, n] = _phase_fix(v)
-    return vectors
+def _orthonormalize_degenerate(values, vectors, weights) -> None:
+    """Weighted orthonormal basis, in place, inside each multiplet.
+
+    One QR of sqrt(w) V_g per group spans the same space as Gram-Schmidt
+    over the group's columns in order; the columns are then unscaled and
+    phase-fixed.
+    """
+    sqrt_w = np.sqrt(weights)[:, None]
+    for grp in degenerate_groups(values):
+        q, _ = scipy.linalg.qr(vectors[:, grp] * sqrt_w, mode="economic",
+                               overwrite_a=True)
+        q /= sqrt_w
+        _phase_fix(q)
+        vectors[:, grp] = q
 
 
 def decompose(smat: ScatteringMatrix) -> ModeSet:
@@ -107,15 +127,14 @@ def decompose(smat: ScatteringMatrix) -> ModeSet:
             f"eigendecomposition failed (condition estimate {cond:.3e})") from exc
 
     w = smat.doubled_weights()
-    for n in range(vectors.shape[1]):
-        nrm = abs((np.conj(vectors[:, n]) * w) @ vectors[:, n])
-        if nrm > 0:
-            vectors[:, n] /= math.sqrt(nrm)
-        vectors[:, n] = _phase_fix(vectors[:, n])
+    nrm = w @ np.abs(vectors) ** 2
+    nrm[nrm == 0] = 1.0
+    vectors /= np.sqrt(nrm)
+    _phase_fix(vectors)
 
     order = _sort_order(values, vectors)
     values, vectors = values[order], vectors[:, order]
-    vectors = _orthonormalize_degenerate(values, vectors, w)
+    _orthonormalize_degenerate(values, vectors, w)
 
     residuals = np.linalg.norm(
         smat.matrix @ vectors - vectors * values[None, :], axis=0)

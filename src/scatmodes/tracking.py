@@ -14,13 +14,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import RuleMismatch
-from .modes import ModeSet, metrics
+from .modes import ModeSet, degenerate_groups, metrics
 
 DEFAULT_MIN_SIGNIFICANCE = 1e-3
 DEFAULT_MIN_CORRELATION = 0.7
-
-#: eigenvalues closer than this (relative) are treated as one multiplet
-_DEGENERACY_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -83,17 +80,6 @@ def _weighted(modeset: ModeSet) -> np.ndarray:
     return modeset.eigenvectors * w[:, None]
 
 
-def _degenerate_groups(values: np.ndarray):
-    groups, start = [], 0
-    for i in range(1, len(values) + 1):
-        if (i == len(values)
-                or abs(values[i] - values[start])
-                > _DEGENERACY_TOL * max(1.0, abs(values[start]))):
-            groups.append(list(range(start, i)))
-            start = i
-    return groups
-
-
 def _align_degenerate(prev: ModeSet, cur: ModeSet) -> np.ndarray:
     """Rotate each degenerate eigenspace of cur toward prev's eigenvectors.
 
@@ -103,13 +89,14 @@ def _align_degenerate(prev: ModeSet, cur: ModeSet) -> np.ndarray:
     """
     vecs = cur.eigenvectors.copy()
     overlap = prev.eigenvectors.conj().T @ _weighted(cur)  # (n_prev, n_cur)
-    for grp in _degenerate_groups(cur.eigenvalues):
-        if len(grp) < 2 or overlap.shape[0] < len(grp):
+    for grp in degenerate_groups(cur.eigenvalues):
+        size = grp.stop - grp.start
+        if overlap.shape[0] < size:
             continue
         block = overlap[:, grp]
         # pair the multiplet against its strongest predecessors, then solve
         # the square unitary Procrustes problem M Q ~ I
-        top = np.argsort(-np.linalg.norm(block, axis=1))[:len(grp)]
+        top = np.argsort(-np.linalg.norm(block, axis=1))[:size]
         u, _, vh = np.linalg.svd(block[np.sort(top), :])
         q = vh.conj().T @ u.conj().T
         vecs[:, grp] = vecs[:, grp] @ q

@@ -59,6 +59,18 @@ def test_validate_corrupted_dataset_fails(tmp_path, mie_config, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_validate_missing_dataset_fails_per_file(tmp_path, mie_config, capsys):
+    assert main(["sweep", "--config", mie_config]) == EXIT_OK
+    out = tmp_path / "out"
+    (out / "dataset_0001.csv").unlink()
+    capsys.readouterr()
+    assert main(["validate", str(out)]) == EXIT_VALIDATION
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3
+    assert "dataset_0001.csv" in lines[1] and lines[1].endswith("FAIL")
+    assert lines[0].endswith("PASS") and lines[2].endswith("PASS")
+
+
 def test_validate_tolerance_override_can_fail_good_data(tmp_path, mie_config):
     assert main(["sweep", "--config", mie_config]) == EXIT_OK
     target = str(tmp_path / "out" / "dataset_0000.csv")

@@ -204,3 +204,85 @@ def test_manifest_parse_error(tmp_path):
     (tmp_path / "manifest.json").write_text("{not json")
     with pytest.raises(ParseError, match="manifest"):
         dataio.read_manifest(str(tmp_path))
+
+
+def _dataset_text(rule, matrix, k=2.0):
+    return json.dumps(_header(rule, k)) + "\n" + _body(matrix)
+
+
+def _random_matrix(n2, seed=0):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((n2, n2)) + 1j * rng.standard_normal((n2, n2))
+
+
+def test_write_dataset_body_matches_csv_module_bytes(tmp_path, mie_modes_ka1):
+    _, smat, _ = mie_modes_ka1
+    path = tmp_path / "mie.csv"
+    dataio.write_dataset(smat, str(path))
+    raw = path.read_bytes()
+    body = raw[raw.index(b"\n") + 1:]
+    assert body == _body(smat.matrix).encode()
+    assert body.endswith(b"\r\n")
+
+
+def test_duplicated_row_is_rejected(tmp_path):
+    rule = sm.lebedev_rule(6)
+    body = _body(_random_matrix(12)).splitlines(keepends=True)
+    body[10] = body[9]  # entry (0, 8) twice, entry (0, 9) never
+    path = _write(tmp_path, "dup.csv",
+                  json.dumps(_header(rule, 2.0)) + "\n" + "".join(body))
+    with pytest.raises(DimensionMismatch,
+                       match=r"duplicate rows shadow entry \(0, 9\)"):
+        dataio.read_dataset(path)
+
+
+@pytest.mark.filterwarnings("error")
+def test_blank_body_lines_are_ignored(tmp_path):
+    rule = sm.lebedev_rule(6)
+    matrix = _random_matrix(12, seed=1)
+    body = _body(matrix).splitlines(keepends=True)
+    body[3:3] = ["\r\n", "\n"]
+    body.append("\r\n" * 10000)  # a long blank tail, no data after it
+    path = tmp_path / "blank.csv"
+    path.write_bytes((json.dumps(_header(rule, 2.0)) + "\n"
+                      + "".join(body)).encode())
+    assert np.array_equal(dataio.read_dataset(str(path)).matrix, matrix)
+
+
+def test_shuffled_mixed_endings_body_reads_back_bit_exact(tmp_path):
+    rule = sm.lebedev_rule(14)
+    matrix = _random_matrix(28, seed=2)
+    matrix[3, 4] = complex(-0.0, 0.0)
+    body = _body(matrix).splitlines(keepends=True)
+    rows = body[1:]
+    np.random.default_rng(3).shuffle(rows)
+    rows[::2] = [r.replace("\r\n", "\n") for r in rows[::2]]  # LF and CRLF
+    path = _write(tmp_path, "shuffled.csv",
+                  json.dumps(_header(rule, 2.0)) + "\n"
+                  + "".join(body[:1] + rows))
+    back = dataio.read_dataset(path).matrix
+    assert back.tobytes() == matrix.tobytes()
+
+
+def test_bad_row_deep_in_body_reports_its_line(tmp_path):
+    rule = sm.lebedev_rule(50)
+    lines = _dataset_text(rule, np.zeros((100, 100), dtype=complex)) \
+        .splitlines(keepends=True)
+    # line 5000 of the file, past the first chunk of a chunked reader
+    lines[4999] = "49,97,0,oops\r\n"
+    path = _write(tmp_path, "deep.csv", "".join(lines))
+    with pytest.raises(ParseError, match="line 5000:"):
+        dataio.read_dataset(path)
+
+    lines[4999] = "49,970,0,0\r\n"
+    path = _write(tmp_path, "deep_range.csv", "".join(lines))
+    with pytest.raises(DimensionMismatch, match="line 5000: index"):
+        dataio.read_dataset(path)
+
+
+def test_extra_trailing_rows_name_counts(tmp_path):
+    rule = sm.lebedev_rule(6)
+    text = _dataset_text(rule, np.zeros((12, 12), dtype=complex))
+    path = _write(tmp_path, "long.csv", text + "0,0,0,0\r\n3,3,0,0\r\n")
+    with pytest.raises(DimensionMismatch, match="146 entries, expected 144"):
+        dataio.read_dataset(path)

@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import scatmodes as sm
 from scatmodes.errors import BelowSignificanceThreshold
-from scatmodes.modes import characteristic_angle, metrics
+from scatmodes.modes import characteristic_angle, degenerate_groups, metrics
 
 
 def test_metrics_resonant_mode():
@@ -89,6 +90,93 @@ def test_decompose_deterministic(mie_modes_ka1):
     again = sm.decompose(sm.apply_weights(smat))
     assert np.array_equal(again.eigenvalues, modeset.eigenvalues)
     assert np.array_equal(again.eigenvectors, modeset.eigenvectors)
+
+
+def _reference_decompose(smat):
+    """decompose's post-processing as column loops: normalize and phase-fix
+    each column, sort, then modified Gram-Schmidt inside each multiplet."""
+    values, vectors = scipy.linalg.eig(smat.matrix)
+    w = smat.doubled_weights()
+
+    def phase_fix(vec):
+        pivot = vec[int(np.argmax(np.abs(vec)))]
+        return vec if pivot == 0 else vec * (abs(pivot) / pivot)
+
+    for n in range(vectors.shape[1]):
+        nrm = abs((np.conj(vectors[:, n]) * w) @ vectors[:, n])
+        if nrm > 0:
+            vectors[:, n] /= math.sqrt(nrm)
+        vectors[:, n] = phase_fix(vectors[:, n])
+
+    keys = []
+    for n, t in enumerate(values):
+        first = vectors[np.argmax(np.abs(vectors[:, n]) > 0), n]
+        keys.append((-abs(t), np.angle(t) % (2 * math.pi), abs(first)))
+    order = np.array(sorted(range(len(values)), key=lambda n: keys[n]))
+    values, vectors = values[order], vectors[:, order]
+
+    start = 0
+    for i in range(1, len(values) + 1):
+        if i < len(values) and abs(values[i] - values[start]) <= \
+                1e-8 * max(1.0, abs(values[start])):
+            continue
+        if i - start > 1:
+            basis = []
+            for n in range(start, i):
+                v = vectors[:, n].copy()
+                for b in basis:
+                    v -= b * ((np.conj(b) * w) @ v)
+                nrm = math.sqrt(abs((np.conj(v) * w) @ v))
+                if nrm > 1e-14:
+                    v /= nrm
+                basis.append(v)
+            for n, v in enumerate(basis, start=start):
+                vectors[:, n] = phase_fix(v)
+        start = i
+    return values, vectors
+
+
+def _layered_sphere_38(ka):
+    """The acceptance-6 magnetodielectric sphere on the 38-point rule."""
+    sphere = sm.LayeredSphere(1.0, tuple(
+        sm.Layer(e, m, f) for e, m, f in
+        zip([1, 5, 1, 2], [3, 1, 8, 1], [0.25, 0.5, 0.75, 1.0])))
+    rule = sm.lebedev_rule(38)
+    tmat = sm.layered_tmatrix(sphere, ka, rule.order_capability // 2)
+    return sm.apply_weights(sm.s_from_t(tmat, rule, k=ka))
+
+
+@pytest.mark.parametrize("case", ["mie26", "dda50", 0.5, 1.7, 2.9, 3.5, 4.5])
+def test_decompose_matches_gram_schmidt_reference(case, mie_modes_ka1,
+                                                  dda_pipeline):
+    # sphere modes all come in multiplets; the dipole block has singlets
+    if case == "mie26":
+        weighted = sm.apply_weights(mie_modes_ka1[1])
+    elif case == "dda50":
+        weighted = sm.apply_weights(dda_pipeline[4])
+    else:
+        weighted = _layered_sphere_38(case)
+    modeset = sm.decompose(weighted)
+    values, vectors = _reference_decompose(weighted)
+
+    assert np.array_equal(modeset.eigenvalues, values)
+    w = weighted.doubled_weights()
+
+    def projector(f):
+        return f @ (f.conj().T * w[None, :])
+
+    single = np.ones(len(values), dtype=bool)
+    groups = degenerate_groups(values)
+    assert groups  # every case has a null cluster
+    for grp in groups:
+        single[grp] = False
+        assert np.max(np.abs(projector(modeset.eigenvectors[:, grp])
+                             - projector(vectors[:, grp]))) <= 1e-12
+    if single.any():
+        assert np.max(np.abs(modeset.eigenvectors[:, single]
+                             - vectors[:, single])) <= 1e-14
+    gram = sm.farfield_orthogonality(modeset)
+    assert np.max(np.abs(gram - np.eye(modeset.n_modes))) <= 1e-10
 
 
 def test_lossless_residual_per_mode(mie_modes_ka1):
