@@ -102,15 +102,27 @@ def _sort_order(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
 def _orthonormalize_degenerate(values, vectors, weights) -> None:
     """Weighted orthonormal basis, in place, inside each multiplet.
 
-    One QR of sqrt(w) V_g per group spans the same space as Gram-Schmidt
-    over the group's columns in order; the columns are then unscaled and
-    phase-fixed.
+    One QR of sqrt(|w|) V_g per group gives the Gram-Schmidt basis Q of the
+    group's columns, in order, under the |w| product.  On rules with
+    negative weights the Cholesky factor R of Q^H W Q turns it into the
+    Gram-Schmidt basis Q R^-1 under w itself.  Where w is indefinite on the
+    group's span (the null cluster of such rules) no w-orthonormal basis
+    exists, and the group keeps the |w| one.  The columns are then unscaled
+    and phase-fixed.
     """
-    sqrt_w = np.sqrt(weights)[:, None]
+    sqrt_w = np.sqrt(np.abs(weights))[:, None]
+    signed = bool(np.any(weights < 0))
     for grp in degenerate_groups(values):
         q, _ = scipy.linalg.qr(vectors[:, grp] * sqrt_w, mode="economic",
                                overwrite_a=True)
         q /= sqrt_w
+        if signed:
+            try:
+                r = scipy.linalg.cholesky(q.conj().T @ (q * weights[:, None]))
+            except scipy.linalg.LinAlgError:
+                pass
+            else:
+                q = scipy.linalg.solve_triangular(r, q.T, trans="T").T
         _phase_fix(q)
         vectors[:, grp] = q
 
@@ -127,7 +139,7 @@ def decompose(smat: ScatteringMatrix) -> ModeSet:
             f"eigendecomposition failed (condition estimate {cond:.3e})") from exc
 
     w = smat.doubled_weights()
-    nrm = w @ np.abs(vectors) ** 2
+    nrm = np.abs(w @ np.abs(vectors) ** 2)
     nrm[nrm == 0] = 1.0
     vectors /= np.sqrt(nrm)
     _phase_fix(vectors)

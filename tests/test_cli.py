@@ -46,6 +46,18 @@ def test_validate_sweep_directory_passes(tmp_path, mie_config):
     assert main(["validate", str(tmp_path / "out")]) == EXIT_OK
 
 
+def test_sweep_and_validate_on_rule_with_negative_weights(tmp_path):
+    # the 74-point Lebedev rule carries negative weights
+    config = _write_config(tmp_path, {
+        "backend": {"type": "mie", "eps_r": 3.0, "radius": 1.0},
+        "frequencies": {"ka": [1.0, 1.2]},
+        "quadrature": 74,
+        "output": str(tmp_path / "out"),
+    })
+    assert main(["sweep", "--config", config]) == EXIT_OK
+    assert main(["validate", str(tmp_path / "out")]) == EXIT_OK
+
+
 def test_validate_corrupted_dataset_fails(tmp_path, mie_config, capsys):
     assert main(["sweep", "--config", mie_config]) == EXIT_OK
     out = tmp_path / "out"

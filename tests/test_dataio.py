@@ -264,6 +264,7 @@ def test_shuffled_mixed_endings_body_reads_back_bit_exact(tmp_path):
     assert back.tobytes() == matrix.tobytes()
 
 
+@pytest.mark.filterwarnings("error")
 def test_bad_row_deep_in_body_reports_its_line(tmp_path):
     rule = sm.lebedev_rule(50)
     lines = _dataset_text(rule, np.zeros((100, 100), dtype=complex)) \
@@ -273,6 +274,14 @@ def test_bad_row_deep_in_body_reports_its_line(tmp_path):
     path = _write(tmp_path, "deep.csv", "".join(lines))
     with pytest.raises(ParseError, match="line 5000:"):
         dataio.read_dataset(path)
+
+    # a float index is malformed even when it is integral
+    for index in ("49.5", "49.0"):
+        lines[4999] = f"{index},97,0,0\r\n"
+        path = _write(tmp_path, "deep_float.csv", "".join(lines))
+        with pytest.raises(ParseError,
+                           match=r"line 5000: .*invalid literal for int\(\)"):
+            dataio.read_dataset(path)
 
     lines[4999] = "49,970,0,0\r\n"
     path = _write(tmp_path, "deep_range.csv", "".join(lines))

@@ -146,6 +146,14 @@ def _layered_sphere_38(ka):
     return sm.apply_weights(sm.s_from_t(tmat, rule, k=ka))
 
 
+def _projector(f, w):
+    return f @ (f.conj().T * w[None, :])
+
+
+def _gram(f, w):
+    return f.conj().T @ (f * w[:, None])
+
+
 @pytest.mark.parametrize("case", ["mie26", "dda50", 0.5, 1.7, 2.9, 3.5, 4.5])
 def test_decompose_matches_gram_schmidt_reference(case, mie_modes_ka1,
                                                   dda_pipeline):
@@ -161,22 +169,50 @@ def test_decompose_matches_gram_schmidt_reference(case, mie_modes_ka1,
 
     assert np.array_equal(modeset.eigenvalues, values)
     w = weighted.doubled_weights()
-
-    def projector(f):
-        return f @ (f.conj().T * w[None, :])
-
     single = np.ones(len(values), dtype=bool)
     groups = degenerate_groups(values)
     assert groups  # every case has a null cluster
     for grp in groups:
         single[grp] = False
-        assert np.max(np.abs(projector(modeset.eigenvectors[:, grp])
-                             - projector(vectors[:, grp]))) <= 1e-12
+        assert np.max(np.abs(_projector(modeset.eigenvectors[:, grp], w)
+                             - _projector(vectors[:, grp], w))) <= 1e-12
     if single.any():
         assert np.max(np.abs(modeset.eigenvectors[:, single]
                              - vectors[:, single])) <= 1e-14
     gram = sm.farfield_orthogonality(modeset)
     assert np.max(np.abs(gram - np.eye(modeset.n_modes))) <= 1e-10
+
+
+@pytest.mark.parametrize("n_q, ka", [(74, 1.0), (74, 2.0), (230, 1.0)])
+def test_decompose_on_rules_with_negative_weights(n_q, ka, sphere_eps3):
+    # the signed product is indefinite on the null cluster, which therefore
+    # gets a |w|-orthonormal basis of the same span; every other multiplet
+    # gets the reference's w-orthonormal Gram-Schmidt basis
+    rule = sm.lebedev_rule(n_q)
+    tmat = sm.layered_tmatrix(sphere_eps3, ka, rule.order_capability // 2)
+    weighted = sm.apply_weights(sm.s_from_t(tmat, rule, k=ka))
+    modeset = sm.decompose(weighted)
+    values, vectors = _reference_decompose(weighted)
+
+    assert np.array_equal(modeset.eigenvalues, values)
+    w = weighted.doubled_weights()
+    assert np.any(w < 0)
+    definite, indefinite = 0, 0
+    for grp in degenerate_groups(values):
+        f, ref = modeset.eigenvectors[:, grp], vectors[:, grp]
+        eye = np.eye(f.shape[1])
+        if np.linalg.eigvalsh(_gram(ref, w)).min() > 0:
+            definite += 1
+            assert np.max(np.abs(_projector(f, w)
+                                 - _projector(ref, w))) <= 1e-12
+            assert np.max(np.abs(_gram(f, w) - eye)) <= 1e-10
+        else:
+            indefinite += 1
+            assert np.max(np.abs(_gram(f, np.abs(w)) - eye)) <= 1e-10
+            assert np.max(np.abs(_projector(f, np.abs(w)) @ ref
+                                 - ref)) <= 1e-12
+    assert definite >= 5 and indefinite == 1
+    assert np.all(np.isfinite(modeset.eigenvectors))
 
 
 def test_lossless_residual_per_mode(mie_modes_ka1):
