@@ -176,6 +176,8 @@ class DdaBackend(ScatteringBackend):
     def __init__(self, model: DipoleModel):
         self.model = model
         self._systems: dict = {}
+        # one entry {k: (rule, K)}; holding the rule itself keeps its id from
+        # being reused, and it is compared with `is`
         self._kmats: dict = {}
 
     def system(self, k: float) -> ImpedanceSystem:
@@ -184,10 +186,11 @@ class DdaBackend(ScatteringBackend):
         return self._systems[k]
 
     def kmat(self, k: float, rule: QuadratureRule) -> np.ndarray:
-        key = (k, id(rule))
-        if key not in self._kmats:
-            self._kmats[key] = farfield_operator(self.model, rule, k)
-        return self._kmats[key]
+        hit = self._kmats.get(k)
+        if hit is None or hit[0] is not rule:
+            hit = (rule, farfield_operator(self.model, rule, k))
+            self._kmats = {k: hit}
+        return hit[1]
 
     def far_fields(self, k, direction, polarization, rule):
         v = planewave_rhs(self.model, k, direction, polarization)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import AlreadyWeighted
+from .errors import AlreadyWeighted, ScatmodesError
 from .quadrature import QuadratureRule
 
 POLARIZATIONS = ("theta", "phi")
@@ -67,7 +67,11 @@ class ScatteringMatrix:
 
 def assemble(backend: ScatteringBackend, rule: QuadratureRule, k: float,
              workers: int = 1) -> ScatteringMatrix:
-    """Fill the sample matrix by 2 N_q plane-wave excitations."""
+    """Fill the sample matrix by 2 N_q plane-wave excitations.
+
+    A ScatmodesError from the backend passes through as it is; any other
+    failure is re-raised as a RuntimeError naming the excitation.
+    """
     if not backend.supports(k):
         raise ValueError(f"backend does not support k = {k}")
     n = rule.n_points
@@ -80,6 +84,8 @@ def assemble(backend: ScatteringBackend, rule: QuadratureRule, k: float,
         col, direction, pol = job
         try:
             return col, backend.far_fields(k, direction, pol, rule)
+        except ScatmodesError:
+            raise
         except Exception as exc:
             raise RuntimeError(
                 f"backend failed on excitation {col} "

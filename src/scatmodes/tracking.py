@@ -114,12 +114,15 @@ def correlation_matrix(prev: ModeSet, cur: ModeSet,
 
 def _greedy_match(corr: np.ndarray, rows, cols, min_correlation: float):
     """Assign rows to columns in descending correlation; injective by skip."""
-    pairs = sorted(((corr[r, c], r, c) for r in rows for c in cols),
-                   key=lambda p: -p[0])
+    sub = corr[np.ix_(rows, cols)]
+    # descending correlation; a stable sort keeps ties in row-major order
+    order = np.argsort(-sub.ravel(), kind="stable")
     used_r, used_c, out = set(), set(), {}
-    for val, r, c in pairs:
+    for idx in order:
+        val = sub.flat[idx]
         if val < min_correlation:
             break
+        r, c = rows[idx // len(cols)], cols[idx % len(cols)]
         if r in used_r or c in used_c:
             continue
         used_r.add(r)

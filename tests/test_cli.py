@@ -164,6 +164,20 @@ def test_precision_study_outputs_table(tmp_path, capsys):
     assert float(rows[1]["magnitude_error"]) < float(rows[0]["magnitude_error"])
 
 
+def test_precision_study_overflow_is_compute_error(tmp_path, capsys):
+    # the radial recursion overflows at l=32 for this contrast and size
+    cfg = _write_config(tmp_path, {
+        "backend": {"type": "mie", "eps_r": 1e12, "radius": 1.0, "l_max": 40},
+        "frequencies": {"ka": [1e-8]},
+        "output": str(tmp_path / "prec"),
+    })
+    assert main(["precision-study", "--config", cfg,
+                 "--nq-list", "26", "--reference", "50"]) == EXIT_COMPUTE
+    err = capsys.readouterr().err
+    assert "compute error" in err and "l=32" in err
+    assert "Traceback" not in err
+
+
 def test_precision_study_requires_larger_reference(tmp_path):
     cfg = _write_config(tmp_path, {
         "backend": {"type": "mie", "eps_r": 3.0},

@@ -13,7 +13,9 @@ import pytest
 from scipy.special import spherical_jn, spherical_yn
 
 import scatmodes as sm
+from scatmodes.errors import ScatmodesError
 from scatmodes.mie import MieOverflow, default_l_max
+from scatmodes.swe import n_swe, swe_indices
 
 
 def _riccati(l, x):
@@ -67,6 +69,103 @@ def oracle_layered_t(layers, ka, tau, l):
             a[row_d, nunk - 1] -= dps + 1j * dch
             b[row_v], b[row_d] = ps, dps
     return np.linalg.solve(a, b)[-1]
+
+
+def _reference_channel_eigenvalue(sphere, ka, tau, l):
+    """Per-channel scalar loop: the batched recursion must match it bit for bit."""
+    layers = sphere.layers
+    first = layers[0]
+
+    def scale(lay):
+        return lay.relative_permeability if tau == 1 else lay.relative_permittivity
+
+    x0 = ka * first.outer_boundary_fraction * first.refractive_index
+    psi, dpsi, _, _ = _riccati(l, x0)
+    u = (first.refractive_index / scale(first)) * dpsi
+    v = psi
+    for prev, lay in zip(layers, layers[1:]):
+        m, p = lay.refractive_index, scale(lay)
+        xa = ka * prev.outer_boundary_fraction * m
+        xb = ka * lay.outer_boundary_fraction * m
+        psa, dpsa, cha, dcha = _riccati(l, xa)
+        psb, dpsb, chb, dchb = _riccati(l, xb)
+        mat = np.array([[psa, cha], [(m / p) * dpsa, (m / p) * dcha]])
+        try:
+            c, d = np.linalg.solve(mat, np.array([v, u]))
+        except np.linalg.LinAlgError as exc:
+            raise MieOverflow(l, f"(layer transfer at x={xa})") from exc
+        u = (m / p) * (c * dpsb + d * dchb)
+        v = c * psb + d * chb
+        nrm = max(abs(u), abs(v))
+        if not (math.isfinite(nrm) and nrm > 0):
+            raise MieOverflow(l)
+        u, v = u / nrm, v / nrm
+    psi, dpsi, chi, dchi = _riccati(l, ka)
+    num = u * psi - v * dpsi
+    den_im = u * chi - v * dchi
+    t = -num / (num + 1j * den_im)
+    if not np.isfinite(t):
+        raise MieOverflow(l, "(exterior match)")
+    return complex(t)
+
+
+def _reference_channels(sphere, ka, l_max):
+    out = np.empty((2, l_max), dtype=complex)
+    for tau in (1, 2):
+        for l in range(1, l_max + 1):
+            out[tau - 1, l - 1] = _reference_channel_eigenvalue(sphere, ka, tau, l)
+    return out
+
+
+def _reference_diagonal(tch, l_max):
+    diag = np.empty(n_swe(l_max), dtype=complex)
+    for idx in swe_indices(l_max):
+        diag[idx.alpha] = tch[idx.tau - 1, idx.l - 1]
+    return diag
+
+
+_MAGNETODIELECTRIC = sm.LayeredSphere(1.0, tuple(
+    sm.Layer(e, m, f) for e, m, f in
+    zip([1, 5, 1, 2], [3, 1, 8, 1], [0.25, 0.5, 0.75, 1.0])))
+
+
+@pytest.mark.parametrize("sphere,l_max,kas", [
+    (_MAGNETODIELECTRIC, 4, np.linspace(0.5, 4.5, 51)),
+    (sm.LayeredSphere.homogeneous(1.0, 3.0), 14, np.linspace(0.1, 6.0, 21)),
+])
+def test_batched_recursion_is_bit_identical_to_per_channel_loop(sphere, l_max, kas):
+    for ka in kas:
+        ref = _reference_channels(sphere, ka, l_max)
+        assert np.array_equal(sm.channel_eigenvalues(sphere, ka, l_max), ref)
+        diag = _reference_diagonal(ref, l_max)
+        assert np.array_equal(sm.layered_tmatrix(sphere, ka, l_max).entries,
+                              np.diag(diag))
+        order = np.argsort(-np.abs(diag), kind="stable")
+        modes = sm.analytic_modes(sphere, ka, l_max)
+        assert np.array_equal(modes.eigenvalues, diag[order])
+        assert np.array_equal(modes.eigenvectors,
+                              np.eye(diag.size, dtype=complex)[:, order])
+
+
+@pytest.mark.parametrize("sphere,ka,l_max,l,detail", [
+    # exterior match of a homogeneous extreme-contrast sphere
+    (sm.LayeredSphere.homogeneous(1.0, 1e12), 1e-8, 60, 32, "(exterior match)"),
+    # non-finite admittance after the shell transfer
+    (sm.LayeredSphere(1.0, (sm.Layer(2, 1, 1e-6), sm.Layer(50, 1, 1.0))),
+     1e-8, 20, 20, ""),
+    # singular transfer matrix at the outer shell
+    (sm.LayeredSphere(1.0, (sm.Layer(50, 1, 0.3), sm.Layer(2, 3, 0.6),
+                            sm.Layer(1, 1, 1.0))),
+     0.1, 120, 99, "(layer transfer at x=0.06)"),
+])
+def test_overflow_matches_per_channel_loop(sphere, ka, l_max, l, detail):
+    with pytest.raises(MieOverflow) as batched:
+        sm.channel_eigenvalues(sphere, ka, l_max)
+    with np.errstate(all="ignore"), pytest.raises(MieOverflow) as looped:
+        _reference_channels(sphere, ka, l_max)
+    assert batched.value.l == looped.value.l == l
+    assert str(batched.value) == str(looped.value)
+    assert str(batched.value).endswith(f"l={l} {detail}")
 
 
 @pytest.mark.parametrize("eps,mu", [(3.0, 1.0), (2.0, 1.0), (5.0, 2.0)])
@@ -168,9 +267,7 @@ def test_backend_rejects_unknown_direction():
 def test_overflow_reports_degree():
     # extreme contrast at tiny ka drives the interior functions out of range
     sphere = sm.LayeredSphere.homogeneous(1.0, 1e12)
-    try:
+    with pytest.raises(MieOverflow) as exc:
         sm.channel_eigenvalues(sphere, 1e-8, 60)
-    except MieOverflow as exc:
-        assert exc.l >= 1
-    else:  # pragma: no cover - acceptable if scipy keeps values finite
-        pass
+    assert exc.value.l == 32
+    assert isinstance(exc.value, ScatmodesError)

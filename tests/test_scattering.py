@@ -105,3 +105,26 @@ def test_reciprocity_invariant_under_pole_frames():
     sphere = sm.LayeredSphere.homogeneous(1.0, 2.0)
     smat = sm.assemble(sm.MieBackend(sphere), rule, 0.8)
     assert sm.reciprocity_residual(smat) < 1e-14
+
+
+def _rotated(rule, angle):
+    """The same rule turned about the z axis."""
+    return sm.QuadratureRule(
+        points=tuple(sm.Direction(p.theta, p.phi + angle) for p in rule.points),
+        weights=rule.weights, order_capability=rule.order_capability)
+
+
+@pytest.mark.parametrize("make_backend,memo", [
+    (lambda: sm.MieBackend(sm.LayeredSphere.homogeneous(1.0, 3.0)), "_cache"),
+    (lambda: sm.DdaBackend(sm.build_block((2, 2, 1), 0.3, 3.0)), "_kmats"),
+], ids=["mie", "dda"])
+def test_backend_memo_follows_the_rule_object(make_backend, memo):
+    base = sm.lebedev_rule(26)
+    rules = (_rotated(base, 0.3), _rotated(base, 1.1))
+    backend = make_backend()
+    for i in range(200):
+        rule = rules[i % 2]
+        got = backend.far_fields(1.0, rule.points[0], "theta", rule)
+        expected = make_backend().far_fields(1.0, rule.points[0], "theta", rule)
+        assert np.array_equal(got, expected)
+        assert len(getattr(backend, memo)) <= 1
