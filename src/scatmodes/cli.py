@@ -12,7 +12,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,6 +38,41 @@ class ConfigError(ValueError):
     pass
 
 
+def parse_tolerances(items=(), base=None) -> dict:
+    """Validation tolerances: the defaults, then the base mapping (a config
+    file's "tolerances"), then each KEY=VAL item of --tolerance.
+
+    An item without "=", a key outside DEFAULT_TOLERANCES or a value that is
+    not a positive number raises ConfigError naming the allowed keys.
+    """
+    allowed = ", ".join(DEFAULT_TOLERANCES)
+    if base is None:
+        base = {}
+    if not isinstance(base, dict):
+        raise ConfigError(f"tolerances must map KEY to VAL, KEY one of {allowed}")
+    pairs = list(base.items())
+    for item in items:
+        key, sep, val = item.partition("=")
+        if not sep:
+            raise ConfigError(
+                f"bad --tolerance {item!r}; expected KEY=VAL, KEY one of {allowed}")
+        pairs.append((key.strip(), val))
+    tols = dict(DEFAULT_TOLERANCES)
+    for key, val in pairs:
+        if key not in tols:
+            raise ConfigError(
+                f"unknown tolerance {key!r}; allowed keys: {allowed}")
+        try:
+            value = float(val)
+        except (TypeError, ValueError):
+            value = math.nan
+        if not value > 0:
+            raise ConfigError(
+                f"tolerance {key} must be a positive number, got {val!r}")
+        tols[key] = value
+    return tols
+
+
 @dataclass
 class RunConfig:
     backend: dict
@@ -46,7 +80,6 @@ class RunConfig:
     n_q: int | str = "auto"          # point count or "auto"
     output: str = "out"
     tolerances: dict = field(default_factory=dict)
-    workers: int = 1
 
     def __post_init__(self):
         k = np.asarray(self.wavenumbers, dtype=float)
@@ -61,17 +94,19 @@ class RunConfig:
             raise ConfigError(
                 f"unknown backend type {self.backend['type']!r}; "
                 f"expected 'mie' or 'dda'")
-        tols = dict(DEFAULT_TOLERANCES)
-        tols.update(self.tolerances)
-        self.tolerances = tols
+        self.tolerances = parse_tolerances(base=self.tolerances)
 
     @property
     def radius(self) -> float:
+        """Radius of the sphere about the origin that holds the scatterer."""
+        if self.backend["type"] == "dda":
+            return _block_from_spec(self.backend).circumscribing_radius
         return float(self.backend.get("radius", 1.0))
 
     def rule(self):
         if self.n_q == "auto":
-            size = max(minimum_points(k * self.radius) for k in self.wavenumbers)
+            radius = self.radius
+            size = max(minimum_points(k * radius) for k in self.wavenumbers)
             return lebedev_rule(size)
         return lebedev_rule(int(self.n_q))
 
@@ -117,21 +152,14 @@ def load_config(args) -> RunConfig:
         cfg["quadrature"] = args.nq if args.nq == "auto" else int(args.nq)
     if args.out:
         cfg["output"] = args.out
-    tolerances = dict(cfg.get("tolerances", {}))
-    for item in args.tolerance or []:
-        try:
-            key, val = item.split("=", 1)
-            tolerances[key] = float(val)
-        except ValueError as exc:
-            raise ConfigError(f"bad --tolerance {item!r}; expected KEY=VAL") from exc
+    tolerances = parse_tolerances(args.tolerance or (), cfg.get("tolerances"))
     if "backend" not in cfg:
         raise ConfigError("no backend configured (use --backend or a config file)")
     return RunConfig(backend=cfg["backend"],
                      wavenumbers=_grid_from_config(cfg),
                      n_q=cfg.get("quadrature", "auto"),
                      output=cfg.get("output", "out"),
-                     tolerances=tolerances,
-                     workers=int(cfg.get("workers", 1)))
+                     tolerances=tolerances)
 
 
 def _sphere_from_spec(spec: dict) -> LayeredSphere:
@@ -145,6 +173,14 @@ def _sphere_from_spec(spec: dict) -> LayeredSphere:
               float(l["boundary_fraction"])) for l in layers))
 
 
+def _block_from_spec(spec: dict, k: float | None = None):
+    try:
+        spacing, eps_r = float(spec["spacing"]), float(spec["eps_r"])
+    except KeyError as exc:
+        raise ConfigError(f"dda backend needs field {exc}") from exc
+    return build_block(spec.get("extent", (4, 4, 1)), spacing, eps_r, k=k)
+
+
 def _sample_matrix(config: RunConfig, rule, k):
     """Unweighted scattering matrix from whichever backend is configured."""
     spec = config.backend
@@ -155,54 +191,48 @@ def _sample_matrix(config: RunConfig, rule, k):
         tmat = layered_tmatrix(sphere, k * sphere.outer_radius_a, l_max)
         return s_from_t(tmat, rule, k=k)
     if kind == "dda":
-        model = build_block(spec.get("extent", (4, 4, 1)),
-                            float(spec["spacing"]), float(spec["eps_r"]), k=k)
-        return scattering_matrix(model, rule, k)
+        return scattering_matrix(_block_from_spec(spec, k), rule, k)
     raise ConfigError(f"unknown backend type {kind!r}")
 
 
 def cmd_sweep(config: RunConfig) -> int:
+    """Sample, write and decompose each frequency in turn, then track.
+
+    The first failing frequency ends the sweep; the frequencies finished
+    before it stay listed in a manifest marked incomplete, and the exit
+    code is EXIT_COMPUTE.
+    """
     rule = config.rule()
     os.makedirs(config.output, exist_ok=True)
-    entries, modesets, failures = {}, {}, []
+    entries, modesets, failure = [], [], None
+    for i, k in enumerate(config.wavenumbers):
+        try:
+            smat = _sample_matrix(config, rule, k)
+            name = f"dataset_{i:04d}.csv"
+            dataio.write_dataset(smat, os.path.join(config.output, name))
+            modeset = decompose(apply_weights(smat))
+            modes_name = f"modes_{i:04d}.csv"
+            dataio.write_modes(modeset, os.path.join(config.output, modes_name))
+        except (ScatmodesError, ValueError, RuntimeError) as exc:
+            failure = f"frequency {i} (k={k:g}): {exc}"
+            break
+        entries.append({"frequency_hz": frequency(k), "wavenumber": k,
+                        "dataset": name, "modes": modes_name})
+        modesets.append(modeset)
 
-    def one(i_k):
-        i, k = i_k
-        smat = _sample_matrix(config, rule, k)
-        name = f"dataset_{i:04d}.csv"
-        dataio.write_dataset(smat, os.path.join(config.output, name))
-        modeset = decompose(apply_weights(smat))
-        modes_name = f"modes_{i:04d}.csv"
-        dataio.write_modes(modeset, os.path.join(config.output, modes_name))
-        return i, k, name, modes_name, modeset
-
-    jobs = list(enumerate(config.wavenumbers))
-    try:
-        if config.workers > 1:
-            with ThreadPoolExecutor(max_workers=config.workers) as pool:
-                results = list(pool.map(one, jobs))
-        else:
-            results = [one(j) for j in jobs]
-    except (ScatmodesError, ValueError, RuntimeError) as exc:
-        failures.append(str(exc))
-        results = []
-    for i, k, name, modes_name, modeset in results:
-        entries[i] = {"frequency_hz": frequency(k), "wavenumber": k,
-                      "dataset": name, "modes": modes_name}
-        modesets[i] = modeset
-
-    complete = len(entries) == len(jobs) and not failures
-    if complete and len(jobs) > 1:
+    complete = failure is None
+    if complete and len(entries) > 1:
         sweep = tracking.SweepResult(
-            frequencies=np.array([frequency(k) for k in config.wavenumbers]),
-            modesets=tuple(modesets[i] for i in range(len(jobs))))
+            frequencies=np.array([e["frequency_hz"] for e in entries]),
+            modesets=tuple(modesets))
         rows = tracking.trace_export(tracking.track(sweep))
         dataio.write_traces(rows, os.path.join(config.output, "traces.csv"))
-        for e in entries.values():
+        for e in entries:
             e["traces"] = "traces.csv"
-    dataio.write_manifest(config.output, list(entries.values()), complete)
+    dataio.write_manifest(config.output, entries, complete)
     if not complete:
-        print(f"sweep incomplete: {'; '.join(failures) or 'missing frequencies'}",
+        print(f"sweep incomplete after {len(entries)} of "
+              f"{len(config.wavenumbers)} frequencies: {failure}",
               file=sys.stderr)
         return EXIT_COMPUTE
     print(f"sweep complete: {len(entries)} frequencies -> {config.output}")
@@ -228,8 +258,7 @@ def _validate_one(path: str, tolerances: dict) -> bool:
 
 
 def cmd_validate(path: str, tolerances: dict) -> int:
-    tols = dict(DEFAULT_TOLERANCES)
-    tols.update(tolerances)
+    tols = parse_tolerances(base=tolerances)
     if os.path.isdir(path):
         manifest = dataio.read_manifest(path)
         files = [os.path.join(path, e["dataset"]) for e in manifest["entries"]]
@@ -333,11 +362,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "validate":
-            tols = {}
-            for item in args.tolerance or []:
-                key, val = item.split("=", 1)
-                tols[key] = float(val)
-            return cmd_validate(args.path, tols)
+            return cmd_validate(args.path,
+                                parse_tolerances(args.tolerance or ()))
         config = load_config(args)
         if args.command == "sweep":
             return cmd_sweep(config)

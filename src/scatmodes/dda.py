@@ -46,6 +46,11 @@ class DipoleModel:
         return self.positions.shape[0]
 
     @property
+    def circumscribing_radius(self) -> float:
+        """Largest dipole distance from the origin, meters."""
+        return float(np.max(np.linalg.norm(self.positions, axis=1)))
+
+    @property
     def static_polarizability(self) -> float:
         """Clausius-Mossotti polarizability of one lattice cell, F m^2."""
         er = self.relative_permittivity
@@ -212,10 +217,14 @@ def classical_cm(system: ImpedanceSystem, rank_tol: float = 1e-12):
     """Classical characteristic modes X I = lambda R I on the radiating subspace.
 
     R is rank-deficient for any finite quadrature-free dipole cloud beyond a
-    handful of radiating combinations, so the pencil is restricted to the
-    eigenspace of R above rank_tol times its largest eigenvalue.  Returns
-    (lambdas, currents) sorted by ascending |lambda| (descending modal
-    significance); currents are columns in the full 3N space, R-normalized.
+    handful of radiating combinations.  R's eigenbasis is split at rank_tol
+    times its largest eigenvalue into radiating currents B1 a and the rest
+    B2 b.  The second block row of the pencil, X21 a + X22 b = 0, fixes
+    b = D a with D = -X22^-1 X21, and the pencil projected onto the currents
+    (B1 + B2 D) a is the Schur complement (X11 - X12 X22^-1 X21) a =
+    lambda (R11 + D^T R22 D) a.  Returns (lambdas, currents) sorted by
+    ascending |lambda| (descending modal significance); currents are
+    columns in the full 3N space, R-normalized.
     """
     r = system.resistance()
     x = system.reactance()
@@ -224,13 +233,15 @@ def classical_cm(system: ImpedanceSystem, rank_tol: float = 1e-12):
     if not np.any(keep):
         raise RankDeficientR(
             f"radiation operator has no eigenvalue above {rank_tol:.1e} of max")
-    basis = rvecs[:, keep]
-    r_sub = np.diag(rvals[keep])
-    x_sub = basis.T @ x @ basis
+    basis, null = rvecs[:, keep], rvecs[:, ~keep]
+    drive = -scipy.linalg.solve(null.T @ x @ null, null.T @ x @ basis,
+                                assume_a="sym")
+    x_sub = basis.T @ x @ basis + (basis.T @ x @ null) @ drive
+    r_sub = np.diag(rvals[keep]) + drive.T @ (rvals[~keep][:, None] * drive)
     lam, vec = scipy.linalg.eigh(x_sub, r_sub)
     order = np.argsort(np.abs(lam))
     lam, vec = lam[order], vec[:, order]
-    return lam, basis @ vec
+    return lam, (basis + null @ drive) @ vec
 
 
 def modal_current(system: ImpedanceSystem, kmat: np.ndarray,

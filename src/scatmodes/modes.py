@@ -89,14 +89,27 @@ def _sort_order(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     """Indices ordering modes by |t| descending, then arg t in [0, 2 pi),
     then the magnitude of each eigenvector's first nonzero entry.
 
-    The keys use scalar abs and angle: the vectorized forms can differ in
-    the last ulp and reorder the members of a multiplet.
+    One stable lexsort gives the order of a stable sort on the key tuples.
+    The magnitudes use the scalar abs: the vectorized np.abs differs from it
+    in the last ulp for a large share of inputs, which would reorder the
+    members of a multiplet.  The vectorized np.angle equals the scalar one.
     """
     firsts = vectors[np.argmax(vectors != 0, axis=0),
                      np.arange(vectors.shape[1])]
-    keys = [(-abs(t), np.angle(t) % (2 * math.pi), abs(f))
-            for t, f in zip(values, firsts)]
-    return np.array(sorted(range(len(values)), key=keys.__getitem__))
+    mag_t = np.array([abs(t) for t in values])
+    mag_f = np.array([abs(f) for f in firsts])
+    return np.lexsort((mag_f, np.angle(values) % (2 * math.pi), -mag_t))
+
+
+def _householder_q(a: np.ndarray) -> np.ndarray:
+    """Q of the economic QR of a complex a with at least as many rows as
+    columns; the LAPACK calls and queried workspaces of scipy.linalg.qr
+    without its wrapper overhead, so Q is the same."""
+    geqrf, ungqr = scipy.linalg.lapack.zgeqrf, scipy.linalg.lapack.zungqr
+    lwork = int(geqrf(a, lwork=-1)[-2][0].real)
+    qr, tau, _, _ = geqrf(a, lwork=lwork, overwrite_a=True)
+    lwork = int(ungqr(qr, tau, lwork=-1)[-2][0].real)
+    return ungqr(qr, tau, lwork=lwork, overwrite_a=True)[0]
 
 
 def _orthonormalize_degenerate(values, vectors, weights) -> None:
@@ -113,8 +126,7 @@ def _orthonormalize_degenerate(values, vectors, weights) -> None:
     sqrt_w = np.sqrt(np.abs(weights))[:, None]
     signed = bool(np.any(weights < 0))
     for grp in degenerate_groups(values):
-        q, _ = scipy.linalg.qr(vectors[:, grp] * sqrt_w, mode="economic",
-                               overwrite_a=True)
+        q = _householder_q(np.multiply(vectors[:, grp], sqrt_w, order="F"))
         q /= sqrt_w
         if signed:
             try:

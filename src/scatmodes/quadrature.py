@@ -203,29 +203,33 @@ class QuadratureRule:
     weights: np.ndarray
     order_capability: int
     name: str = ""
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     @property
     def n_points(self) -> int:
         return len(self.points)
 
+    def cached(self, key, build):
+        """build(), computed on first use and kept with the rule under key."""
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
+
     @property
     def unit_vectors(self) -> np.ndarray:
-        if "uv" not in self._cache:
-            self._cache["uv"] = np.array([p.unit_vector for p in self.points])
-        return self._cache["uv"]
+        return self.cached(
+            "uv", lambda: np.array([p.unit_vector for p in self.points]))
 
     @property
     def theta_hats(self) -> np.ndarray:
-        if "th" not in self._cache:
-            self._cache["th"] = np.array([p.theta_hat for p in self.points])
-        return self._cache["th"]
+        return self.cached(
+            "th", lambda: np.array([p.theta_hat for p in self.points]))
 
     @property
     def phi_hats(self) -> np.ndarray:
-        if "ph" not in self._cache:
-            self._cache["ph"] = np.array([p.phi_hat for p in self.points])
-        return self._cache["ph"]
+        return self.cached(
+            "ph", lambda: np.array([p.phi_hat for p in self.points]))
 
     def inversion_permutation(self) -> np.ndarray:
         """Index map p -> q with r_q = -r_p; raises if the rule is not closed."""
@@ -246,6 +250,8 @@ class QuadratureRule:
         return perm
 
     def matches(self, other: "QuadratureRule") -> bool:
+        if other is self:
+            return True
         if self.n_points != other.n_points:
             return False
         return (np.allclose(self.unit_vectors, other.unit_vectors, atol=1e-13)

@@ -110,6 +110,26 @@ def apply_weights(smat: ScatteringMatrix) -> ScatteringMatrix:
                    weighted=True)
 
 
+def _dyads(smat: ScatteringMatrix) -> np.ndarray:
+    """Full 3x3 dyad at every sample pair, (N_q, N_q, 3, 3).
+
+    dyad[p, q] sums S[(a, p), (b, q)] frame_a(p) frame_b(q)^T over the
+    polarizations (a, b).  Complex-cast frames and the four terms added into
+    zeros in (a, b) order reproduce the naive four-operand
+    einsum("pqab,pai,qbj->pqij") bit for bit, at under half its cost.
+    """
+    rule = smat.rule
+    n = rule.n_points
+    frames = (rule.theta_hats.astype(complex), rule.phi_hats.astype(complex))
+    s4 = smat.matrix.reshape(2, n, 2, n)  # (a, p, b, q)
+    dyad = np.zeros((n, n, 3, 3), dtype=complex)
+    for a in range(2):
+        for b in range(2):
+            left = s4[a, :, b, :, None] * frames[a][:, None, :]
+            dyad += left[..., None] * frames[b][None, :, None, :]
+    return dyad
+
+
 def reciprocity_residual(smat: ScatteringMatrix) -> float:
     """Max-norm violation of S(r, r') = S^T(-r', -r) over all sample pairs.
 
@@ -117,14 +137,7 @@ def reciprocity_residual(smat: ScatteringMatrix) -> float:
     to the polarization-frame sign bookkeeping under direction inversion
     (including the canonicalized pole frames).
     """
-    rule = smat.rule
-    inv = rule.inversion_permutation()
-    n = rule.n_points
-    th, ph = rule.theta_hats, rule.phi_hats  # (N_q, 3)
-
-    frames = np.stack([th, ph], axis=1)  # (N_q, 2, 3)
-    s4 = smat.matrix.reshape(2, n, 2, n).transpose(1, 3, 0, 2)  # (p, q, g, g')
-    # full 3x3 dyadic at every (p, q) pair
-    dyad = np.einsum("pqab,pai,qbj->pqij", s4, frames, frames)
+    inv = smat.rule.inversion_permutation()
+    dyad = _dyads(smat)
     swapped = dyad[np.ix_(inv, inv)].transpose(1, 0, 3, 2)
     return float(np.max(np.abs(dyad - swapped)))

@@ -177,11 +177,16 @@ def vsh_matrix(l_max: int, rule: QuadratureRule) -> np.ndarray:
     """Sample matrix A of shape (2 N_q, n_swe): theta block over phi block.
 
     A[(gamma, p), alpha] is the gamma-component of Y_alpha at rule point p.
+    It is built once per (rule, l_max), kept with the rule and read-only.
     """
-    theta = np.array([p.theta for p in rule.points])
-    phi = np.array([p.phi for p in rule.points])
-    ct, cp = _tangential_components(l_max, theta, phi)
-    return np.vstack([ct, cp])
+    def build():
+        theta = np.array([p.theta for p in rule.points])
+        phi = np.array([p.phi for p in rule.points])
+        a = np.vstack(_tangential_components(l_max, theta, phi))
+        a.setflags(write=False)
+        return a
+
+    return rule.cached(("vsh", l_max), build)
 
 
 def _doubled_weights(rule: QuadratureRule) -> np.ndarray:

@@ -80,18 +80,21 @@ def _weighted(modeset: ModeSet) -> np.ndarray:
     return modeset.eigenvectors * w[:, None]
 
 
-def _align_degenerate(prev: ModeSet, cur: ModeSet) -> np.ndarray:
+def _align_degenerate(prev: ModeSet, cur: ModeSet,
+                      min_significance: float = 0.0) -> np.ndarray:
     """Rotate each degenerate eigenspace of cur toward prev's eigenvectors.
 
     Works on a copy; within a multiplet any unitary mixing is still an
     eigenbasis, so the orthogonal-Procrustes rotation of the weighted Gram
-    block is physically free.
+    block is physically free.  Multiplets whose members all fall below
+    min_significance are left as they are, since tracking never matches them.
     """
     vecs = cur.eigenvectors.copy()
     overlap = prev.eigenvectors.conj().T @ _weighted(cur)  # (n_prev, n_cur)
     for grp in degenerate_groups(cur.eigenvalues):
         size = grp.stop - grp.start
-        if overlap.shape[0] < size:
+        if overlap.shape[0] < size or all(
+                abs(t) < min_significance for t in cur.eigenvalues[grp]):
             continue
         block = overlap[:, grp]
         # pair the multiplet against its strongest predecessors, then solve
@@ -155,10 +158,10 @@ def track(sweep: SweepResult,
 
     for step in range(1, sweep.n_steps):
         prev, cur = sweep.modesets[step - 1], sweep.modesets[step]
-        aligned = _align_degenerate(prev, cur)
+        aligned = _align_degenerate(prev, cur, min_significance)
         corr = correlation_matrix(prev, cur, aligned)
-        match = _greedy_match(corr, list(active), significant(cur),
-                              min_correlation)
+        candidates = significant(cur)
+        match = _greedy_match(corr, list(active), candidates, min_correlation)
         next_active = {}
         for m, trace in active.items():
             if m in match:
@@ -167,7 +170,7 @@ def track(sweep: SweepResult,
                 trace.eigenvalues.append(complex(cur.eigenvalues[n]))
                 trace.correlations.append(val)
                 next_active[n] = trace
-        for n in significant(cur):
+        for n in candidates:
             if n not in next_active:
                 next_active[n] = open_trace(step, cur, n)
         active = next_active

@@ -1,6 +1,12 @@
 """Shared fixtures: reusable scattering pipelines for spheres and dipole blocks."""
 
-import math
+import os
+
+# one BLAS thread, as in the benchmark: NumPy reads this when it is first
+# imported, and several threads make the small eigensolves slower
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import math  # noqa: E402
 
 import numpy as np
 import pytest

@@ -7,7 +7,7 @@ import pytest
 
 from scatmodes import dataio
 from scatmodes.cli import (EXIT_COMPUTE, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION,
-                           main)
+                           main, parse_tolerances)
 
 
 def _write_config(tmp_path, payload, name="config.json"):
@@ -185,3 +185,83 @@ def test_precision_study_requires_larger_reference(tmp_path):
     })
     assert main(["precision-study", "--config", cfg,
                  "--nq-list", "26,50", "--reference", "50"]) == EXIT_USAGE
+
+
+def test_auto_quadrature_sizes_dda_from_block_radius(tmp_path):
+    # the 8x8x2 block with spacing 0.5 reaches R = 2.49 from its center, so
+    # ka up to 2.49 needs 74 points; the default radius of 1 gave 26
+    cfg = _write_config(tmp_path, {
+        "backend": {"type": "dda", "extent": [8, 8, 2], "spacing": 0.5,
+                    "eps_r": 3.0},
+        "frequencies": {"ka": [0.8, 1.0]},
+        "quadrature": "auto",
+        "output": str(tmp_path / "out"),
+    })
+    assert main(["sweep", "--config", cfg]) == EXIT_OK
+    out = str(tmp_path / "out")
+    entry = dataio.read_manifest(out)["entries"][-1]
+    assert dataio.read_dataset(os.path.join(out, entry["dataset"])) \
+        .rule.n_points >= 74
+
+
+def test_failed_frequency_keeps_the_finished_ones(tmp_path, mie_config,
+                                                  monkeypatch, capsys):
+    from scatmodes import cli
+    from scatmodes.mie import MieOverflow
+
+    real = cli.layered_tmatrix
+
+    def fails_above_1_1(sphere, ka, l_max):
+        if ka > 1.1:
+            raise MieOverflow(7, "(injected)")
+        return real(sphere, ka, l_max)
+
+    monkeypatch.setattr(cli, "layered_tmatrix", fails_above_1_1)
+    assert main(["sweep", "--config", mie_config]) == EXIT_COMPUTE
+    out = tmp_path / "out"
+    manifest = dataio.read_manifest(str(out))
+    assert manifest["complete"] is False
+    assert [e["dataset"] for e in manifest["entries"]] == [
+        "dataset_0000.csv", "dataset_0001.csv"]
+    for entry in manifest["entries"]:
+        assert (out / entry["dataset"]).exists()
+        assert (out / entry["modes"]).exists()
+        assert "traces" not in entry
+    err = capsys.readouterr().err
+    assert "after 2 of 3 frequencies" in err and "l=7" in err
+    assert main(["validate", str(out)]) == EXIT_OK
+
+
+ALLOWED_KEYS = "reciprocity, lossless, eigenpair"
+
+
+@pytest.mark.parametrize("item", ["reciprocity", "reciprocty=1e-3",
+                                  "lossless=abc", "eigenpair=-1", "=1e-3"])
+@pytest.mark.parametrize("command", ["sweep", "validate"])
+def test_bad_tolerance_is_usage_error(tmp_path, mie_config, capsys,
+                                      command, item):
+    args = (["sweep", "--config", mie_config] if command == "sweep"
+            else ["validate", str(tmp_path / "out")])
+    assert main(args + ["--tolerance", item]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert ALLOWED_KEYS in captured.err or "positive number" in captured.err
+    assert "Traceback" not in captured.err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_tolerances_are_checked(tmp_path, capsys):
+    cfg = _write_config(tmp_path, {
+        "backend": {"type": "mie", "eps_r": 3.0},
+        "frequencies": {"ka": [1.0]},
+        "tolerances": {"losless": 1e-3},
+        "output": str(tmp_path / "out"),
+    })
+    assert main(["sweep", "--config", cfg]) == EXIT_USAGE
+    assert f"unknown tolerance 'losless'; allowed keys: {ALLOWED_KEYS}" \
+        in capsys.readouterr().err
+
+
+def test_tolerance_parser_merges_config_then_flags():
+    assert parse_tolerances(["lossless=1e-3"], {"lossless": 1e-4,
+                                                "eigenpair": 1e-6}) == {
+        "reciprocity": 1e-10, "lossless": 1e-3, "eigenpair": 1e-6}

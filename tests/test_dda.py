@@ -137,3 +137,24 @@ def test_model_validation():
         sm.build_block((0, 2, 2), 0.1, 3.0)
     with pytest.raises(ValueError, match="k must be positive"):
         sm.ImpedanceSystem(sm.DipoleModel(np.zeros((1, 3)), 0.1, 3.0), 0.0)
+
+
+def test_classical_modes_keep_the_null_space_coupling():
+    # R keeps only 84 of 384 directions here; dropping X's coupling to the
+    # rest left the pencil 1.1e-3 away from the scattering route
+    extent = (8, 8, 2)
+    spacing = 2.0 / math.sqrt(sum(n * n for n in extent))
+    model = sm.build_block(extent, spacing, 3.0)
+    k, rule = 1.0, sm.lebedev_rule(50)
+    backend = sm.DdaBackend(model)
+    modeset = sm.decompose(sm.apply_weights(
+        sm.scattering_matrix(model, rule, k, backend)))
+    system = backend.system(k)
+    lam, currents = sm.classical_cm(system)
+    assert len(lam) < system.n_unknowns // 4
+    t_lam = np.array([sm.t_from_lambda(v) for v in lam])
+    t_lam = t_lam[np.argsort(-np.abs(t_lam))][:10]
+    top = modeset.eigenvalues[:10]
+    assert np.max(np.abs(t_lam - top) / np.abs(top)) < 1e-6
+    gram = currents.T @ system.resistance() @ currents
+    assert np.max(np.abs(gram - np.eye(len(lam)))) < 1e-4

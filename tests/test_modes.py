@@ -5,8 +5,10 @@ import pytest
 import scipy.linalg
 
 import scatmodes as sm
+from scatmodes import modes
 from scatmodes.errors import BelowSignificanceThreshold
 from scatmodes.modes import characteristic_angle, degenerate_groups, metrics
+from scatmodes.swe import _tangential_components
 
 
 def test_metrics_resonant_mode():
@@ -250,3 +252,107 @@ def test_farfield_orthogonality_needs_rule():
                          eigenvectors=np.eye(1, dtype=complex), rule=None)
     with pytest.raises(ValueError, match="rule"):
         sm.farfield_orthogonality(modeset)
+
+
+def _tuple_key_order(values, vectors):
+    """The mode order as a stable sort on (-|t|, arg t mod 2 pi, |first|)
+    key tuples built with scalar abs and angle."""
+    firsts = vectors[np.argmax(vectors != 0, axis=0),
+                     np.arange(vectors.shape[1])]
+    keys = [(-abs(t), np.angle(t) % (2 * math.pi), abs(f))
+            for t, f in zip(values, firsts)]
+    return np.array(sorted(range(len(values)), key=keys.__getitem__))
+
+
+def test_sort_order_equals_the_tuple_key_sort():
+    rng = np.random.default_rng(7)
+    # few distinct values, signed zeros and tiny magnitudes force ties on
+    # every key and exercise the angle branch cuts
+    pool = np.array([0.0, -0.0, 1e-300, -2.5e-17, 0.3, -0.3, 1.0, -1.0])
+
+    def draw(shape):
+        z = np.empty(shape, dtype=complex)
+        z.real, z.imag = rng.choice(pool, shape), rng.choice(pool, shape)
+        return z
+
+    for _ in range(300):
+        n = int(rng.integers(1, 40))
+        values, vectors = draw(n), draw((6, n))
+        assert np.array_equal(modes._sort_order(values, vectors),
+                              _tuple_key_order(values, vectors))
+    # one multiplet whose first entries share a magnitude up to rounding,
+    # where the vectorized np.abs would reorder the members
+    for _ in range(20):
+        n = 12
+        values = np.full(n, 0.25 - 0.4j)
+        vectors = np.zeros((3, n), dtype=complex)
+        vectors[1] = 0.7 * np.exp(1j * rng.uniform(0, 2 * math.pi, n))
+        assert np.array_equal(modes._sort_order(values, vectors),
+                              _tuple_key_order(values, vectors))
+    for n_q, ka in [(26, 1.0), (38, 3.4), (74, 2.0)]:
+        rule = sm.lebedev_rule(n_q)
+        smat = sm.s_from_t(sm.layered_tmatrix(
+            sm.LayeredSphere.homogeneous(1.0, 3.0), ka,
+            rule.order_capability // 2), rule, k=ka)
+        values, vectors = scipy.linalg.eig(sm.apply_weights(smat).matrix)
+        assert np.array_equal(modes._sort_order(values, vectors),
+                              _tuple_key_order(values, vectors))
+
+
+def _scipy_qr_decompose(smat):
+    """decompose spelled out with the tuple-key sort and scipy.linalg.qr."""
+    values, vectors = scipy.linalg.eig(smat.matrix)
+    w = smat.doubled_weights()
+
+    def phase_fix(v):
+        pivots = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
+        pivots[pivots == 0] = 1.0
+        v *= np.abs(pivots) / pivots
+
+    nrm = np.abs(w @ np.abs(vectors) ** 2)
+    nrm[nrm == 0] = 1.0
+    vectors /= np.sqrt(nrm)
+    phase_fix(vectors)
+    order = _tuple_key_order(values, vectors)
+    values, vectors = values[order], vectors[:, order]
+    sqrt_w = np.sqrt(np.abs(w))[:, None]
+    for grp in degenerate_groups(values):
+        q, _ = scipy.linalg.qr(vectors[:, grp] * sqrt_w, mode="economic",
+                               overwrite_a=True)
+        q /= sqrt_w
+        if np.any(w < 0):
+            try:
+                r = scipy.linalg.cholesky(q.conj().T @ (q * w[:, None]))
+            except scipy.linalg.LinAlgError:
+                pass
+            else:
+                q = scipy.linalg.solve_triangular(r, q.T, trans="T").T
+        phase_fix(q)
+        vectors[:, grp] = q
+    residuals = np.linalg.norm(
+        smat.matrix @ vectors - vectors * values[None, :], axis=0)
+    return values, vectors, residuals
+
+
+def test_sweep_synthesis_and_decompose_equal_the_plain_reference(
+        magnetodielectric_sweep):
+    """Every step of the 201-step N_q=38 sweep, bit for bit: synthesis
+    against a freshly built VSH matrix, decompose against the tuple-key sort
+    and scipy.linalg.qr."""
+    kas, sweep = magnetodielectric_sweep
+    sphere = sm.LayeredSphere(1.0, tuple(
+        sm.Layer(e, m, f) for e, m, f in
+        zip([1, 5, 1, 2], [3, 1, 8, 1], [0.25, 0.5, 0.75, 1.0])))
+    rule = sweep.modesets[0].rule
+    theta = np.array([p.theta for p in rule.points])
+    phi = np.array([p.phi for p in rule.points])
+    a = np.vstack(_tangential_components(4, theta, phi))
+    assert len(kas) == 201 and rule.n_points == 38
+    for ka, modeset in zip(kas, sweep.modesets):
+        tmat = sm.layered_tmatrix(sphere, ka, 4)
+        smat = sm.s_from_t(tmat, rule, k=ka)
+        assert np.array_equal(smat.matrix, a @ tmat.entries @ a.conj().T)
+        values, vectors, residuals = _scipy_qr_decompose(sm.apply_weights(smat))
+        assert np.array_equal(modeset.eigenvalues, values)
+        assert np.array_equal(modeset.eigenvectors, vectors)
+        assert np.array_equal(modeset.residuals, residuals)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import scatmodes as sm
+from scatmodes import scattering
 from scatmodes.errors import AlreadyWeighted
 from scatmodes.scattering import POLARIZATIONS
 
@@ -128,3 +129,32 @@ def test_backend_memo_follows_the_rule_object(make_backend, memo):
         expected = make_backend().far_fields(1.0, rule.points[0], "theta", rule)
         assert np.array_equal(got, expected)
         assert len(getattr(backend, memo)) <= 1
+
+
+def _einsum_dyads(smat):
+    n = smat.n_points
+    frames = np.stack([smat.rule.theta_hats, smat.rule.phi_hats], axis=1)
+    s4 = smat.matrix.reshape(2, n, 2, n).transpose(1, 3, 0, 2)
+    return np.einsum("pqab,pai,qbj->pqij", s4, frames, frames)
+
+
+@pytest.mark.parametrize("n_q", [6, 38, 110, 302])
+def test_reciprocity_dyads_equal_the_einsum_reference(n_q, dda_pipeline):
+    rule = sm.lebedev_rule(n_q)
+    sphere = sm.LayeredSphere(1.0, (sm.Layer(5.0, 3.0, 0.5),
+                                    sm.Layer(2.0, 1.0, 1.0)))
+    smat = sm.assemble(sm.MieBackend(sphere), rule, 1.3)
+    rng = np.random.default_rng(n_q)
+    noise = rng.standard_normal(smat.matrix.shape) * (1.0 + 1j)
+    cases = [smat, sm.ScatteringMatrix(rule=rule, k=1.3, matrix=noise)]
+    if n_q == 38:
+        cases.append(dda_pipeline[4])  # the dipole block on its 50-point rule
+    for case in cases:
+        ref = _einsum_dyads(case)
+        got = scattering._dyads(case)
+        # bit for bit, signed zeros included
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+        inv = case.rule.inversion_permutation()
+        swapped = ref[np.ix_(inv, inv)].transpose(1, 0, 3, 2)
+        assert sm.reciprocity_residual(case) == float(
+            np.max(np.abs(ref - swapped)))

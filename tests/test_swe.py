@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 import scatmodes as sm
 from scatmodes.errors import InsufficientQuadrature
-from scatmodes.swe import SweIndex, n_swe, swe_indices
+from scatmodes.swe import SweIndex, _tangential_components, n_swe, swe_indices
 
 
 def test_index_flattening_bijection():
@@ -117,3 +118,24 @@ def test_expand_farfield_reports_out_of_band_residual():
     samples = a8[:, -1]  # pure l=8 content, far outside l_max=2
     _, residual = sm.expand_farfield(samples, rule, 2)
     assert residual > 0.5
+
+
+def test_vsh_matrix_is_kept_read_only_per_rule_and_degree():
+    rule = sm.lebedev_rule(26)
+    a = sm.vsh_matrix(3, rule)
+    assert sm.vsh_matrix(3, rule) is a
+    assert not a.flags.writeable
+    with pytest.raises(ValueError):
+        a[0, 0] = 1.0
+    theta = np.array([p.theta for p in rule.points])
+    phi = np.array([p.phi for p in rule.points])
+    assert np.array_equal(a, np.vstack(_tangential_components(3, theta, phi)))
+    # another degree, an equal rule object and a replaced rule each get
+    # their own matrix
+    other = sm.vsh_matrix(2, rule)
+    assert other.shape == (2 * rule.n_points, n_swe(2))
+    twin = sm.lebedev_rule(26)
+    assert sm.vsh_matrix(3, twin) is not a
+    assert np.array_equal(sm.vsh_matrix(3, twin), a)
+    assert sm.vsh_matrix(3, dataclasses.replace(rule, name="copy")) is not a
+    assert sm.vsh_matrix(3, rule) is a and sm.vsh_matrix(2, rule) is other

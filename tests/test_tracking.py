@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 import scatmodes as sm
+from scatmodes import tracking
 from scatmodes.errors import RuleMismatch
+from scatmodes.modes import degenerate_groups
 from scatmodes.tracking import TRACE_COLUMNS, correlation_matrix
 
 
@@ -157,3 +159,31 @@ def test_trace_export_rows():
 def test_trace_export_empty_sweep():
     sweep = sm.SweepResult(frequencies=np.array([]), modesets=())
     assert sm.trace_export(sm.track(sweep)) == []
+
+
+def _trace_tuples(tracked):
+    return [(tr.trace_id, tr.start_step, tr.mode_indices, tr.eigenvalues,
+             tr.correlations) for tr in tracked.traces]
+
+
+def test_track_equals_aligning_every_multiplet(magnetodielectric_sweep,
+                                               monkeypatch):
+    """Leaving the insignificant multiplets unaligned changes no trace."""
+    _, sweep = magnetodielectric_sweep
+    tracked = sm.track(sweep)
+    # the skip is real: weak multiplets stay as decompose returned them
+    prev, cur = sweep.modesets[0], sweep.modesets[1]
+    weak = [grp for grp in degenerate_groups(cur.eigenvalues)
+            if np.all(np.abs(cur.eigenvalues[grp]) < 1e-3)]
+    assert weak
+    skipped = tracking._align_degenerate(prev, cur, 1e-3)
+    aligned = tracking._align_degenerate(prev, cur)
+    for grp in weak:
+        assert np.array_equal(skipped[:, grp], cur.eigenvectors[:, grp])
+    assert any(not np.array_equal(aligned[:, grp], cur.eigenvectors[:, grp])
+               for grp in weak)
+
+    align_all = tracking._align_degenerate
+    monkeypatch.setattr(tracking, "_align_degenerate",
+                        lambda prev, cur, floor: align_all(prev, cur))
+    assert _trace_tuples(sm.track(sweep)) == _trace_tuples(tracked)
