@@ -12,7 +12,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,33 +38,27 @@ class ConfigError(ValueError):
     pass
 
 
-def parse_tolerances(items=(), base=None) -> dict:
-    """Validation tolerances: the defaults, then the base mapping (a config
-    file's "tolerances"), then each KEY=VAL item of --tolerance.
+def parse_tolerances(items=()) -> dict:
+    """Validation tolerances: the defaults, then each KEY=VAL item of
+    --tolerance in turn.
 
     An item without "=", a key outside DEFAULT_TOLERANCES or a value that is
     not a positive number raises ConfigError naming the allowed keys.
     """
     allowed = ", ".join(DEFAULT_TOLERANCES)
-    if base is None:
-        base = {}
-    if not isinstance(base, dict):
-        raise ConfigError(f"tolerances must map KEY to VAL, KEY one of {allowed}")
-    pairs = list(base.items())
+    tols = dict(DEFAULT_TOLERANCES)
     for item in items:
         key, sep, val = item.partition("=")
+        key = key.strip()
         if not sep:
             raise ConfigError(
                 f"bad --tolerance {item!r}; expected KEY=VAL, KEY one of {allowed}")
-        pairs.append((key.strip(), val))
-    tols = dict(DEFAULT_TOLERANCES)
-    for key, val in pairs:
         if key not in tols:
             raise ConfigError(
                 f"unknown tolerance {key!r}; allowed keys: {allowed}")
         try:
             value = float(val)
-        except (TypeError, ValueError):
+        except ValueError:
             value = math.nan
         if not value > 0:
             raise ConfigError(
@@ -79,7 +73,6 @@ class RunConfig:
     wavenumbers: np.ndarray          # ascending
     n_q: int | str = "auto"          # point count or "auto"
     output: str = "out"
-    tolerances: dict = field(default_factory=dict)
 
     def __post_init__(self):
         k = np.asarray(self.wavenumbers, dtype=float)
@@ -94,7 +87,11 @@ class RunConfig:
             raise ConfigError(
                 f"unknown backend type {self.backend['type']!r}; "
                 f"expected 'mie' or 'dda'")
-        self.tolerances = parse_tolerances(base=self.tolerances)
+        # a bad scatterer spec fails here, before any output is written
+        if self.backend["type"] == "dda":
+            _block_from_spec(self.backend)
+        else:
+            _sphere_from_spec(self.backend)
 
     @property
     def radius(self) -> float:
@@ -152,14 +149,15 @@ def load_config(args) -> RunConfig:
         cfg["quadrature"] = args.nq if args.nq == "auto" else int(args.nq)
     if args.out:
         cfg["output"] = args.out
-    tolerances = parse_tolerances(args.tolerance or (), cfg.get("tolerances"))
+    if "tolerances" in cfg:
+        raise ConfigError("a config's \"tolerances\" have no effect; pass "
+                          "--tolerance KEY=VAL to validate instead")
     if "backend" not in cfg:
         raise ConfigError("no backend configured (use --backend or a config file)")
     return RunConfig(backend=cfg["backend"],
                      wavenumbers=_grid_from_config(cfg),
                      n_q=cfg.get("quadrature", "auto"),
-                     output=cfg.get("output", "out"),
-                     tolerances=tolerances)
+                     output=cfg.get("output", "out"))
 
 
 def _sphere_from_spec(spec: dict) -> LayeredSphere:
@@ -168,9 +166,12 @@ def _sphere_from_spec(spec: dict) -> LayeredSphere:
         return LayeredSphere.homogeneous(spec.get("radius", 1.0),
                                          float(spec.get("eps_r", 3.0)),
                                          float(spec.get("mu_r", 1.0)))
-    return LayeredSphere(spec.get("radius", 1.0), tuple(
-        Layer(float(l["eps_r"]), float(l.get("mu_r", 1.0)),
-              float(l["boundary_fraction"])) for l in layers))
+    try:
+        return LayeredSphere(spec.get("radius", 1.0), tuple(
+            Layer(float(l["eps_r"]), float(l.get("mu_r", 1.0)),
+                  float(l["boundary_fraction"])) for l in layers))
+    except KeyError as exc:
+        raise ConfigError(f"mie layer needs field {exc}") from exc
 
 
 def _block_from_spec(spec: dict, k: float | None = None):
@@ -258,13 +259,12 @@ def _validate_one(path: str, tolerances: dict) -> bool:
 
 
 def cmd_validate(path: str, tolerances: dict) -> int:
-    tols = parse_tolerances(base=tolerances)
     if os.path.isdir(path):
         manifest = dataio.read_manifest(path)
         files = [os.path.join(path, e["dataset"]) for e in manifest["entries"]]
     else:
         files = [path]
-    ok = all([_validate_one(f, tols) for f in files])
+    ok = all([_validate_one(f, tolerances) for f in files])
     return EXIT_OK if ok else EXIT_VALIDATION
 
 
@@ -325,8 +325,16 @@ def _angles(modeset, top):
                      for t in modeset.eigenvalues[:top]])
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """argparse exits 2 on bad arguments; here 2 means a validation failure."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="scatmodes",
         description="Characteristic modes from sampled scattering matrices")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -339,7 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--freq-start", type=float, dest="freq_start")
         p.add_argument("--freq-stop", type=float, dest="freq_stop")
         p.add_argument("--freq-count", type=int, dest="freq_count")
-        p.add_argument("--tolerance", action="append", metavar="KEY=VAL")
 
     p_sweep = sub.add_parser("sweep", help="run a frequency sweep")
     common(p_sweep)

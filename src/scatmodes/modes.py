@@ -101,17 +101,6 @@ def _sort_order(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     return np.lexsort((mag_f, np.angle(values) % (2 * math.pi), -mag_t))
 
 
-def _householder_q(a: np.ndarray) -> np.ndarray:
-    """Q of the economic QR of a complex a with at least as many rows as
-    columns; the LAPACK calls and queried workspaces of scipy.linalg.qr
-    without its wrapper overhead, so Q is the same."""
-    geqrf, ungqr = scipy.linalg.lapack.zgeqrf, scipy.linalg.lapack.zungqr
-    lwork = int(geqrf(a, lwork=-1)[-2][0].real)
-    qr, tau, _, _ = geqrf(a, lwork=lwork, overwrite_a=True)
-    lwork = int(ungqr(qr, tau, lwork=-1)[-2][0].real)
-    return ungqr(qr, tau, lwork=lwork, overwrite_a=True)[0]
-
-
 def _orthonormalize_degenerate(values, vectors, weights) -> None:
     """Weighted orthonormal basis, in place, inside each multiplet.
 
@@ -126,7 +115,8 @@ def _orthonormalize_degenerate(values, vectors, weights) -> None:
     sqrt_w = np.sqrt(np.abs(weights))[:, None]
     signed = bool(np.any(weights < 0))
     for grp in degenerate_groups(values):
-        q = _householder_q(np.multiply(vectors[:, grp], sqrt_w, order="F"))
+        q, _ = scipy.linalg.qr(vectors[:, grp] * sqrt_w, mode="economic",
+                               overwrite_a=True)
         q /= sqrt_w
         if signed:
             try:

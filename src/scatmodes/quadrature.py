@@ -235,19 +235,20 @@ class QuadratureRule:
         """Index map p -> q with r_q = -r_p; raises if the rule is not closed."""
         from .errors import RuleNotInversionSymmetric
 
-        if "inv" in self._cache:
-            return self._cache["inv"]
-        uv = self.unit_vectors
-        perm = np.full(self.n_points, -1, dtype=int)
-        for p in range(self.n_points):
-            d2 = np.sum((uv + uv[p]) ** 2, axis=1)
-            q = int(np.argmin(d2))
-            if d2[q] > 1e-20:
-                raise RuleNotInversionSymmetric(
-                    f"no antipode for point {p} of rule {self.name or self.n_points}")
-            perm[p] = q
-        self._cache["inv"] = perm
-        return perm
+        def build():
+            uv = self.unit_vectors
+            perm = np.full(self.n_points, -1, dtype=int)
+            for p in range(self.n_points):
+                d2 = np.sum((uv + uv[p]) ** 2, axis=1)
+                q = int(np.argmin(d2))
+                if d2[q] > 1e-20:
+                    raise RuleNotInversionSymmetric(
+                        f"no antipode for point {p} of rule "
+                        f"{self.name or self.n_points}")
+                perm[p] = q
+            return perm
+
+        return self.cached("inv", build)
 
     def matches(self, other: "QuadratureRule") -> bool:
         if other is self:

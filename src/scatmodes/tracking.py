@@ -81,20 +81,21 @@ def _weighted(modeset: ModeSet) -> np.ndarray:
 
 
 def _align_degenerate(prev: ModeSet, cur: ModeSet,
-                      min_significance: float = 0.0) -> np.ndarray:
+                      candidates: list) -> np.ndarray:
     """Rotate each degenerate eigenspace of cur toward prev's eigenvectors.
 
     Works on a copy; within a multiplet any unitary mixing is still an
     eigenbasis, so the orthogonal-Procrustes rotation of the weighted Gram
-    block is physically free.  Multiplets whose members all fall below
-    min_significance are left as they are, since tracking never matches them.
+    block is physically free.  Multiplets with no member among candidates,
+    the mode indices tracking may match, are left as they are.
     """
     vecs = cur.eigenvectors.copy()
     overlap = prev.eigenvectors.conj().T @ _weighted(cur)  # (n_prev, n_cur)
+    matchable = np.zeros(cur.n_modes, dtype=bool)
+    matchable[candidates] = True
     for grp in degenerate_groups(cur.eigenvalues):
         size = grp.stop - grp.start
-        if overlap.shape[0] < size or all(
-                abs(t) < min_significance for t in cur.eigenvalues[grp]):
+        if overlap.shape[0] < size or not matchable[grp].any():
             continue
         block = overlap[:, grp]
         # pair the multiplet against its strongest predecessors, then solve
@@ -158,9 +159,9 @@ def track(sweep: SweepResult,
 
     for step in range(1, sweep.n_steps):
         prev, cur = sweep.modesets[step - 1], sweep.modesets[step]
-        aligned = _align_degenerate(prev, cur, min_significance)
-        corr = correlation_matrix(prev, cur, aligned)
         candidates = significant(cur)
+        aligned = _align_degenerate(prev, cur, candidates)
+        corr = correlation_matrix(prev, cur, aligned)
         match = _greedy_match(corr, list(active), candidates, min_correlation)
         next_active = {}
         for m, trace in active.items():

@@ -237,31 +237,59 @@ ALLOWED_KEYS = "reciprocity, lossless, eigenpair"
 
 @pytest.mark.parametrize("item", ["reciprocity", "reciprocty=1e-3",
                                   "lossless=abc", "eigenpair=-1", "=1e-3"])
-@pytest.mark.parametrize("command", ["sweep", "validate"])
-def test_bad_tolerance_is_usage_error(tmp_path, mie_config, capsys,
-                                      command, item):
-    args = (["sweep", "--config", mie_config] if command == "sweep"
-            else ["validate", str(tmp_path / "out")])
-    assert main(args + ["--tolerance", item]) == EXIT_USAGE
+def test_bad_tolerance_is_usage_error(tmp_path, mie_config, capsys, item):
+    assert main(["sweep", "--config", mie_config]) == EXIT_OK
+    out = str(tmp_path / "out")
+    assert main(["validate", out, "--tolerance", item]) == EXIT_USAGE
     captured = capsys.readouterr()
     assert ALLOWED_KEYS in captured.err or "positive number" in captured.err
-    assert "Traceback" not in captured.err
-    assert not (tmp_path / "out").exists()
+    assert "PASS" not in captured.out and "Traceback" not in captured.err
 
 
-def test_config_tolerances_are_checked(tmp_path, capsys):
+@pytest.mark.parametrize("args", [
+    ["sweep", "--tolerance", "reciprocity=1e-3"],
+    ["precision-study", "--nq-list", "14"],
+    ["validate"],
+])
+def test_bad_arguments_exit_as_usage_errors(args):
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == EXIT_USAGE
+
+
+def test_config_tolerances_are_a_usage_error(tmp_path, capsys):
+    # sweep never validates, so tolerances in its config would do nothing
     cfg = _write_config(tmp_path, {
         "backend": {"type": "mie", "eps_r": 3.0},
         "frequencies": {"ka": [1.0]},
-        "tolerances": {"losless": 1e-3},
+        "tolerances": {"lossless": 1e-3},
         "output": str(tmp_path / "out"),
     })
     assert main(["sweep", "--config", cfg]) == EXIT_USAGE
-    assert f"unknown tolerance 'losless'; allowed keys: {ALLOWED_KEYS}" \
-        in capsys.readouterr().err
+    assert "validate" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
-def test_tolerance_parser_merges_config_then_flags():
-    assert parse_tolerances(["lossless=1e-3"], {"lossless": 1e-4,
-                                                "eigenpair": 1e-6}) == {
+def test_tolerance_parser_applies_items_in_turn():
+    assert parse_tolerances(["lossless=1e-4", "eigenpair=1e-6",
+                             " lossless=1e-3"]) == {
         "reciprocity": 1e-10, "lossless": 1e-3, "eigenpair": 1e-6}
+
+
+@pytest.mark.parametrize("quadrature", [26, "auto"])
+@pytest.mark.parametrize("backend, missing", [
+    ({"type": "dda", "extent": [2, 2, 1], "eps_r": 3.0}, "spacing"),
+    ({"type": "dda", "extent": [2, 2, 1], "spacing": 0.2}, "eps_r"),
+    ({"type": "mie", "layers": [{"boundary_fraction": 1.0}]}, "eps_r"),
+])
+def test_incomplete_scatterer_spec_is_usage_error(tmp_path, capsys, backend,
+                                                  missing, quadrature):
+    cfg = _write_config(tmp_path, {
+        "backend": backend,
+        "frequencies": {"ka": [0.5, 0.6]},
+        "quadrature": quadrature,
+        "output": str(tmp_path / "out"),
+    })
+    assert main(["sweep", "--config", cfg]) == EXIT_USAGE
+    assert f"needs field '{missing}'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

@@ -176,8 +176,10 @@ def test_track_equals_aligning_every_multiplet(magnetodielectric_sweep,
     weak = [grp for grp in degenerate_groups(cur.eigenvalues)
             if np.all(np.abs(cur.eigenvalues[grp]) < 1e-3)]
     assert weak
-    skipped = tracking._align_degenerate(prev, cur, 1e-3)
-    aligned = tracking._align_degenerate(prev, cur)
+    every = list(range(cur.n_modes))
+    significant = [n for n in every if abs(cur.eigenvalues[n]) >= 1e-3]
+    skipped = tracking._align_degenerate(prev, cur, significant)
+    aligned = tracking._align_degenerate(prev, cur, every)
     for grp in weak:
         assert np.array_equal(skipped[:, grp], cur.eigenvectors[:, grp])
     assert any(not np.array_equal(aligned[:, grp], cur.eigenvectors[:, grp])
@@ -185,5 +187,6 @@ def test_track_equals_aligning_every_multiplet(magnetodielectric_sweep,
 
     align_all = tracking._align_degenerate
     monkeypatch.setattr(tracking, "_align_degenerate",
-                        lambda prev, cur, floor: align_all(prev, cur))
+                        lambda prev, cur, candidates: align_all(
+                            prev, cur, list(range(cur.n_modes))))
     assert _trace_tuples(sm.track(sweep)) == _trace_tuples(tracked)
