@@ -18,8 +18,9 @@ import numpy as np
 
 from . import dataio, tracking
 from .dda import DdaBackend, build_block, scattering_matrix
-from .errors import ScatmodesError
-from .mie import LayeredSphere, Layer, MieBackend, layered_tmatrix
+from .errors import ParseError, ScatmodesError
+from .mie import (LayeredSphere, Layer, MieBackend, default_l_max,
+                  layered_tmatrix)
 from .modes import C0, decompose, frequency, wavenumber
 from .quadrature import lebedev_rule, minimum_points, quadrature_bound
 from .scattering import apply_weights, assemble
@@ -188,7 +189,7 @@ def _sample_matrix(config: RunConfig, rule, k):
     kind = spec["type"]
     if kind == "mie":
         sphere = _sphere_from_spec(spec)
-        l_max = spec.get("l_max") or max(1, rule.order_capability // 2)
+        l_max = spec.get("l_max") or default_l_max(rule)
         tmat = layered_tmatrix(sphere, k * sphere.outer_radius_a, l_max)
         return s_from_t(tmat, rule, k=k)
     if kind == "dda":
@@ -246,6 +247,9 @@ def _validate_one(path: str, tolerances: dict) -> bool:
     except OSError as exc:
         print(f"{path}: cannot read dataset ({exc.strerror}) -> FAIL")
         return False
+    except ValueError as exc:  # ParseError, DimensionMismatch, bad samples
+        print(f"{path}: {exc} -> FAIL")
+        return False
     report = dataio.validation_report(smat)
     ok = (report["reciprocity_residual"] < tolerances["reciprocity"]
           and report["lossless_residual_max"] < tolerances["lossless"]
@@ -259,13 +263,32 @@ def _validate_one(path: str, tolerances: dict) -> bool:
 
 
 def cmd_validate(path: str, tolerances: dict) -> int:
+    """Check a dataset, or every dataset a sweep directory's manifest lists.
+
+    Each problem prints one "... -> FAIL" line: a manifest that is missing
+    or does not parse, a sweep marked incomplete, a dataset that cannot be
+    read or parsed, or one that misses a tolerance.  The other datasets are
+    still checked, and any FAIL exits EXIT_VALIDATION.
+    """
+    ok = True
     if os.path.isdir(path):
-        manifest = dataio.read_manifest(path)
+        where = os.path.join(path, "manifest.json")
+        try:
+            manifest = dataio.read_manifest(path)
+        except OSError as exc:
+            print(f"{where}: cannot read manifest ({exc.strerror}) -> FAIL")
+            return EXIT_VALIDATION
+        except ParseError as exc:
+            print(f"{where}: {exc} -> FAIL")
+            return EXIT_VALIDATION
         files = [os.path.join(path, e["dataset"]) for e in manifest["entries"]]
+        if manifest.get("complete") is not True:
+            print(f"manifest incomplete: {len(files)} datasets listed -> FAIL")
+            ok = False
     else:
         files = [path]
-    ok = all([_validate_one(f, tolerances) for f in files])
-    return EXIT_OK if ok else EXIT_VALIDATION
+    results = [_validate_one(f, tolerances) for f in files]
+    return EXIT_OK if ok and all(results) else EXIT_VALIDATION
 
 
 def cmd_precision_study(config: RunConfig, nq_list: list, reference: int) -> int:
@@ -277,7 +300,7 @@ def cmd_precision_study(config: RunConfig, nq_list: list, reference: int) -> int
     sphere = _sphere_from_spec(config.backend)
     ref_rule = lebedev_rule(reference)
     # fixed truncation across all rules so only quadrature aliasing varies
-    l_max = config.backend.get("l_max") or max(1, ref_rule.order_capability // 2)
+    l_max = config.backend.get("l_max") or default_l_max(ref_rule)
     top = 25
 
     os.makedirs(config.output, exist_ok=True)

@@ -186,7 +186,9 @@ def write_modes(modeset, path: str, top: int | None = None) -> None:
                          "re_lambda", "im_lambda", "lossless_residual"])
         for i in range(n):
             m = metrics(modeset.eigenvalues[i])
-            lam = m.lambda_n if m.lambda_n is not None else complex("nan")
+            lam = m.lambda_n
+            if lam is None:  # t = 0: lambda is infinite
+                lam = complex(math.nan, math.nan)
             writer.writerow([i, _fmt(m.t.real), _fmt(m.t.imag),
                              _fmt(m.modal_significance), _fmt(m.alpha_n),
                              _fmt(lam.real), _fmt(lam.imag),
@@ -224,9 +226,17 @@ def write_manifest(directory: str, entries: list, complete: bool) -> str:
 
 
 def read_manifest(directory: str) -> dict:
+    """The sweep manifest; ParseError unless it is a JSON object whose
+    "entries" list names a "dataset" in every item."""
     path = os.path.join(directory, "manifest.json")
     try:
         with open(path) as fh:
-            return json.load(fh)
+            manifest = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseError(f"manifest is not valid JSON: {exc}") from exc
+    entries = manifest.get("entries") if isinstance(manifest, dict) else None
+    if not (isinstance(entries, list) and all(
+            isinstance(e, dict) and "dataset" in e for e in entries)):
+        raise ParseError("manifest needs an \"entries\" list whose items "
+                         "name a \"dataset\"")
+    return manifest

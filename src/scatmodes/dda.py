@@ -171,7 +171,7 @@ def planewave_rhs(model: DipoleModel, k: float, direction, polarization: str) ->
 
 def radiation_from_farfield(kmat: np.ndarray, rule: QuadratureRule) -> np.ndarray:
     """Quadrature form of the radiated-power operator (1/Z0) K^H diag(w) K."""
-    w = np.concatenate([rule.weights, rule.weights])
+    w = rule.doubled_weights
     return (kmat.conj().T * w) @ kmat / Z0
 
 
@@ -255,7 +255,7 @@ def modal_current(system: ImpedanceSystem, kmat: np.ndarray,
     if t_n == 0:
         raise ZeroDivisionError("mode has zero eigenvalue; no realizing current")
     f_n = modeset.eigenvectors[:, n]
-    w = np.concatenate([rule.weights, rule.weights])
+    w = rule.doubled_weights
     v_n = -(kmat.conj().T @ (w * f_n)) / (Z0 * t_n)
     i_n = system.solve(v_n)
     return i_n, v_n

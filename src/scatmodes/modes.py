@@ -129,12 +129,43 @@ def _orthonormalize_degenerate(values, vectors, weights) -> None:
         vectors[:, grp] = q
 
 
+def _eigenpairs(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """All n eigenpairs of the weighted matrix S, unsorted, from an eig of
+    its significant subspace.
+
+    Every eigenvector with t != 0 lies in range(S), whose rank r is bounded
+    by the radiating channel count, well below n = 2 N_q.  One column-pivoted
+    QR S P = Q R gives r as the count of |R_ii| > n eps |R_00| (the
+    numpy.linalg.matrix_rank convention).  The r x r matrix Q_r^H S Q_r,
+    formed as R_r P^T Q_r, carries the nonzero eigenvalues, with
+    eigenvectors Q_r y.  The other n - r modes get t = 0 and span the null
+    space of the truncated R, P [-R11^-1 R12; I].  At full rank this is
+    eig(S) itself.
+    """
+    n = matrix.shape[0]
+    q, rmat, perm = scipy.linalg.qr(matrix, pivoting=True, mode="economic")
+    diag = np.abs(np.diag(rmat))
+    rank = int(np.count_nonzero(diag > n * np.finfo(float).eps * diag[0]))
+    if rank == n:
+        return scipy.linalg.eig(matrix)
+    q = q[:, :rank]
+    values = np.zeros(n, dtype=complex)
+    vectors = np.zeros((n, n), dtype=complex)
+    values[:rank], y = scipy.linalg.eig(rmat[:rank, np.argsort(perm)] @ q)
+    vectors[:, :rank] = q @ y
+    vectors[perm[:rank], rank:] = -scipy.linalg.solve_triangular(
+        rmat[:rank, :rank], rmat[:rank, rank:])
+    vectors[perm[rank:], rank:] = np.eye(n - rank)
+    return values, vectors
+
+
 def decompose(smat: ScatteringMatrix) -> ModeSet:
-    """Full dense non-Hermitian eigendecomposition of the weighted matrix."""
+    """Eigendecomposition of the weighted matrix: all 2 N_q modes, the
+    null space carrying t = 0 exactly (see _eigenpairs)."""
     if not smat.weighted:
         raise ValueError("decompose expects a weighted scattering matrix")
     try:
-        values, vectors = scipy.linalg.eig(smat.matrix)
+        values, vectors = _eigenpairs(smat.matrix)
     except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
         cond = np.linalg.cond(smat.matrix)
         raise EigensolverFailure(
@@ -243,6 +274,6 @@ def farfield_orthogonality(modeset: ModeSet) -> np.ndarray:
     """Gram matrix of the eigenvectors under the rule-weighted inner product."""
     if modeset.rule is None:
         raise ValueError("mode set carries no quadrature rule")
-    w = np.concatenate([modeset.rule.weights, modeset.rule.weights])
+    w = modeset.rule.doubled_weights
     f = modeset.eigenvectors
     return f.conj().T @ (f * w[:, None])

@@ -217,6 +217,16 @@ class QuadratureRule:
         return self._cache[key]
 
     @property
+    def doubled_weights(self) -> np.ndarray:
+        """The weights once per polarization block, (2 N_q,), read-only."""
+        def build():
+            w = np.concatenate([self.weights, self.weights])
+            w.setflags(write=False)
+            return w
+
+        return self.cached("w2", build)
+
+    @property
     def unit_vectors(self) -> np.ndarray:
         return self.cached(
             "uv", lambda: np.array([p.unit_vector for p in self.points]))

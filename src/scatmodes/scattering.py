@@ -9,7 +9,6 @@ stored artifact; quadrature weights are applied once, at decomposition time.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -62,11 +61,11 @@ class ScatteringMatrix:
         return self.matrix[i:i + n, j:j + n]
 
     def doubled_weights(self) -> np.ndarray:
-        return np.concatenate([self.rule.weights, self.rule.weights])
+        return self.rule.doubled_weights
 
 
-def assemble(backend: ScatteringBackend, rule: QuadratureRule, k: float,
-             workers: int = 1) -> ScatteringMatrix:
+def assemble(backend: ScatteringBackend, rule: QuadratureRule,
+             k: float) -> ScatteringMatrix:
     """Fill the sample matrix by 2 N_q plane-wave excitations.
 
     A ScatmodesError from the backend passes through as it is; any other
@@ -76,29 +75,19 @@ def assemble(backend: ScatteringBackend, rule: QuadratureRule, k: float,
         raise ValueError(f"backend does not support k = {k}")
     n = rule.n_points
     scale = k / (4j * math.pi)
-
-    jobs = [(gi * n + q, rule.points[q], pol)
-            for gi, pol in enumerate(POLARIZATIONS) for q in range(n)]
-
-    def run(job):
-        col, direction, pol = job
-        try:
-            return col, backend.far_fields(k, direction, pol, rule)
-        except ScatmodesError:
-            raise
-        except Exception as exc:
-            raise RuntimeError(
-                f"backend failed on excitation {col} "
-                f"(direction {direction}, polarization {pol})") from exc
-
     matrix = np.empty((2 * n, 2 * n), dtype=complex)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, jobs))
-    else:
-        results = [run(j) for j in jobs]
-    for col, ff in results:
-        matrix[:, col] = scale * ff
+    for gi, pol in enumerate(POLARIZATIONS):
+        for q, direction in enumerate(rule.points):
+            col = gi * n + q
+            try:
+                ff = backend.far_fields(k, direction, pol, rule)
+            except ScatmodesError:
+                raise
+            except Exception as exc:
+                raise RuntimeError(
+                    f"backend failed on excitation {col} "
+                    f"(direction {direction}, polarization {pol})") from exc
+            matrix[:, col] = scale * ff
     return ScatteringMatrix(rule=rule, k=k, matrix=matrix, weighted=False)
 
 

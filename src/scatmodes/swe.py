@@ -189,10 +189,6 @@ def vsh_matrix(l_max: int, rule: QuadratureRule) -> np.ndarray:
     return rule.cached(("vsh", l_max), build)
 
 
-def _doubled_weights(rule: QuadratureRule) -> np.ndarray:
-    return np.concatenate([rule.weights, rule.weights])
-
-
 def _require_capability(rule: QuadratureRule, needed: int, what: str):
     if rule.order_capability < needed:
         raise InsufficientQuadrature(
@@ -208,7 +204,7 @@ def t_from_s(smat, l_max: int) -> TransitionMatrix:
     rule = smat.rule
     _require_capability(rule, 2 * l_max, "double projection")
     a = vsh_matrix(l_max, rule)
-    w = _doubled_weights(rule)
+    w = rule.doubled_weights
     entries = (a.conj().T * w) @ smat.matrix @ (a * w[:, None])
     return TransitionMatrix(l_max=l_max, entries=entries, k=smat.k)
 
@@ -236,7 +232,7 @@ def expand_farfield(samples: np.ndarray, rule: QuadratureRule, l_max: int):
 
     samples = np.asarray(samples, dtype=complex)
     a = vsh_matrix(l_max, rule)
-    w = _doubled_weights(rule)
+    w = rule.doubled_weights
     coeff = (a.conj().T * w) @ samples / math.sqrt(Z0)
     recon = math.sqrt(Z0) * (a @ coeff)
     norm = np.linalg.norm(samples)

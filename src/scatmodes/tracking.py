@@ -76,8 +76,7 @@ class TrackedTraces:
 
 
 def _weighted(modeset: ModeSet) -> np.ndarray:
-    w = np.concatenate([modeset.rule.weights, modeset.rule.weights])
-    return modeset.eigenvectors * w[:, None]
+    return modeset.eigenvectors * modeset.rule.doubled_weights[:, None]
 
 
 def _align_degenerate(prev: ModeSet, cur: ModeSet,
@@ -111,7 +110,7 @@ def correlation_matrix(prev: ModeSet, cur: ModeSet,
                        cur_vectors: np.ndarray | None = None) -> np.ndarray:
     """|F_m^H diag(w) F_n| between the modes of two steps."""
     vecs = cur.eigenvectors if cur_vectors is None else cur_vectors
-    w = np.concatenate([prev.rule.weights, prev.rule.weights])
+    w = prev.rule.doubled_weights
     c = np.abs(prev.eigenvectors.conj().T @ (vecs * w[:, None]))
     return np.minimum(c, 1.0 + 1e-12)
 

@@ -7,11 +7,20 @@ import os
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import math  # noqa: E402
+from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import settings
 
 import scatmodes as sm
+from scatmodes import modes
+
+# property tests draw the same examples on every run and stay short
+settings.register_profile("tier1", derandomize=True, database=None,
+                          max_examples=25, deadline=None)
+settings.load_profile("tier1")
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -63,18 +72,46 @@ def dda_pipeline(dipole_block):
     return k, rule, system, kmat, smat, modeset
 
 
+def _full_eig_decompose(weighted):
+    with mock.patch.object(modes, "_eigenpairs", scipy.linalg.eig):
+        return sm.decompose(weighted)
+
+
 @pytest.fixture(scope="session")
-def magnetodielectric_sweep():
-    """Four-layer dielectric-magnetic sphere swept over a wide ka band."""
+def full_eig_decompose():
+    """decompose with its raw eigenpairs from the full dense
+    scipy.linalg.eig instead of the significant-subspace solve."""
+    return _full_eig_decompose
+
+
+@pytest.fixture(scope="session")
+def magnetodielectric_matrices():
+    """Four-layer dielectric-magnetic sphere swept over a wide ka band:
+    the ka grid and the weighted N_q=38 matrix of every step."""
     sphere = sm.LayeredSphere(1.0, tuple(
         sm.Layer(e, m, f) for e, m, f in
         zip([1, 5, 1, 2], [3, 1, 8, 1], [0.25, 0.5, 0.75, 1.0])))
     rule = sm.lebedev_rule(38)
     l_max = rule.order_capability // 2
     kas = np.arange(0.5, 4.5001, 0.02)
-    modesets = tuple(
-        sm.decompose(sm.apply_weights(
-            sm.s_from_t(sm.layered_tmatrix(sphere, ka, l_max), rule, k=ka)))
-        for ka in kas)
+    return kas, [sm.apply_weights(
+        sm.s_from_t(sm.layered_tmatrix(sphere, ka, l_max), rule, k=ka))
+        for ka in kas]
+
+
+def _sweep(kas, modesets):
     freqs = np.array([sm.frequency(ka) for ka in kas])
-    return kas, sm.SweepResult(frequencies=freqs, modesets=modesets)
+    return sm.SweepResult(frequencies=freqs, modesets=tuple(modesets))
+
+
+@pytest.fixture(scope="session")
+def magnetodielectric_sweep(magnetodielectric_matrices):
+    kas, weighted = magnetodielectric_matrices
+    return kas, _sweep(kas, map(sm.decompose, weighted))
+
+
+@pytest.fixture(scope="session")
+def full_eig_magnetodielectric_sweep(magnetodielectric_matrices):
+    """The same sweep decomposed through full_eig_decompose."""
+    kas, weighted = magnetodielectric_matrices
+    return kas, _sweep(kas, map(_full_eig_decompose, weighted))

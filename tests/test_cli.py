@@ -83,6 +83,53 @@ def test_validate_missing_dataset_fails_per_file(tmp_path, mie_config, capsys):
     assert lines[0].endswith("PASS") and lines[2].endswith("PASS")
 
 
+def test_validate_unparsable_datasets_fail_per_file(tmp_path, mie_config,
+                                                    capsys):
+    assert main(["sweep", "--config", mie_config]) == EXIT_OK
+    out = tmp_path / "out"
+    bad_row = out / "dataset_0000.csv"
+    lines = bad_row.read_text().splitlines(keepends=True)
+    lines[5] = "5,x,0.5,0.5\r\n"
+    bad_row.write_text("".join(lines))
+    short = out / "dataset_0001.csv"
+    short.write_text("".join(short.read_text().splitlines(keepends=True)[:-3]))
+    capsys.readouterr()
+    assert main(["validate", str(out)]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert len(lines) == 3
+    assert "dataset_0000.csv: line 6:" in lines[0]
+    assert lines[0].endswith("FAIL")
+    assert "dataset_0001.csv: body has" in lines[1]
+    assert lines[1].endswith("FAIL")
+    assert "dataset_0002.csv" in lines[2] and lines[2].endswith("PASS")
+    assert "compute error" not in captured.err
+
+
+@pytest.mark.parametrize("manifest", [None, "{not json", '{"entries": 3}'])
+def test_validate_bad_manifest_fails(tmp_path, capsys, manifest):
+    if manifest is not None:
+        (tmp_path / "manifest.json").write_text(manifest)
+    assert main(["validate", str(tmp_path)]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert len(lines) == 1 and "manifest.json: " in lines[0]
+    assert lines[0].endswith("-> FAIL")
+    assert "Traceback" not in captured.err
+
+
+def test_validate_incomplete_manifest_fails(tmp_path, mie_config, capsys):
+    assert main(["sweep", "--config", mie_config]) == EXIT_OK
+    out = str(tmp_path / "out")
+    manifest = dataio.read_manifest(out)
+    dataio.write_manifest(out, manifest["entries"], complete=False)
+    capsys.readouterr()
+    assert main(["validate", out]) == EXIT_VALIDATION
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "manifest incomplete: 3 datasets listed -> FAIL"
+    assert len(lines) == 4 and all(l.endswith("PASS") for l in lines[1:])
+
+
 def test_validate_tolerance_override_can_fail_good_data(tmp_path, mie_config):
     assert main(["sweep", "--config", mie_config]) == EXIT_OK
     target = str(tmp_path / "out" / "dataset_0000.csv")
@@ -229,7 +276,7 @@ def test_failed_frequency_keeps_the_finished_ones(tmp_path, mie_config,
         assert "traces" not in entry
     err = capsys.readouterr().err
     assert "after 2 of 3 frequencies" in err and "l=7" in err
-    assert main(["validate", str(out)]) == EXIT_OK
+    assert main(["validate", str(out)]) == EXIT_VALIDATION
 
 
 ALLOWED_KEYS = "reciprocity, lossless, eigenpair"

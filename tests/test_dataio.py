@@ -190,6 +190,23 @@ def test_write_modes_table(tmp_path, mie_modes_ka1):
         abs(modeset.eigenvalues[0]))
 
 
+def test_write_modes_null_rows(tmp_path, mie_modes_ka1):
+    # the null-space modes carry t = 0 exactly, so lambda is infinite
+    _, _, modeset = mie_modes_ka1
+    path = str(tmp_path / "modes.csv")
+    dataio.write_modes(modeset, path)
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    null = [r for r in rows if float(r["significance"]) == 0.0]
+    assert len(rows) == modeset.n_modes
+    assert len(null) == modeset.n_modes - np.count_nonzero(
+        modeset.eigenvalues) > 0
+    for row in null:
+        assert (row["re_t"], row["im_t"], row["lossless_residual"]) == \
+            ("0", "0", "0")
+        assert (row["re_lambda"], row["im_lambda"]) == ("nan", "nan")
+
+
 def test_manifest_round_trip(tmp_path):
     entries = [{"frequency_hz": 2.0, "dataset": "b.csv"},
                {"frequency_hz": 1.0, "dataset": "a.csv"}]

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given
+from hypothesis import strategies as st
 
 import scatmodes as sm
 from scatmodes import modes
@@ -95,9 +97,10 @@ def test_decompose_deterministic(mie_modes_ka1):
 
 
 def _reference_decompose(smat):
-    """decompose's post-processing as column loops: normalize and phase-fix
-    each column, sort, then modified Gram-Schmidt inside each multiplet."""
-    values, vectors = scipy.linalg.eig(smat.matrix)
+    """decompose's post-processing as column loops on its raw eigenpairs:
+    normalize and phase-fix each column, sort, then modified Gram-Schmidt
+    inside each multiplet."""
+    values, vectors = modes._eigenpairs(smat.matrix)
     w = smat.doubled_weights()
 
     def phase_fix(vec):
@@ -138,12 +141,12 @@ def _reference_decompose(smat):
     return values, vectors
 
 
-def _layered_sphere_38(ka):
+def _layered_sphere_38(ka, rule=None):
     """The acceptance-6 magnetodielectric sphere on the 38-point rule."""
     sphere = sm.LayeredSphere(1.0, tuple(
         sm.Layer(e, m, f) for e, m, f in
         zip([1, 5, 1, 2], [3, 1, 8, 1], [0.25, 0.5, 0.75, 1.0])))
-    rule = sm.lebedev_rule(38)
+    rule = rule or sm.lebedev_rule(38)
     tmat = sm.layered_tmatrix(sphere, ka, rule.order_capability // 2)
     return sm.apply_weights(sm.s_from_t(tmat, rule, k=ka))
 
@@ -300,8 +303,9 @@ def test_sort_order_equals_the_tuple_key_sort():
 
 
 def _scipy_qr_decompose(smat):
-    """decompose spelled out with the tuple-key sort and scipy.linalg.qr."""
-    values, vectors = scipy.linalg.eig(smat.matrix)
+    """decompose's post-processing spelled out with the tuple-key sort and
+    scipy.linalg.qr."""
+    values, vectors = modes._eigenpairs(smat.matrix)
     w = smat.doubled_weights()
 
     def phase_fix(v):
@@ -356,3 +360,135 @@ def test_sweep_synthesis_and_decompose_equal_the_plain_reference(
         assert np.array_equal(modeset.eigenvalues, values)
         assert np.array_equal(modeset.eigenvectors, vectors)
         assert np.array_equal(modeset.residuals, residuals)
+
+
+def _span_projector(f, w):
+    """|w|-orthogonal projector onto span(f), whatever basis f holds."""
+    aw = np.abs(w)
+    return f @ np.linalg.solve(f.conj().T @ (f * aw[:, None]), f.conj().T * aw)
+
+
+def _assert_same_modes(w, values, vectors, ref_values, ref_vectors):
+    """The significant-subspace solve against the full eig, both through
+    decompose's post-processing: identical multiplets, significant
+    eigenvalues within 1e-12 |t_1|, and projectors within 1e-8.
+
+    Each significant multiplet and singlet is compared by its projector (a
+    singlet column's phase-fix pivot can land on an exact magnitude tie).
+    Below SIGNIFICANCE_FLOOR the eigenvectors are conditioned by gaps of
+    order |t|, in either solver, so those modes are compared as one span.
+    """
+    groups = degenerate_groups(values)
+    assert groups == degenerate_groups(ref_values)
+    significant = np.abs(ref_values) > modes.SIGNIFICANCE_FLOOR
+    assert np.array_equal(np.abs(values) > modes.SIGNIFICANCE_FLOOR,
+                          significant)
+    assert np.max(np.abs(values - ref_values)[significant],
+                  initial=0.0) <= 1e-12 * abs(ref_values[0])
+    n = len(values)
+    cut = int(np.count_nonzero(significant))
+    for grp in groups:
+        if grp.start < cut < grp.stop:
+            cut = grp.stop
+    spans = [grp for grp in groups if grp.stop <= cut]
+    grouped = np.zeros(n, dtype=bool)
+    for grp in groups:
+        grouped[grp] = True
+    spans += [slice(i, i + 1) for i in range(cut) if not grouped[i]]
+    spans += [slice(cut, n)] if cut < n else []
+    for span in spans:
+        assert np.max(np.abs(_span_projector(vectors[:, span], w)
+                             - _span_projector(ref_vectors[:, span], w))) \
+            <= 1e-8
+
+
+def _assert_matches_full_eig(weighted, modeset, reference):
+    """_assert_same_modes, and every eigenpair residual within 1e-10.
+
+    The raw pairs of the solve are held to 1e-10 everywhere.  On a rule
+    with negative weights the null cluster keeps a |w|-orthonormal basis,
+    which mixes the smallest multiplet (|t| ~ 1e-9) into it; decompose
+    leaves residuals of a few 1e-9 there with the full eig too, so those
+    modes are held to validate's default of 1e-8.
+    """
+    w = weighted.doubled_weights()
+    _assert_same_modes(w, modeset.eigenvalues, modeset.eigenvectors,
+                       reference.eigenvalues, reference.eigenvectors)
+    values, vectors = modes._eigenpairs(weighted.matrix)
+    vectors /= np.sqrt(np.abs(w @ np.abs(vectors) ** 2))
+    assert np.max(np.linalg.norm(weighted.matrix @ vectors - vectors * values,
+                                 axis=0)) <= 1e-10
+    residuals = modeset.residuals
+    if np.any(w < 0):
+        null = degenerate_groups(modeset.eigenvalues)[-1]
+        assert null.stop == len(w) and modeset.eigenvalues[-1] == 0
+        assert np.max(residuals[null]) <= 1e-8
+        residuals = np.delete(residuals, np.arange(null.start, null.stop))
+    assert np.max(residuals) <= 1e-10
+    assert modeset.n_modes == len(w)
+
+
+@pytest.mark.parametrize("n_q, ka", [(26, 1.0), (38, 1.0), (74, 1.0),
+                                     (74, 2.0), (110, 1.0), (230, 1.0),
+                                     (230, 2.0), (302, 1.0)])
+def test_eigenpairs_match_full_eig(n_q, ka, sphere_eps3, full_eig_decompose):
+    rule = sm.lebedev_rule(n_q)
+    l_max = rule.order_capability // 2
+    tmat = sm.layered_tmatrix(sphere_eps3, ka, l_max)
+    weighted = sm.apply_weights(sm.s_from_t(tmat, rule, k=ka))
+    modeset = sm.decompose(weighted)
+    # the rank of S, and so the eig, is bounded by the channel count
+    assert np.count_nonzero(modeset.eigenvalues) <= sm.n_swe(l_max) \
+        < modeset.n_modes
+    _assert_matches_full_eig(weighted, modeset, full_eig_decompose(weighted))
+
+
+def test_eigenpairs_match_full_eig_on_dipole_block(dda_pipeline,
+                                                   full_eig_decompose):
+    weighted = sm.apply_weights(dda_pipeline[4])
+    _assert_matches_full_eig(weighted, sm.decompose(weighted),
+                             full_eig_decompose(weighted))
+
+
+def test_eigenpairs_match_full_eig_over_the_sweep(
+        magnetodielectric_matrices, magnetodielectric_sweep,
+        full_eig_magnetodielectric_sweep):
+    _, weighted = magnetodielectric_matrices
+    _, sweep = magnetodielectric_sweep
+    _, reference = full_eig_magnetodielectric_sweep
+    assert len(weighted) == 201
+    for smat, modeset, ref in zip(weighted, sweep.modesets,
+                                  reference.modesets):
+        _assert_matches_full_eig(smat, modeset, ref)
+
+
+def test_eigenpairs_at_full_rank_are_the_full_eig():
+    rng = np.random.default_rng(3)
+    matrix = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
+    values, vectors = modes._eigenpairs(matrix)
+    ref_values, ref_vectors = scipy.linalg.eig(matrix)
+    assert np.array_equal(values, ref_values)
+    assert np.array_equal(vectors, ref_vectors)
+
+
+def test_eigenpairs_of_a_zero_matrix_are_a_null_basis():
+    values, vectors = modes._eigenpairs(np.zeros((6, 6), dtype=complex))
+    assert np.array_equal(values, np.zeros(6))
+    assert np.linalg.matrix_rank(vectors) == 6
+
+
+@given(order=st.permutations(range(38)), ka=st.floats(0.5, 4.5))
+def test_decompose_is_invariant_under_point_order(order, ka):
+    """The pivoted QR sees the columns in rule order; the modes must not."""
+    rule = sm.lebedev_rule(38)
+    moved = sm.QuadratureRule(
+        points=tuple(rule.points[i] for i in order),
+        weights=rule.weights[order], order_capability=rule.order_capability,
+        name="lebedev-38-permuted")
+    base = sm.decompose(_layered_sphere_38(ka, rule))
+    permuted = sm.decompose(_layered_sphere_38(ka, moved))
+    rows = np.concatenate([order, np.add(order, 38)])
+    vectors = np.empty_like(permuted.eigenvectors)
+    vectors[rows] = permuted.eigenvectors
+    _assert_same_modes(rule.doubled_weights, permuted.eigenvalues, vectors,
+                       base.eigenvalues, base.eigenvectors)

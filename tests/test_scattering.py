@@ -36,14 +36,6 @@ def test_assemble_column_layout():
         assert np.count_nonzero(smat.matrix[:, col]) == 1
 
 
-def test_assemble_parallel_matches_serial():
-    rule = sm.lebedev_rule(14)
-    sphere = sm.LayeredSphere.homogeneous(1.0, 3.0)
-    serial = sm.assemble(sm.MieBackend(sphere), rule, 1.0, workers=1)
-    parallel = sm.assemble(sm.MieBackend(sphere), rule, 1.0, workers=4)
-    assert np.array_equal(serial.matrix, parallel.matrix)
-
-
 def test_assemble_wraps_backend_failure_with_excitation():
     class Boom(sm.ScatteringBackend):
         def far_fields(self, k, direction, polarization, rule):

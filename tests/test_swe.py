@@ -3,9 +3,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given
+from hypothesis import strategies as st
 
 import scatmodes as sm
 from scatmodes.errors import InsufficientQuadrature
+from scatmodes.modes import SIGNIFICANCE_FLOOR
 from scatmodes.swe import SweIndex, _tangential_components, n_swe, swe_indices
 
 
@@ -139,3 +143,51 @@ def test_vsh_matrix_is_kept_read_only_per_rule_and_degree():
     assert np.array_equal(sm.vsh_matrix(3, twin), a)
     assert sm.vsh_matrix(3, dataclasses.replace(rule, name="copy")) is not a
     assert sm.vsh_matrix(3, rule) is a and sm.vsh_matrix(2, rule) is other
+
+
+def _reciprocal_partner(entries, l_max):
+    """T^R with T^R[b', a'] = p_a p_b c_b conj(c_a) T[a, b], where a' is a
+    with m -> -m, conj(Y_a) = c_a Y_a' and Y_a(-r) = p_a Y_a(r).
+
+    S(r, r') = S^T(-r', -r) for the synthesized samples exactly when
+    T^R = T.  Here c = (-1)^m conj(f)^2 with f the -(-j)^(tau - l) front
+    factor, and p = (-1)^(l + tau - 1).
+    """
+    idx = swe_indices(l_max)
+    bar = np.array([SweIndex(i.tau, i.l, -i.m).alpha for i in idx])
+    front = np.array([-(-1j) ** (i.tau - i.l) for i in idx])
+    m = np.array([i.m for i in idx])
+    parity = (-1.0) ** np.array([i.l + i.tau - 1 for i in idx])
+    c = (-1.0) ** m * np.conj(front) ** 2
+    out = np.empty_like(entries)
+    out[np.ix_(bar, bar)] = ((parity * np.conj(c))[:, None] * entries
+                             * (parity * c)[None, :]).T
+    return out
+
+
+@given(l_max=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+       strength=st.floats(0.05, 3.0))
+def test_random_reciprocal_unitary_tmatrix(l_max, seed, strength):
+    """1 + 2T = exp(iH) with H Hermitian and reciprocal: S is reciprocal,
+    its modes sit on the lossless circle and its nonzero ones are eig(T)."""
+    rng = np.random.default_rng(seed)
+    n = n_swe(l_max)
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    g = strength * (g + g.conj().T) / 2
+    h = (g + _reciprocal_partner(g, l_max)) / 2
+    assert np.allclose(h, h.conj().T, atol=1e-14)
+    t = (scipy.linalg.expm(1j * h) - np.eye(n)) / 2
+    assert np.max(np.abs(_reciprocal_partner(t, l_max) - t)) < 1e-13
+
+    rule = sm.lebedev_rule({1: 14, 2: 26, 3: 38}[l_max])
+    smat = sm.s_from_t(sm.TransitionMatrix(l_max, t, k=1.0), rule)
+    assert sm.reciprocity_residual(smat) < 1e-13
+    modeset = sm.decompose(sm.apply_weights(smat))
+    assert np.max(sm.lossless_residual(modeset)) < 1e-12
+    expected = np.linalg.eigvals(t)
+    found = modeset.eigenvalues
+    floor = SIGNIFICANCE_FLOOR
+    assert np.count_nonzero(np.abs(found) > floor) == \
+        np.count_nonzero(np.abs(expected) > floor)
+    for value in expected[np.abs(expected) > floor]:
+        assert np.min(np.abs(found - value)) < 1e-12

@@ -190,3 +190,20 @@ def test_track_equals_aligning_every_multiplet(magnetodielectric_sweep,
                         lambda prev, cur, candidates: align_all(
                             prev, cur, list(range(cur.n_modes))))
     assert _trace_tuples(sm.track(sweep)) == _trace_tuples(tracked)
+
+
+def test_tracks_equal_the_full_eig_tracks(magnetodielectric_sweep,
+                                          full_eig_magnetodielectric_sweep):
+    """The acceptance-6 traces keep their structure when decompose solves
+    only the significant subspace: the same traces, start steps and mode
+    indices, with eigenvalues and correlations equal to rounding."""
+    traces = sm.track(magnetodielectric_sweep[1]).traces
+    reference = sm.track(full_eig_magnetodielectric_sweep[1]).traces
+    assert len(traces) == len(reference) > 40
+    for tr, ref in zip(traces, reference):
+        assert (tr.trace_id, tr.start_step, tr.mode_indices) == \
+            (ref.trace_id, ref.start_step, ref.mode_indices)
+        assert np.max(np.abs(np.subtract(tr.eigenvalues, ref.eigenvalues))) \
+            <= 1e-12
+        assert np.max(np.abs(np.subtract(tr.correlations, ref.correlations)),
+                      initial=0.0) <= 1e-12
