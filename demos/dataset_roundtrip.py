@@ -1,11 +1,12 @@
 """Writing, validating, and re-reading a scattering dataset.
 
 Datasets decouple the expensive far-field sampling from the cheap
-eigenanalysis: a file stores one frequency's unweighted scattering samples
-plus the quadrature rule, and any later session can recompute modes from it
-bit-for-bit.  This demo writes a dataset, reloads it, and shows that the
-recovered eigenvalues are identical, then prints the physics self-checks a
-`scatmodes validate` run would apply.
+eigenanalysis: a JSON header file stores one frequency and the quadrature
+rule, a binary .npy body beside it the unweighted scattering samples, and
+any later session can recompute modes from them bit-for-bit.  This demo
+writes a dataset, reloads it, and shows that the recovered eigenvalues are
+identical, then prints the physics self-checks a `scatmodes validate` run
+would apply.
 
 Run: python3 demos/dataset_roundtrip.py
 """
@@ -27,8 +28,10 @@ def main():
 
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "sphere_ka1.csv")
+        body = os.path.join(tmp, "sphere_ka1.npy")
         dataio.write_dataset(smat, path)
-        print(f"wrote {path} ({os.path.getsize(path)} bytes)")
+        print(f"wrote header {path} ({os.path.getsize(path)} bytes)")
+        print(f"  and body {body} ({os.path.getsize(body)} bytes)")
 
         back = dataio.read_dataset(path)
         redone = sm.decompose(sm.apply_weights(back))

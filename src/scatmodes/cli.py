@@ -94,16 +94,9 @@ class RunConfig:
         else:
             _sphere_from_spec(self.backend)
 
-    @property
-    def radius(self) -> float:
-        """Radius of the sphere about the origin that holds the scatterer."""
-        if self.backend["type"] == "dda":
-            return _block_from_spec(self.backend).circumscribing_radius
-        return float(self.backend.get("radius", 1.0))
-
     def rule(self):
         if self.n_q == "auto":
-            radius = self.radius
+            radius = _radius(self.backend)
             size = max(minimum_points(k * radius) for k in self.wavenumbers)
             return lebedev_rule(size)
         return lebedev_rule(int(self.n_q))
@@ -114,8 +107,7 @@ def _grid_from_config(cfg: dict) -> np.ndarray:
     if grid is None:
         raise ConfigError("config needs a 'frequencies' section")
     if "ka" in grid:
-        radius = float(grid.get("radius", cfg.get("backend", {}).get("radius", 1.0)))
-        return np.asarray(grid["ka"], dtype=float) / radius
+        return np.asarray(grid["ka"], dtype=float) / _radius(cfg["backend"])
     try:
         start, stop = float(grid["start_hz"]), float(grid["stop_hz"])
         count = int(grid["count"])
@@ -155,10 +147,21 @@ def load_config(args) -> RunConfig:
                           "--tolerance KEY=VAL to validate instead")
     if "backend" not in cfg:
         raise ConfigError("no backend configured (use --backend or a config file)")
+    if not isinstance(cfg["backend"], dict):
+        raise ConfigError(f"backend spec must be a JSON object, got "
+                          f"{cfg['backend']!r}")
     return RunConfig(backend=cfg["backend"],
                      wavenumbers=_grid_from_config(cfg),
                      n_q=cfg.get("quadrature", "auto"),
                      output=cfg.get("output", "out"))
+
+
+def _radius(spec: dict) -> float:
+    """Radius of the sphere about the origin that holds the scatterer: a
+    "ka" grid and "auto" quadrature both mean k times this radius."""
+    if spec.get("type") == "dda":
+        return _block_from_spec(spec).circumscribing_radius
+    return float(spec.get("radius", 1.0))
 
 
 def _sphere_from_spec(spec: dict) -> LayeredSphere:

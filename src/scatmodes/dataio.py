@@ -1,10 +1,13 @@
 """File formats: far-field scattering datasets, mode tables, traces, manifests.
 
-A dataset is one JSON header line followed by a CSV body.  The header stores
-the frequency, the wavenumber, and the quadrature rule inline; the body
-stores the unweighted scattering samples as (row_index, col_index, re, im)
-with 17 significant digits, which round-trips IEEE doubles exactly.  The
-full layout is documented in docs/format.md.
+A dataset is a one-line JSON header file plus a body.  The header stores the
+frequency, the wavenumber, and the quadrature rule inline.  The writer makes
+format version 2: the header's "body" field names a sibling ``.npy`` file
+holding the unweighted scattering samples as one little-endian complex128
+2N_q x 2N_q array.  The reader also takes version 1, the text interchange
+format that external solvers write, whose CSV body follows the header line
+as (row_index, col_index, re, im) rows with 17 significant digits.  Both
+round-trip IEEE doubles exactly.  The full layout is in docs/format.md.
 """
 
 from __future__ import annotations
@@ -24,9 +27,14 @@ from .quadrature import (FOUR_PI, SUPPORTED_SIZES, Direction, QuadratureRule,
                          lebedev_rule)
 from .scattering import ScatteringMatrix, apply_weights, reciprocity_residual
 
-FORMAT_VERSION = 1
+#: the dataset format version write_dataset writes; read_dataset takes 1 or 2
+FORMAT_VERSION = 2
+#: the manifest layout, versioned apart from the datasets it lists
+MANIFEST_VERSION = 1
 _SCALING_NOTE = ("unweighted scattering samples; rows/cols stack the theta "
                  "polarization block before the phi block")
+#: the one array layout a version 2 body may hold
+_NPY_DTYPE = np.dtype("<c16")
 _BODY_COLUMNS = ("row_index", "col_index", "re", "im")
 _BODY_DTYPE = np.dtype([("i", np.int64), ("j", np.int64),
                         ("re", np.float64), ("im", np.float64)])
@@ -41,9 +49,19 @@ def _fmt(x: float) -> str:
 
 
 def write_dataset(smat: ScatteringMatrix, path: str) -> None:
-    """One frequency's scattering samples as header line + CSV body."""
+    """One frequency's scattering samples as a version 2 dataset.
+
+    The samples go to the ``.npy`` file beside ``path`` with its stem, and
+    the JSON header naming it to ``path``.  The body is written first, so an
+    interrupted write never leaves a header whose body is missing.
+    """
     if smat.weighted:
         raise ValueError("datasets store the unweighted sample matrix")
+    name = os.path.basename(path)
+    body = os.path.splitext(name)[0] + ".npy"
+    if body == name:
+        raise ValueError(f"dataset header {path} would overwrite its body; "
+                         f"name it with another extension, e.g. .csv")
     header = {
         "format_version": FORMAT_VERSION,
         "frequency_hz": smat.k * C0 / (2.0 * math.pi),
@@ -51,15 +69,13 @@ def write_dataset(smat: ScatteringMatrix, path: str) -> None:
         "rule": [[p.theta, p.phi, w]
                  for p, w in zip(smat.rule.points, smat.rule.weights)],
         "scaling_note": _SCALING_NOTE,
+        "body": body,
     }
-    with open(path, "w", newline="") as fh:
+    with open(os.path.join(os.path.dirname(path), body), "wb") as fh:
+        np.save(fh, np.ascontiguousarray(smat.matrix, dtype=_NPY_DTYPE),
+                allow_pickle=False)
+    with open(path, "w") as fh:
         fh.write(json.dumps(header) + "\n")
-        fh.write(",".join(_BODY_COLUMNS) + "\r\n")
-        # the bytes csv.writer gives: CRLF rows; %.17g fields need no quotes
-        for i, row in enumerate(smat.matrix):
-            lead = f"{i},"
-            fh.write("".join([f"{lead}{j},{v.real:.17g},{v.imag:.17g}\r\n"
-                              for j, v in enumerate(row.tolist())]))
 
 
 def _reconstruct_rule(rule_rows, line_no: int) -> QuadratureRule:
@@ -83,25 +99,38 @@ def _reconstruct_rule(rule_rows, line_no: int) -> QuadratureRule:
 
 
 def read_dataset(path: str) -> ScatteringMatrix:
-    """Parse a dataset file back into an unweighted scattering matrix."""
+    """Parse a version 1 or 2 dataset into an unweighted scattering matrix."""
     with open(path, newline="") as fh:
         header_line = fh.readline()
         try:
             header = json.loads(header_line)
         except json.JSONDecodeError as exc:
             raise ParseError(f"header is not valid JSON: {exc}", line=1) from exc
+        if not isinstance(header, dict):
+            raise ParseError("header is not a JSON object", line=1)
         for key in ("format_version", "frequency_hz", "wavenumber", "rule"):
             if key not in header:
                 raise ParseError(f"header missing field {key!r}", line=1)
-        if header["format_version"] != FORMAT_VERSION:
-            raise ParseError(
-                f"unsupported format_version {header['format_version']}", line=1)
-        k = float(header["wavenumber"])
-        f_hz = float(header["frequency_hz"])
+        version = header["format_version"]
+        if version not in (1, 2):
+            raise ParseError(f"unsupported format_version {version}", line=1)
+        try:
+            k = float(header["wavenumber"])
+            f_hz = float(header["frequency_hz"])
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"frequency is not a number: {exc}",
+                             line=1) from exc
         if abs(k - 2.0 * math.pi * f_hz / C0) > 1e-9 * abs(k):
             raise ParseError(
                 f"wavenumber {k} inconsistent with frequency {f_hz} Hz", line=1)
         rule = _reconstruct_rule(header["rule"], line_no=1)
+        n2 = 2 * rule.n_points
+        if version == 2:
+            if "body" not in header:
+                raise ParseError("header missing field 'body'", line=1)
+            matrix = _read_npy_body(path, header["body"], n2)
+            return ScatteringMatrix(rule=rule, k=k, matrix=matrix,
+                                    weighted=False)
 
         column_line = fh.readline()
         if not column_line:
@@ -110,7 +139,6 @@ def read_dataset(path: str) -> ScatteringMatrix:
         if tuple(c.strip() for c in columns) != _BODY_COLUMNS:
             raise ParseError(f"unexpected body columns {columns}", line=2)
 
-        n2 = 2 * rule.n_points
         matrix = np.full((n2, n2), np.nan, dtype=complex)
         count = 0
         body = itertools.filterfalse(_BLANK_LINES.__contains__, fh)
@@ -137,6 +165,51 @@ def read_dataset(path: str) -> ScatteringMatrix:
         raise DimensionMismatch(
             f"duplicate rows shadow entry ({missing[0]}, {missing[1]})")
     return ScatteringMatrix(rule=rule, k=k, matrix=matrix, weighted=False)
+
+
+def _read_npy_body(path: str, body, n2: int) -> np.ndarray:
+    """The n2 x n2 matrix of the version 2 body ``body`` beside ``path``.
+
+    The .npy header's dtype, order and shape, and the file's size, are all
+    checked before any sample is read, so a damaged or forged body raises
+    ParseError or DimensionMismatch and never allocates more than the
+    dataset's own rule calls for.
+    """
+    if not (isinstance(body, str) and body not in ("", ".", "..")
+            and os.path.basename(body) == body):
+        raise ParseError(f"\"body\" must name a file beside the header, "
+                         f"got {body!r}", line=1)
+    try:
+        fh = open(os.path.join(os.path.dirname(path), body), "rb")
+    except OSError as exc:
+        raise ParseError(f"cannot read body {body} ({exc.strerror})") from exc
+    with fh:
+        try:
+            version = np.lib.format.read_magic(fh)
+            if version != (1, 0):  # what np.save writes for a 2-D array
+                raise ValueError(f".npy format {version} is not (1, 0)")
+            shape, fortran_order, dtype = \
+                np.lib.format.read_array_header_1_0(fh)
+        except ValueError as exc:
+            raise ParseError(f"body {body} is not a .npy array: {exc}") from exc
+        if dtype != _NPY_DTYPE or fortran_order:
+            raise ParseError(
+                f"body {body} holds {dtype.str}"
+                f"{' in Fortran order' if fortran_order else ''}; expected "
+                f"C-ordered {_NPY_DTYPE.str}")
+        if shape != (n2, n2):
+            raise DimensionMismatch(
+                f"body {body} has shape {shape}, expected ({n2}, {n2}) for "
+                f"the header's {n2 // 2}-point rule")
+        size = n2 * n2 * _NPY_DTYPE.itemsize
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        if left == size:
+            matrix = np.empty((n2, n2), dtype=_NPY_DTYPE)
+            left = fh.readinto(matrix)
+        if left != size:
+            raise DimensionMismatch(
+                f"body {body} holds {left} bytes of samples, expected {size}")
+    return matrix
 
 
 def _raise_first_bad_row(path: str, n2: int,
@@ -217,7 +290,7 @@ def write_manifest(directory: str, entries: list, complete: bool) -> str:
     """
     entries = sorted(entries, key=lambda e: e["frequency_hz"])
     path = os.path.join(directory, "manifest.json")
-    payload = {"format_version": FORMAT_VERSION, "complete": bool(complete),
+    payload = {"format_version": MANIFEST_VERSION, "complete": bool(complete),
                "entries": entries}
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2)

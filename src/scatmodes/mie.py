@@ -80,14 +80,6 @@ class LayeredSphere:
     def homogeneous(radius, eps_r, mu_r=1.0) -> "LayeredSphere":
         return LayeredSphere(radius, (Layer(eps_r, mu_r, 1.0),))
 
-    @staticmethod
-    def equal_layers(radius, eps_list, mu_list=None) -> "LayeredSphere":
-        n = len(eps_list)
-        mu_list = mu_list or [1.0] * n
-        fr = [(i + 1) / n for i in range(n)]
-        return LayeredSphere(radius, tuple(
-            Layer(e, m, f) for e, m, f in zip(eps_list, mu_list, fr)))
-
 
 def _riccati(l, x):
     """(psi, psi', chi, chi') with psi = x j_l(x), chi = -x y_l(x); broadcasts."""

@@ -81,10 +81,6 @@ class TransitionMatrix:
                 f"entries must be {n}x{n} for l_max={self.l_max}, "
                 f"got {self.entries.shape}")
 
-    def eigenvalues(self) -> np.ndarray:
-        vals = np.linalg.eigvals(self.entries)
-        return vals[np.argsort(-np.abs(vals))]
-
 
 def _legendre_tables(l_max: int, cos_t: np.ndarray, sin_t: np.ndarray):
     """Normalized tangential Legendre functions on a batch of angles.

@@ -6,7 +6,9 @@ import os
 # imported, and several threads make the small eigensolves slower
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-import math  # noqa: E402
+import csv  # noqa: E402
+import json
+import math
 from unittest import mock
 
 import numpy as np
@@ -15,7 +17,7 @@ import scipy.linalg
 from hypothesis import settings
 
 import scatmodes as sm
-from scatmodes import modes
+from scatmodes import dataio, modes
 
 # property tests draw the same examples on every run and stay short
 settings.register_profile("tier1", derandomize=True, database=None,
@@ -115,3 +117,31 @@ def full_eig_magnetodielectric_sweep(magnetodielectric_matrices):
     """The same sweep decomposed through full_eig_decompose."""
     kas, weighted = magnetodielectric_matrices
     return kas, _sweep(kas, map(_full_eig_decompose, weighted))
+
+
+def _write_v1_dataset(smat, path):
+    """Write smat as a version 1 dataset, the text interchange format: the
+    JSON header line, then one CRLF-ended CSV row per entry with %.17g
+    parts, as csv.writer prints them."""
+    header = {
+        "format_version": 1,
+        "frequency_hz": smat.k * sm.C0 / (2.0 * math.pi),
+        "wavenumber": smat.k,
+        "rule": [[p.theta, p.phi, w]
+                 for p, w in zip(smat.rule.points, smat.rule.weights)],
+        "scaling_note": dataio._SCALING_NOTE,
+    }
+    with open(path, "w", newline="") as fh:
+        fh.write(json.dumps(header) + "\n")
+        writer = csv.writer(fh)
+        writer.writerow(["row_index", "col_index", "re", "im"])
+        for (i, j), v in np.ndenumerate(smat.matrix):
+            writer.writerow([i, j, format(v.real, ".17g"),
+                             format(v.imag, ".17g")])
+
+
+@pytest.fixture(scope="session")
+def write_v1_dataset():
+    """A writer of version 1 (CSV) datasets, which the library reads but no
+    longer writes."""
+    return _write_v1_dataset

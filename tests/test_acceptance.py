@@ -361,7 +361,7 @@ def test_acceptance_9_dataset_round_trip(tmp_path, mie_modes_ka1):
                      + [p.phi_hat for p in rule14.points])
     matrix = scale * (units @ units.T).astype(complex)
     header = json.dumps({
-        "format_version": dataio.FORMAT_VERSION,
+        "format_version": 1,
         "frequency_hz": k * C0 / (2.0 * math.pi),
         "wavenumber": k,
         "rule": [[p.theta, p.phi, w]

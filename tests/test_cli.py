@@ -1,11 +1,16 @@
 import csv
+import io
 import json
 import os
+import pickle
+import shutil
 
 import numpy as np
 import pytest
 
 from scatmodes import dataio
+from scatmodes.errors import DimensionMismatch, ParseError
+from scatmodes import build_block
 from scatmodes.cli import (EXIT_COMPUTE, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION,
                            main, parse_tolerances)
 
@@ -84,9 +89,11 @@ def test_validate_missing_dataset_fails_per_file(tmp_path, mie_config, capsys):
 
 
 def test_validate_unparsable_datasets_fail_per_file(tmp_path, mie_config,
-                                                    capsys):
+                                                    capsys, write_v1_dataset):
     assert main(["sweep", "--config", mie_config]) == EXIT_OK
     out = tmp_path / "out"
+    for name in ("dataset_0000.csv", "dataset_0001.csv"):  # as CSV, version 1
+        write_v1_dataset(dataio.read_dataset(str(out / name)), str(out / name))
     bad_row = out / "dataset_0000.csv"
     lines = bad_row.read_text().splitlines(keepends=True)
     lines[5] = "5,x,0.5,0.5\r\n"
@@ -104,6 +111,111 @@ def test_validate_unparsable_datasets_fail_per_file(tmp_path, mie_config,
     assert lines[1].endswith("FAIL")
     assert "dataset_0002.csv" in lines[2] and lines[2].endswith("PASS")
     assert "compute error" not in captured.err
+
+
+def _npy(array, **kwargs):
+    buf = io.BytesIO()
+    np.lib.format.write_array(buf, array, **kwargs)
+    return buf.getvalue()
+
+
+def _forged_shape(raw):
+    # a header of the same length that promises a huge array
+    end = raw.index(b"\n", 10)
+    head = raw[:end].replace(b"(52, 52)", b"(99999999, 99999)")
+    return head[:10] + head[10:].ljust(end - 10) + raw[end:]
+
+
+def _body_bytes(damage):
+    def apply(out):
+        body = out / "dataset_0001.npy"
+        body.write_bytes(damage(body.read_bytes()))
+    return apply
+
+
+def _body_name(name, drop=False):
+    def apply(out):
+        header_path = out / "dataset_0001.csv"
+        header = json.loads(header_path.read_text())
+        if drop:
+            del header["body"]
+        else:
+            header["body"] = name
+        header_path.write_text(json.dumps(header) + "\n")
+        (out / "sub").mkdir()  # so that "sub/..." names a file that exists
+        shutil.copy(out / "dataset_0001.npy", out / "sub")
+    return apply
+
+
+@pytest.fixture(scope="module")
+def sweep_dir(tmp_path_factory):
+    """A finished three-frequency N_q=26 sweep directory; copy before use."""
+    root = tmp_path_factory.mktemp("sweep")
+    config = _write_config(root, {
+        "backend": {"type": "mie", "eps_r": 3.0, "radius": 1.0},
+        "frequencies": {"ka": [0.8, 1.0, 1.2]},
+        "quadrature": 26,
+        "output": str(root / "out"),
+    })
+    assert main(["sweep", "--config", config]) == EXIT_OK
+    return root / "out"
+
+
+@pytest.mark.parametrize("damage, error", [
+    pytest.param(_body_bytes(lambda raw: b""), ParseError, id="empty"),
+    pytest.param(_body_bytes(lambda raw: raw[:-17]), DimensionMismatch,
+                 id="truncated"),
+    pytest.param(_body_bytes(lambda raw: raw[:128]), DimensionMismatch,
+                 id="header-only"),
+    pytest.param(_body_bytes(lambda raw: raw + bytes(16)), DimensionMismatch,
+                 id="trailing-bytes"),
+    pytest.param(_body_bytes(_forged_shape), DimensionMismatch,
+                 id="forged-shape"),
+    pytest.param(_body_bytes(lambda raw: b"0,0,0,0\r\n" * 9), ParseError,
+                 id="not-npy"),
+    *[pytest.param(_body_bytes(lambda raw, a=a: _npy(a)), error, id=name)
+      for name, a, error in [
+          ("c8", np.zeros((52, 52), "<c8"), ParseError),
+          ("big-endian", np.zeros((52, 52), ">c16"), ParseError),
+          ("f8", np.zeros((52, 52), "<f8"), ParseError),
+          ("fortran", np.zeros((52, 52), "<c16", order="F"), ParseError),
+          ("wrong-shape", np.zeros((52, 51), "<c16"), DimensionMismatch),
+          ("flat", np.zeros(52 * 52, "<c16"), DimensionMismatch)]],
+    pytest.param(_body_bytes(lambda raw: _npy(np.zeros((52, 52), object),
+                                              allow_pickle=True)),
+                 ParseError, id="object"),
+    pytest.param(_body_bytes(lambda raw: _npy(np.zeros((52, 52), "<c16"),
+                                              version=(2, 0))),
+                 ParseError, id="npy-format-2.0"),
+    pytest.param(_body_bytes(lambda raw: pickle.dumps(np.zeros((52, 52)))),
+                 ParseError, id="pickle"),
+    pytest.param(lambda out: (out / "dataset_0001.npy").unlink(), ParseError,
+                 id="missing"),
+    pytest.param(_body_name(None, drop=True), ParseError,
+                 id="no-body-field"),
+    *[pytest.param(_body_name(name), ParseError, id=f"body={name!r}")
+      for name in ["../dataset_0001.npy", "/abs/dataset_0001.npy",
+                   "sub/dataset_0001.npy", "", ".", "..", 7, None,
+                   ["dataset_0001.npy"]]],
+])
+def test_validate_bad_v2_body_fails_its_line(tmp_path, sweep_dir, capsys,
+                                             damage, error):
+    out = tmp_path / "out"
+    shutil.copytree(sweep_dir, out)
+    damage(out)
+    header_path = out / "dataset_0001.csv"
+    with pytest.raises(error):
+        dataio.read_dataset(str(header_path))
+
+    capsys.readouterr()
+    assert main(["validate", str(out)]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert len(lines) == 3
+    assert lines[1].startswith(f"{header_path}: ")
+    assert lines[1].endswith("-> FAIL") and "reciprocity" not in lines[1]
+    assert lines[0].endswith("PASS") and lines[2].endswith("PASS")
+    assert captured.err == ""
 
 
 @pytest.mark.parametrize("manifest", [None, "{not json", '{"entries": 3}'])
@@ -175,6 +287,16 @@ def test_inline_backend_and_frequency_flags(tmp_path):
     assert manifest["entries"][0].get("traces") is None  # single frequency
 
 
+@pytest.mark.parametrize("backend", ['"mie"', "[1]", "3"])
+def test_backend_spec_that_is_not_an_object_is_usage_error(tmp_path, capsys,
+                                                           backend):
+    cfg = _write_config(tmp_path, {"frequencies": {"ka": [1.0]}})
+    assert main(["sweep", "--config", cfg, "--backend", backend,
+                 "--out", str(tmp_path / "out")]) == EXIT_USAGE
+    assert "must be a JSON object" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_unsupported_quadrature_size_is_compute_error(tmp_path, mie_config):
     # 15 is not a tabulated rule size; the failure surfaces as a library error
     code = main(["sweep", "--config", mie_config, "--nq", "15",
@@ -234,13 +356,30 @@ def test_precision_study_requires_larger_reference(tmp_path):
                  "--nq-list", "26,50", "--reference", "50"]) == EXIT_USAGE
 
 
+def test_dda_ka_grid_is_k_times_block_radius(tmp_path):
+    # the 8x8x2 block with spacing 0.5 reaches R = 2.49 from its center
+    backend = {"type": "dda", "extent": [8, 8, 2], "spacing": 0.5,
+               "eps_r": 3.0}
+    cfg = _write_config(tmp_path, {
+        "backend": backend,
+        "frequencies": {"ka": [0.8, 1.0]},
+        "quadrature": 14,
+        "output": str(tmp_path / "out"),
+    })
+    assert main(["sweep", "--config", cfg]) == EXIT_OK
+    radius = build_block((8, 8, 2), 0.5, 3.0).circumscribing_radius
+    entries = dataio.read_manifest(str(tmp_path / "out"))["entries"]
+    assert [e["wavenumber"] * radius for e in entries] == \
+        pytest.approx([0.8, 1.0], rel=1e-15)
+
+
 def test_auto_quadrature_sizes_dda_from_block_radius(tmp_path):
     # the 8x8x2 block with spacing 0.5 reaches R = 2.49 from its center, so
     # ka up to 2.49 needs 74 points; the default radius of 1 gave 26
     cfg = _write_config(tmp_path, {
         "backend": {"type": "dda", "extent": [8, 8, 2], "spacing": 0.5,
                     "eps_r": 3.0},
-        "frequencies": {"ka": [0.8, 1.0]},
+        "frequencies": {"ka": [2.0, 2.49]},
         "quadrature": "auto",
         "output": str(tmp_path / "out"),
     })

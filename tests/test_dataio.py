@@ -20,7 +20,7 @@ def _write(tmp_path, name, text):
 
 def _header(rule, k, **overrides):
     header = {
-        "format_version": dataio.FORMAT_VERSION,
+        "format_version": 1,
         "frequency_hz": k * C0 / (2.0 * math.pi),
         "wavenumber": k,
         "rule": [[p.theta, p.phi, w] for p, w in zip(rule.points, rule.weights)],
@@ -68,6 +68,51 @@ def test_write_rejects_weighted_matrix(mie_modes_ka1):
     _, smat, _ = mie_modes_ka1
     with pytest.raises(ValueError, match="unweighted"):
         dataio.write_dataset(sm.apply_weights(smat), "/dev/null")
+
+
+def test_write_dataset_is_header_line_plus_npy_body(tmp_path, mie_modes_ka1):
+    _, smat, _ = mie_modes_ka1
+    dataio.write_dataset(smat, str(tmp_path / "mie.csv"))
+    lines = (tmp_path / "mie.csv").read_text().splitlines(keepends=True)
+    assert len(lines) == 1 and lines[0].endswith("}\n")
+    header = json.loads(lines[0])
+    assert (header["format_version"], header["body"]) == (2, "mie.npy")
+    body = np.load(tmp_path / "mie.npy", allow_pickle=False)
+    assert body.dtype.str == "<c16" and body.flags.c_contiguous
+    assert np.array_equal(body, smat.matrix)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["mie.csv", "mie.npy"]
+
+
+def test_write_refuses_a_header_named_like_its_body(tmp_path, mie_modes_ka1):
+    _, smat, _ = mie_modes_ka1
+    with pytest.raises(ValueError, match="overwrite its body"):
+        dataio.write_dataset(smat, str(tmp_path / "mie.npy"))
+    assert not list(tmp_path.iterdir())
+
+
+def test_v1_and_v2_copies_read_back_identical(tmp_path, mie_modes_ka1,
+                                              write_v1_dataset):
+    _, smat, _ = mie_modes_ka1
+    write_v1_dataset(smat, str(tmp_path / "v1.csv"))
+    dataio.write_dataset(smat, str(tmp_path / "v2.csv"))
+    v1 = dataio.read_dataset(str(tmp_path / "v1.csv"))
+    v2 = dataio.read_dataset(str(tmp_path / "v2.csv"))
+    assert v1.matrix.tobytes() == v2.matrix.tobytes() == smat.matrix.tobytes()
+    assert (v1.k, v1.rule.name) == (v2.k, v2.rule.name) \
+        == (smat.k, smat.rule.name)
+    assert dataio.validation_report(v1) == dataio.validation_report(v2)
+
+
+@pytest.mark.parametrize("line, match", [
+    ("3", "not a JSON object"),
+    ("[1, 2]", "not a JSON object"),
+    ('{"format_version": 1, "frequency_hz": null, "wavenumber": 1.0, '
+     '"rule": []}', "frequency is not a number"),
+])
+def test_malformed_header_is_a_parse_error(tmp_path, line, match):
+    path = _write(tmp_path, "bad.csv", line + "\n")
+    with pytest.raises(ParseError, match=match):
+        dataio.read_dataset(path)
 
 
 def test_inconsistent_frequency_rejected(tmp_path):
@@ -230,16 +275,6 @@ def _dataset_text(rule, matrix, k=2.0):
 def _random_matrix(n2, seed=0):
     rng = np.random.default_rng(seed)
     return rng.standard_normal((n2, n2)) + 1j * rng.standard_normal((n2, n2))
-
-
-def test_write_dataset_body_matches_csv_module_bytes(tmp_path, mie_modes_ka1):
-    _, smat, _ = mie_modes_ka1
-    path = tmp_path / "mie.csv"
-    dataio.write_dataset(smat, str(path))
-    raw = path.read_bytes()
-    body = raw[raw.index(b"\n") + 1:]
-    assert body == _body(smat.matrix).encode()
-    assert body.endswith(b"\r\n")
 
 
 def test_duplicated_row_is_rejected(tmp_path):
