@@ -23,7 +23,7 @@ from scatmodes import dataio
 def main():
     sphere = sm.LayeredSphere.homogeneous(1.0, 3.0)
     rule = sm.lebedev_rule(26)
-    smat = sm.assemble(sm.MieBackend(sphere), rule, 1.0)
+    smat = sm.MieBackend(sphere).sample(rule, 1.0)
     modeset = sm.decompose(sm.apply_weights(smat))
 
     with tempfile.TemporaryDirectory() as tmp:

@@ -29,12 +29,13 @@ def main():
     print(f"block of {model.n_dipoles} dipoles, ka = 0.5, rule {rule.name}")
 
     # far-field route
-    smat = sm.scattering_matrix(model, rule, k)
+    backend = sm.DdaBackend(model)
+    smat = backend.sample(rule, k)
     modeset = sm.decompose(sm.apply_weights(smat))
     print(f"reciprocity residual: {sm.reciprocity_residual(smat):.2e}")
 
     # current route
-    system = sm.ImpedanceSystem(model, k)
+    system = backend.system(k)
     lam, currents = sm.classical_cm(system)
     t_pencil = np.array([sm.t_from_lambda(v) for v in lam])
     t_pencil = t_pencil[np.argsort(-np.abs(t_pencil))]

@@ -22,13 +22,12 @@ def main():
         sm.Layer(e, m, f) for e, m, f in
         zip([1, 5, 1, 2], [3, 1, 8, 1], [0.25, 0.5, 0.75, 1.0])))
     rule = sm.lebedev_rule(38)
-    l_max = rule.order_capability // 2
+    backend = sm.MieBackend(sphere)
     kas = np.arange(0.5, 4.5001, 0.05)
     print(f"sweeping {len(kas)} points over ka = 0.5..4.5 on {rule.name}")
 
     modesets = tuple(
-        sm.decompose(sm.apply_weights(
-            sm.s_from_t(sm.layered_tmatrix(sphere, ka, l_max), rule, k=ka)))
+        sm.decompose(sm.apply_weights(backend.sample(rule, ka)))
         for ka in kas)
     sweep = sm.SweepResult(
         frequencies=np.array([sm.frequency(ka) for ka in kas]),

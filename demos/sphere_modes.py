@@ -23,7 +23,7 @@ def main():
     print(f"sphere eps_r={eps_r}, ka={ka}, rule={rule.name} "
           f"(degree {rule.order_capability})")
 
-    smat = sm.assemble(sm.MieBackend(sphere), rule, ka)
+    smat = sm.MieBackend(sphere).sample(rule, ka)
     print(f"reciprocity residual: {sm.reciprocity_residual(smat):.2e}")
 
     modeset = sm.decompose(sm.apply_weights(smat))

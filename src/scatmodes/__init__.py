@@ -1,10 +1,10 @@
 """Characteristic modes of electromagnetic scatterers.
 
 The package samples a scatterer's far-field response on a Lebedev quadrature
-rule, assembles the weighted scattering matrix, and eigendecomposes it into
-characteristic modes.  Backends: analytic multilayer spheres and a coupled
-point-dipole volume model; external solvers plug in through the dataset
-format.
+rule with backend.sample(rule, k), weights the sample matrix, and
+eigendecomposes it into characteristic modes.  Backends: analytic multilayer
+spheres and a coupled point-dipole volume model; external solvers plug in as
+a ScatteringBackend subclass or through the dataset format.
 """
 
 from .errors import (AlreadyWeighted, BelowSignificanceThreshold,

@@ -17,14 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dataio, tracking
-from .dda import DdaBackend, build_block, scattering_matrix
+from .dda import DdaBackend, build_block
 from .errors import ParseError, ScatmodesError
-from .mie import (LayeredSphere, Layer, MieBackend, default_l_max,
-                  layered_tmatrix)
-from .modes import C0, decompose, frequency, wavenumber
+from .mie import LayeredSphere, Layer, MieBackend, default_l_max
+from .modes import decompose, frequency, wavenumber
 from .quadrature import lebedev_rule, minimum_points, quadrature_bound
-from .scattering import apply_weights, assemble
-from .swe import s_from_t
+from .scattering import apply_weights
 
 EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, EXIT_COMPUTE = 0, 1, 2, 3
 
@@ -82,24 +80,24 @@ class RunConfig:
         if np.any(np.diff(k) <= 0) or np.any(k <= 0):
             raise ConfigError("wavenumbers must be positive and strictly increasing")
         self.wavenumbers = k
-        if "type" not in self.backend:
-            raise ConfigError("backend spec needs a 'type' field")
-        if self.backend["type"] not in ("mie", "dda"):
-            raise ConfigError(
-                f"unknown backend type {self.backend['type']!r}; "
-                f"expected 'mie' or 'dda'")
         # a bad scatterer spec fails here, before any output is written
-        if self.backend["type"] == "dda":
-            _block_from_spec(self.backend)
-        else:
-            _sphere_from_spec(self.backend)
+        _backend(self.backend)
 
     def rule(self):
+        """The sweep's rule.  A mie l_max beyond the rule's band is a usage
+        error: the sweep would only alias it."""
+        backend = _backend(self.backend)
         if self.n_q == "auto":
-            radius = _radius(self.backend)
-            size = max(minimum_points(k * radius) for k in self.wavenumbers)
-            return lebedev_rule(size)
-        return lebedev_rule(int(self.n_q))
+            rule = lebedev_rule(max(minimum_points(k * backend.radius)
+                                    for k in self.wavenumbers))
+        else:
+            rule = lebedev_rule(int(self.n_q))
+        l_max = backend.l_max if isinstance(backend, MieBackend) else None
+        if l_max and rule.order_capability < 2 * l_max:
+            raise ConfigError(f"l_max {l_max} needs quadrature degree >= "
+                              f"{2 * l_max}; {rule.name} integrates only to "
+                              f"degree {rule.order_capability}")
+        return rule
 
 
 def _grid_from_config(cfg: dict) -> np.ndarray:
@@ -107,7 +105,8 @@ def _grid_from_config(cfg: dict) -> np.ndarray:
     if grid is None:
         raise ConfigError("config needs a 'frequencies' section")
     if "ka" in grid:
-        return np.asarray(grid["ka"], dtype=float) / _radius(cfg["backend"])
+        radius = _backend(cfg["backend"]).radius
+        return np.asarray(grid["ka"], dtype=float) / radius
     try:
         start, stop = float(grid["start_hz"]), float(grid["stop_hz"])
         count = int(grid["count"])
@@ -156,48 +155,38 @@ def load_config(args) -> RunConfig:
                      output=cfg.get("output", "out"))
 
 
-def _radius(spec: dict) -> float:
-    """Radius of the sphere about the origin that holds the scatterer: a
-    "ka" grid and "auto" quadrature both mean k times this radius."""
-    if spec.get("type") == "dda":
-        return _block_from_spec(spec).circumscribing_radius
-    return float(spec.get("radius", 1.0))
+def _backend(spec: dict, k: float | None = None):
+    """The backend a spec describes, or a ConfigError naming what is wrong.
 
-
-def _sphere_from_spec(spec: dict) -> LayeredSphere:
-    layers = spec.get("layers")
-    if layers is None:
-        return LayeredSphere.homogeneous(spec.get("radius", 1.0),
-                                         float(spec.get("eps_r", 3.0)),
-                                         float(spec.get("mu_r", 1.0)))
-    try:
-        return LayeredSphere(spec.get("radius", 1.0), tuple(
-            Layer(float(l["eps_r"]), float(l.get("mu_r", 1.0)),
-                  float(l["boundary_fraction"])) for l in layers))
-    except KeyError as exc:
-        raise ConfigError(f"mie layer needs field {exc}") from exc
-
-
-def _block_from_spec(spec: dict, k: float | None = None):
-    try:
-        spacing, eps_r = float(spec["spacing"]), float(spec["eps_r"])
-    except KeyError as exc:
-        raise ConfigError(f"dda backend needs field {exc}") from exc
-    return build_block(spec.get("extent", (4, 4, 1)), spacing, eps_r, k=k)
-
-
-def _sample_matrix(config: RunConfig, rule, k):
-    """Unweighted scattering matrix from whichever backend is configured."""
-    spec = config.backend
-    kind = spec["type"]
-    if kind == "mie":
-        sphere = _sphere_from_spec(spec)
-        l_max = spec.get("l_max") or default_l_max(rule)
-        tmat = layered_tmatrix(sphere, k * sphere.outer_radius_a, l_max)
-        return s_from_t(tmat, rule, k=k)
+    Its radius holds the scatterer about the origin: a "ka" grid and "auto"
+    quadrature both mean k times it.  A dda block built at a given k warns
+    when its lattice is coarse for that wavelength.
+    """
+    kind = spec.get("type")
+    if kind is None:
+        raise ConfigError("backend spec needs a 'type' field")
     if kind == "dda":
-        return scattering_matrix(_block_from_spec(spec, k), rule, k)
-    raise ConfigError(f"unknown backend type {kind!r}")
+        try:
+            spacing, eps_r = float(spec["spacing"]), float(spec["eps_r"])
+        except KeyError as exc:
+            raise ConfigError(f"dda backend needs field {exc}") from exc
+        return DdaBackend(build_block(spec.get("extent", (4, 4, 1)), spacing,
+                                      eps_r, k=k))
+    if kind != "mie":
+        raise ConfigError(f"unknown backend type {kind!r}; "
+                          f"expected 'mie' or 'dda'")
+    radius, layers = float(spec.get("radius", 1.0)), spec.get("layers")
+    if layers is None:
+        sphere = LayeredSphere.homogeneous(radius, float(spec.get("eps_r", 3.0)),
+                                           float(spec.get("mu_r", 1.0)))
+    else:
+        try:
+            sphere = LayeredSphere(radius, tuple(
+                Layer(float(l["eps_r"]), float(l.get("mu_r", 1.0)),
+                      float(l["boundary_fraction"])) for l in layers))
+        except KeyError as exc:
+            raise ConfigError(f"mie layer needs field {exc}") from exc
+    return MieBackend(sphere, l_max=spec.get("l_max") or None)
 
 
 def cmd_sweep(config: RunConfig) -> int:
@@ -212,7 +201,7 @@ def cmd_sweep(config: RunConfig) -> int:
     entries, modesets, failure = [], [], None
     for i, k in enumerate(config.wavenumbers):
         try:
-            smat = _sample_matrix(config, rule, k)
+            smat = _backend(config.backend, k).sample(rule, k)
             name = f"dataset_{i:04d}.csv"
             dataio.write_dataset(smat, os.path.join(config.output, name))
             modeset = decompose(apply_weights(smat))
@@ -300,10 +289,10 @@ def cmd_precision_study(config: RunConfig, nq_list: list, reference: int) -> int
             f"reference N_q {reference} must exceed every studied size {nq_list}")
     if config.backend["type"] != "mie":
         raise ConfigError("the precision study runs on the mie backend")
-    sphere = _sphere_from_spec(config.backend)
     ref_rule = lebedev_rule(reference)
     # fixed truncation across all rules so only quadrature aliasing varies
-    l_max = config.backend.get("l_max") or default_l_max(ref_rule)
+    backend = MieBackend(_backend(config.backend).sphere,
+                         config.backend.get("l_max") or default_l_max(ref_rule))
     top = 25
 
     os.makedirs(config.output, exist_ok=True)
@@ -315,16 +304,16 @@ def cmd_precision_study(config: RunConfig, nq_list: list, reference: int) -> int
         writer.writerow(["ka", "n_q", "bound_estimate", "magnitude_error",
                          "phase_error", "note"])
         for k in config.wavenumbers:
-            ka = k * sphere.outer_radius_a
+            ka = k * backend.radius
             bound = quadrature_bound(ka)
-            ref_modes = _modes_for(sphere, ref_rule, k, l_max)
+            ref_modes = decompose(apply_weights(backend.sample(ref_rule, k)))
             ref_alpha = _angles(ref_modes, top)
             for n_q in nq_list:
                 note = ""
                 if n_q < bound:
                     note = f"below the {math.ceil(bound)}-point estimate"
                 rule = lebedev_rule(n_q)
-                modes = _modes_for(sphere, rule, k, l_max)
+                modes = decompose(apply_weights(backend.sample(rule, k)))
                 n = min(top, modes.n_modes, len(ref_alpha))
                 mag = float(np.mean(np.abs(
                     np.abs(2.0 * modes.eigenvalues[:n] + 1.0) - 1.0)))
@@ -336,12 +325,6 @@ def cmd_precision_study(config: RunConfig, nq_list: list, reference: int) -> int
                       f"phase error {phase:.3e} {note}")
     print(f"precision study -> {out_path}")
     return EXIT_OK
-
-
-def _modes_for(sphere, rule, k, l_max):
-    backend = MieBackend(sphere, l_max=l_max)
-    smat = assemble(backend, rule, k)
-    return decompose(apply_weights(smat))
 
 
 def _angles(modeset, top):

@@ -180,14 +180,16 @@ class DdaBackend(ScatteringBackend):
 
     def __init__(self, model: DipoleModel):
         self.model = model
+        self.radius = model.circumscribing_radius
+        # one entry each, {k: system} and {k: (rule, K)}: a sweep moves on
+        # in k, and a Z matrix with its LU is large.  Holding the rule itself
+        # keeps its id from being reused, and it is compared with `is`
         self._systems: dict = {}
-        # one entry {k: (rule, K)}; holding the rule itself keeps its id from
-        # being reused, and it is compared with `is`
         self._kmats: dict = {}
 
     def system(self, k: float) -> ImpedanceSystem:
         if k not in self._systems:
-            self._systems[k] = ImpedanceSystem(self.model, k)
+            self._systems = {k: ImpedanceSystem(self.model, k)}
         return self._systems[k]
 
     def kmat(self, k: float, rule: QuadratureRule) -> np.ndarray:
@@ -201,6 +203,10 @@ class DdaBackend(ScatteringBackend):
         v = planewave_rhs(self.model, k, direction, polarization)
         currents = self.system(k).solve(v)
         return self.kmat(k, rule) @ currents
+
+    def sample(self, rule: QuadratureRule, k: float) -> ScatteringMatrix:
+        """All 2 N_q excitations in one solve; see scattering_matrix."""
+        return scattering_matrix(self.model, rule, k, self)
 
 
 def scattering_matrix(model: DipoleModel, rule: QuadratureRule, k: float,

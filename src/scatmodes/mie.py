@@ -27,7 +27,7 @@ from scipy.special import spherical_jn, spherical_yn
 from .errors import ScatmodesError
 from .quadrature import QuadratureRule
 from .swe import TransitionMatrix, vsh_matrix
-from .scattering import ScatteringBackend
+from .scattering import ScatteringBackend, ScatteringMatrix
 from .modes import ModeSet
 
 
@@ -208,27 +208,17 @@ class MieBackend(ScatteringBackend):
     def __init__(self, sphere: LayeredSphere, l_max: int | None = None):
         self.sphere = sphere
         self.l_max = l_max
-        # one entry {(k, l_max): (rule, response)}; holding the rule itself
-        # keeps its id from being reused, and it is compared with `is`
-        self._cache = {}
+        self.radius = sphere.outer_radius_a
 
-    def _response_matrix(self, k: float, rule: QuadratureRule) -> np.ndarray:
+    def sample(self, rule: QuadratureRule, k: float) -> ScatteringMatrix:
+        """Synthesize the samples A T A^H at once, A = vsh_matrix(l_max, rule).
+
+        Unlike s_from_t, an l_max beyond the rule's band is allowed: it
+        aliases, which is what a quadrature-precision study measures.
+        """
         l_max = self.l_max if self.l_max is not None else default_l_max(rule)
-        key = (k, l_max)
-        hit = self._cache.get(key)
-        if hit is None or hit[0] is not rule:
-            ka = k * self.sphere.outer_radius_a
-            tmat = layered_tmatrix(self.sphere, ka, l_max)
-            a = vsh_matrix(l_max, rule)
-            # far field per unit plane wave: (j 4 pi / k) * S samples
-            hit = (rule, (4j * math.pi / k) * (a @ tmat.entries @ a.conj().T))
-            self._cache = {key: hit}
-        return hit[1]
-
-    def far_fields(self, k, direction, polarization, rule):
-        resp = self._response_matrix(k, rule)
-        pidx = [i for i, p in enumerate(rule.points) if p == direction]
-        if not pidx:
-            raise ValueError(f"excitation direction {direction} is not a rule point")
-        col = (0 if polarization == "theta" else rule.n_points) + pidx[0]
-        return resp[:, col]
+        tmat = layered_tmatrix(self.sphere, k * self.radius, l_max)
+        a = vsh_matrix(l_max, rule)
+        return ScatteringMatrix(rule=rule, k=k,
+                                matrix=a @ tmat.entries @ a.conj().T,
+                                weighted=False)

@@ -171,7 +171,7 @@ def decompose(smat: ScatteringMatrix) -> ModeSet:
         raise EigensolverFailure(
             f"eigendecomposition failed (condition estimate {cond:.3e})") from exc
 
-    w = smat.doubled_weights()
+    w = smat.rule.doubled_weights
     nrm = np.abs(w @ np.abs(vectors) ** 2)
     nrm[nrm == 0] = 1.0
     vectors /= np.sqrt(nrm)

@@ -22,16 +22,23 @@ POLARIZATIONS = ("theta", "phi")
 class ScatteringBackend:
     """Anything that can scatter a unit-amplitude plane wave.
 
-    Subclasses implement far_fields(); the returned vector holds the far
-    field at every rule point, theta components stacked over phi components.
+    sample(rule, k) is the one way a backend is sampled.  To plug in
+    another solver, subclass this, set `radius` (of a sphere about the
+    origin that holds the scatterer) and implement far_fields(); the
+    inherited sample() then runs the 2 N_q plane-wave excitations through
+    assemble().  far_fields() returns the far field of one incident plane
+    wave at every rule point, theta components stacked over phi components.
     """
 
-    def supports(self, k: float) -> bool:
-        return k > 0
+    radius: float
 
     def far_fields(self, k: float, direction, polarization: str,
                    rule: QuadratureRule) -> np.ndarray:
         raise NotImplementedError
+
+    def sample(self, rule: QuadratureRule, k: float) -> "ScatteringMatrix":
+        """Unweighted sample matrix at wavenumber k on the rule's points."""
+        return assemble(self, rule, k)
 
 
 @dataclass(frozen=True)
@@ -60,9 +67,6 @@ class ScatteringMatrix:
         j = POLARIZATIONS.index(exc_pol) * n
         return self.matrix[i:i + n, j:j + n]
 
-    def doubled_weights(self) -> np.ndarray:
-        return self.rule.doubled_weights
-
 
 def assemble(backend: ScatteringBackend, rule: QuadratureRule,
              k: float) -> ScatteringMatrix:
@@ -71,7 +75,7 @@ def assemble(backend: ScatteringBackend, rule: QuadratureRule,
     A ScatmodesError from the backend passes through as it is; any other
     failure is re-raised as a RuntimeError naming the excitation.
     """
-    if not backend.supports(k):
+    if not k > 0:
         raise ValueError(f"backend does not support k = {k}")
     n = rule.n_points
     scale = k / (4j * math.pi)
@@ -95,8 +99,8 @@ def apply_weights(smat: ScatteringMatrix) -> ScatteringMatrix:
     """Right-multiply by the doubled diagonal weight matrix."""
     if smat.weighted:
         raise AlreadyWeighted("weights were already applied to this matrix")
-    return replace(smat, matrix=smat.matrix * smat.doubled_weights()[None, :],
-                   weighted=True)
+    w = smat.rule.doubled_weights
+    return replace(smat, matrix=smat.matrix * w[None, :], weighted=True)
 
 
 def _dyads(smat: ScatteringMatrix) -> np.ndarray:

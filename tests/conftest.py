@@ -51,7 +51,7 @@ def sphere_eps3():
 def mie_modes_ka1(sphere_eps3):
     """Full sampled-matrix pipeline for the eps_r=3 sphere at ka=1, N_q=26."""
     rule = sm.lebedev_rule(26)
-    smat = sm.assemble(sm.MieBackend(sphere_eps3), rule, 1.0)
+    smat = sm.MieBackend(sphere_eps3).sample(rule, 1.0)
     modeset = sm.decompose(sm.apply_weights(smat))
     return rule, smat, modeset
 

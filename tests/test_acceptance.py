@@ -65,7 +65,7 @@ def test_acceptance_1_sphere_pipeline_matches_analytic(sphere_eps3):
     for ka in (0.5, 1.0, 2.0):
         rule = sm.lebedev_rule(sm.minimum_points(ka))
         start = time.perf_counter()
-        smat = sm.assemble(sm.MieBackend(sphere_eps3), rule, ka)
+        smat = sm.MieBackend(sphere_eps3).sample(rule, ka)
         modeset = sm.decompose(sm.apply_weights(smat))
         worst_time = max(worst_time, time.perf_counter() - start)
 
@@ -266,7 +266,7 @@ def test_acceptance_7_precision_improves_past_bound(sphere_eps3):
     ref_rule = sm.lebedev_rule(110)
 
     def errors(rule, ka, ref_angles):
-        smat = sm.assemble(sm.MieBackend(sphere_eps3, l_max=l_max), rule, ka)
+        smat = sm.MieBackend(sphere_eps3, l_max=l_max).sample(rule, ka)
         modes = sm.decompose(sm.apply_weights(smat))
         top = min(25, len(ref_angles))
         mag = float(np.mean(np.abs(
@@ -278,8 +278,8 @@ def test_acceptance_7_precision_improves_past_bound(sphere_eps3):
 
     details, ok = [], True
     for ka, below, above in ((1.0, 14, 26), (2.0, 26, 50)):
-        ref_smat = sm.assemble(sm.MieBackend(sphere_eps3, l_max=l_max),
-                               ref_rule, ka)
+        ref_smat = sm.MieBackend(sphere_eps3, l_max=l_max).sample(
+            ref_rule, ka)
         ref_modes = sm.decompose(sm.apply_weights(ref_smat))
         ref_angles = np.array([characteristic_angle(t)[0]
                                for t in ref_modes.eigenvalues[:25]])

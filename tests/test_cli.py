@@ -392,17 +392,17 @@ def test_auto_quadrature_sizes_dda_from_block_radius(tmp_path):
 
 def test_failed_frequency_keeps_the_finished_ones(tmp_path, mie_config,
                                                   monkeypatch, capsys):
-    from scatmodes import cli
+    from scatmodes import mie
     from scatmodes.mie import MieOverflow
 
-    real = cli.layered_tmatrix
+    real = mie.layered_tmatrix
 
     def fails_above_1_1(sphere, ka, l_max):
         if ka > 1.1:
             raise MieOverflow(7, "(injected)")
         return real(sphere, ka, l_max)
 
-    monkeypatch.setattr(cli, "layered_tmatrix", fails_above_1_1)
+    monkeypatch.setattr(mie, "layered_tmatrix", fails_above_1_1)
     assert main(["sweep", "--config", mie_config]) == EXIT_COMPUTE
     out = tmp_path / "out"
     manifest = dataio.read_manifest(str(out))
@@ -479,3 +479,30 @@ def test_incomplete_scatterer_spec_is_usage_error(tmp_path, capsys, backend,
     assert main(["sweep", "--config", cfg]) == EXIT_USAGE
     assert f"needs field '{missing}'" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("quadrature, l_max", [(26, 9), (26, 4), ("auto", 9)])
+def test_sweep_refuses_an_l_max_its_rule_cannot_carry(tmp_path, capsys,
+                                                      quadrature, l_max):
+    # the 26-point rule integrates to degree 7, so l_max 4 already aliases;
+    # "auto" sizes the rule from ka alone
+    cfg = _write_config(tmp_path, {
+        "backend": {"type": "mie", "eps_r": 3.0, "l_max": l_max},
+        "frequencies": {"ka": [0.8, 1.0]},
+        "quadrature": quadrature,
+        "output": str(tmp_path / "out"),
+    })
+    assert main(["sweep", "--config", cfg]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"l_max {l_max}" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_keeps_an_l_max_its_rule_carries(tmp_path):
+    cfg = _write_config(tmp_path, {
+        "backend": {"type": "mie", "eps_r": 3.0, "l_max": 3},
+        "frequencies": {"ka": [0.8, 1.0]},
+        "quadrature": 26,
+        "output": str(tmp_path / "out"),
+    })
+    assert main(["sweep", "--config", cfg]) == EXIT_OK

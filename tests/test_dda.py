@@ -73,6 +73,27 @@ def test_direct_matrix_matches_plane_wave_solves(dipole_block, dda_pipeline):
     assert np.max(np.abs(smat_direct.matrix - smat_pw.matrix)) < 1e-12
 
 
+def test_backend_sample_is_the_one_shot_matrix(dipole_block, dda_pipeline):
+    k, rule, _, _, smat_direct, _ = dda_pipeline
+    backend = sm.DdaBackend(dipole_block)
+    got = backend.sample(rule, k)
+    assert np.array_equal(got.matrix.view(np.uint64),
+                          smat_direct.matrix.view(np.uint64))
+    assert backend.radius == dipole_block.circumscribing_radius
+
+
+def test_backend_keeps_one_impedance_system():
+    model = sm.build_block((2, 2, 1), 0.3, 3.0)
+    rule = sm.lebedev_rule(14)
+    backend = sm.DdaBackend(model)
+    for i in range(12):
+        k = (0.9, 1.3, 1.7)[i % 3]
+        got = sm.scattering_matrix(model, rule, k, backend)
+        fresh = sm.scattering_matrix(model, rule, k)
+        assert np.array_equal(got.matrix, fresh.matrix)
+        assert len(backend._systems) <= 1
+
+
 def test_single_dipole_triple_degenerate_mode():
     model = sm.DipoleModel(np.zeros((1, 3)), 0.05, 3.0)
     k = 1.0

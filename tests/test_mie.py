@@ -256,12 +256,20 @@ def test_backend_default_truncation_follows_rule():
     assert default_l_max(sm.lebedev_rule(6)) == 1
 
 
-def test_backend_rejects_unknown_direction():
-    sphere = sm.LayeredSphere.homogeneous(1.0, 3.0)
+@pytest.mark.parametrize("n_q", [38, 110, 302])
+def test_backend_sample_is_the_tmatrix_synthesis(n_q):
+    sphere = sm.LayeredSphere(2.0, (sm.Layer(5.0, 2.0, 0.5),
+                                    sm.Layer(2.0, 1.0, 1.0)))
+    rule, k = sm.lebedev_rule(n_q), 0.65
     backend = sm.MieBackend(sphere)
-    rule = sm.lebedev_rule(6)
-    with pytest.raises(ValueError, match="not a rule point"):
-        backend.far_fields(1.0, sm.Direction(0.123, 0.456), "theta", rule)
+    got = backend.sample(rule, k)
+    assert backend.radius == 2.0
+    tmat = sm.layered_tmatrix(sphere, k * 2.0, default_l_max(rule))
+    expected = sm.s_from_t(tmat, rule, k)
+    assert got.k == k and got.rule is rule and not got.weighted
+    # bit for bit, signed zeros included
+    assert np.array_equal(got.matrix.view(np.uint64),
+                          expected.matrix.view(np.uint64))
 
 
 def test_overflow_reports_degree():

@@ -101,7 +101,7 @@ def _reference_decompose(smat):
     normalize and phase-fix each column, sort, then modified Gram-Schmidt
     inside each multiplet."""
     values, vectors = modes._eigenpairs(smat.matrix)
-    w = smat.doubled_weights()
+    w = smat.rule.doubled_weights
 
     def phase_fix(vec):
         pivot = vec[int(np.argmax(np.abs(vec)))]
@@ -173,7 +173,7 @@ def test_decompose_matches_gram_schmidt_reference(case, mie_modes_ka1,
     values, vectors = _reference_decompose(weighted)
 
     assert np.array_equal(modeset.eigenvalues, values)
-    w = weighted.doubled_weights()
+    w = weighted.rule.doubled_weights
     single = np.ones(len(values), dtype=bool)
     groups = degenerate_groups(values)
     assert groups  # every case has a null cluster
@@ -200,7 +200,7 @@ def test_decompose_on_rules_with_negative_weights(n_q, ka, sphere_eps3):
     values, vectors = _reference_decompose(weighted)
 
     assert np.array_equal(modeset.eigenvalues, values)
-    w = weighted.doubled_weights()
+    w = weighted.rule.doubled_weights
     assert np.any(w < 0)
     definite, indefinite = 0, 0
     for grp in degenerate_groups(values):
@@ -306,7 +306,7 @@ def _scipy_qr_decompose(smat):
     """decompose's post-processing spelled out with the tuple-key sort and
     scipy.linalg.qr."""
     values, vectors = modes._eigenpairs(smat.matrix)
-    w = smat.doubled_weights()
+    w = smat.rule.doubled_weights
 
     def phase_fix(v):
         pivots = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
@@ -411,7 +411,7 @@ def _assert_matches_full_eig(weighted, modeset, reference):
     leaves residuals of a few 1e-9 there with the full eig too, so those
     modes are held to validate's default of 1e-8.
     """
-    w = weighted.doubled_weights()
+    w = weighted.rule.doubled_weights
     _assert_same_modes(w, modeset.eigenvalues, modeset.eigenvectors,
                        reference.eigenvalues, reference.eigenvectors)
     values, vectors = modes._eigenpairs(weighted.matrix)
