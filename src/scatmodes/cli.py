@@ -66,6 +66,24 @@ def parse_tolerances(items=()) -> dict:
     return tols
 
 
+def _real(value, what: str) -> float:
+    """A finite JSON number as a float; anything else is a ConfigError."""
+    try:
+        number = float(value) if isinstance(value, (int, float)) else math.nan
+    except OverflowError:  # an integer literal past the float range
+        number = math.inf
+    if isinstance(value, bool) or not math.isfinite(number):
+        raise ConfigError(f"{what} must be a finite number, got {value!r}")
+    return number
+
+
+def _count(value, what: str) -> int:
+    """A positive JSON integer; 26.5 or "26" is a ConfigError, not 26."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ConfigError(f"{what} must be a positive integer, got {value!r}")
+    return value
+
+
 @dataclass
 class RunConfig:
     backend: dict
@@ -77,9 +95,14 @@ class RunConfig:
         k = np.asarray(self.wavenumbers, dtype=float)
         if k.size == 0:
             raise ConfigError("frequency grid is empty")
-        if np.any(np.diff(k) <= 0) or np.any(k <= 0):
+        if not (np.all(k > 0) and np.all(np.diff(k) > 0)):
             raise ConfigError("wavenumbers must be positive and strictly increasing")
         self.wavenumbers = k
+        if self.n_q != "auto":
+            _count(self.n_q, 'quadrature (a point count or "auto")')
+        if not isinstance(self.output, str) or not self.output:
+            raise ConfigError(f"output must be a directory path, got "
+                              f"{self.output!r}")
         # a bad scatterer spec fails here, before any output is written
         _backend(self.backend)
 
@@ -91,7 +114,7 @@ class RunConfig:
             rule = lebedev_rule(max(minimum_points(k * backend.radius)
                                     for k in self.wavenumbers))
         else:
-            rule = lebedev_rule(int(self.n_q))
+            rule = lebedev_rule(self.n_q)
         l_max = backend.l_max if isinstance(backend, MieBackend) else None
         if l_max and rule.order_capability < 2 * l_max:
             raise ConfigError(f"l_max {l_max} needs quadrature degree >= "
@@ -104,16 +127,20 @@ def _grid_from_config(cfg: dict) -> np.ndarray:
     grid = cfg.get("frequencies")
     if grid is None:
         raise ConfigError("config needs a 'frequencies' section")
+    if not isinstance(grid, dict):
+        raise ConfigError(f"'frequencies' must be a JSON object, got {grid!r}")
     if "ka" in grid:
+        if not isinstance(grid["ka"], list):
+            raise ConfigError(f"'ka' must be a list of numbers, got "
+                              f"{grid['ka']!r}")
         radius = _backend(cfg["backend"]).radius
-        return np.asarray(grid["ka"], dtype=float) / radius
+        return np.array([_real(ka, "each 'ka'") for ka in grid["ka"]]) / radius
     try:
-        start, stop = float(grid["start_hz"]), float(grid["stop_hz"])
-        count = int(grid["count"])
+        start = _real(grid["start_hz"], "start_hz")
+        stop = _real(grid["stop_hz"], "stop_hz")
+        count = _count(grid["count"], "frequency count")
     except KeyError as exc:
         raise ConfigError(f"frequency grid missing field {exc}") from exc
-    if count < 1:
-        raise ConfigError("frequency count must be >= 1")
     hz = np.linspace(start, stop, count) if count > 1 else np.array([start])
     return np.array([wavenumber(f) for f in hz])
 
@@ -126,6 +153,8 @@ def load_config(args) -> RunConfig:
                 cfg = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
+        if not isinstance(cfg, dict):
+            raise ConfigError(f"config {args.config} must hold a JSON object")
     if args.backend:
         try:
             cfg["backend"] = json.loads(args.backend)
@@ -135,7 +164,7 @@ def load_config(args) -> RunConfig:
         cfg["frequencies"] = {
             "start_hz": args.freq_start,
             "stop_hz": args.freq_stop if args.freq_stop is not None else args.freq_start,
-            "count": args.freq_count or 1,
+            "count": 1 if args.freq_count is None else args.freq_count,
         }
     if args.nq is not None:
         cfg["quadrature"] = args.nq if args.nq == "auto" else int(args.nq)
@@ -167,26 +196,49 @@ def _backend(spec: dict, k: float | None = None):
         raise ConfigError("backend spec needs a 'type' field")
     if kind == "dda":
         try:
-            spacing, eps_r = float(spec["spacing"]), float(spec["eps_r"])
+            spacing = _real(spec["spacing"], "dda 'spacing'")
+            eps_r = _real(spec["eps_r"], "dda 'eps_r'")
         except KeyError as exc:
             raise ConfigError(f"dda backend needs field {exc}") from exc
-        return DdaBackend(build_block(spec.get("extent", (4, 4, 1)), spacing,
-                                      eps_r, k=k))
+        extent = spec.get("extent", [4, 4, 1])
+        if not isinstance(extent, list) or len(extent) != 3:
+            raise ConfigError(f"dda 'extent' must be three cell counts, got "
+                              f"{extent!r}")
+        extent = [_count(n, "each dda 'extent'") for n in extent]
+        return DdaBackend(build_block(extent, spacing, eps_r, k=k))
     if kind != "mie":
         raise ConfigError(f"unknown backend type {kind!r}; "
                           f"expected 'mie' or 'dda'")
-    radius, layers = float(spec.get("radius", 1.0)), spec.get("layers")
+    radius = _real(spec.get("radius", 1.0), "mie 'radius'")
+    layers = spec.get("layers")
     if layers is None:
-        sphere = LayeredSphere.homogeneous(radius, float(spec.get("eps_r", 3.0)),
-                                           float(spec.get("mu_r", 1.0)))
+        sphere = LayeredSphere.homogeneous(
+            radius, _real(spec.get("eps_r", 3.0), "mie 'eps_r'"),
+            _real(spec.get("mu_r", 1.0), "mie 'mu_r'"))
+    elif not (isinstance(layers, list)
+              and all(isinstance(l, dict) for l in layers)):
+        raise ConfigError(f"mie 'layers' must be a list of objects, got "
+                          f"{layers!r}")
     else:
         try:
             sphere = LayeredSphere(radius, tuple(
-                Layer(float(l["eps_r"]), float(l.get("mu_r", 1.0)),
-                      float(l["boundary_fraction"])) for l in layers))
+                Layer(_real(l["eps_r"], "layer 'eps_r'"),
+                      _real(l.get("mu_r", 1.0), "layer 'mu_r'"),
+                      _real(l["boundary_fraction"], "'boundary_fraction'"))
+                for l in layers))
         except KeyError as exc:
             raise ConfigError(f"mie layer needs field {exc}") from exc
-    return MieBackend(sphere, l_max=spec.get("l_max") or None)
+    l_max = spec.get("l_max")
+    return MieBackend(sphere, l_max=None if l_max is None
+                      else _count(l_max, "mie 'l_max'"))
+
+
+def _make_output(path: str) -> None:
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {path}: "
+                          f"{exc.strerror}") from exc
 
 
 def cmd_sweep(config: RunConfig) -> int:
@@ -197,7 +249,7 @@ def cmd_sweep(config: RunConfig) -> int:
     code is EXIT_COMPUTE.
     """
     rule = config.rule()
-    os.makedirs(config.output, exist_ok=True)
+    _make_output(config.output)
     entries, modesets, failure = [], [], None
     for i, k in enumerate(config.wavenumbers):
         try:
@@ -295,7 +347,7 @@ def cmd_precision_study(config: RunConfig, nq_list: list, reference: int) -> int
                          config.backend.get("l_max") or default_l_max(ref_rule))
     top = 25
 
-    os.makedirs(config.output, exist_ok=True)
+    _make_output(config.output)
     out_path = os.path.join(config.output, "precision_study.csv")
     import csv as _csv
 

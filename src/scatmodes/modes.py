@@ -54,7 +54,8 @@ def frequency(k: float) -> float:
     return k * C0 / (2.0 * math.pi)
 
 
-#: eigenvalues closer than this (relative) are treated as one multiplet
+#: eigenvalues closer than this are treated as one multiplet: relative to
+#: |t| above |t| = 1, absolute below it; t = 0 never joins t != 0
 DEGENERACY_TOL = 1e-8
 
 
@@ -63,11 +64,15 @@ def degenerate_groups(values: np.ndarray) -> list[slice]:
 
     A run extends while |t_i - t_start| <= DEGENERACY_TOL * max(1, |t_start|),
     measured from its first member, so the values must already be sorted
-    with multiplet members adjacent (as decompose returns them).
+    with multiplet members adjacent (as decompose returns them).  Exact
+    zeros form a run of their own: a value t != 0 never joins one, however
+    small it is.
     """
     groups, start = [], 0
+    values = np.asarray(values).tolist()  # Python scalars: a faster loop
     for i in range(1, len(values) + 1):
         if (i == len(values)
+                or (values[i] == 0) != (values[start] == 0)
                 or abs(values[i] - values[start])
                 > DEGENERACY_TOL * max(1.0, abs(values[start]))):
             if i - start > 1:
@@ -102,19 +107,22 @@ def _sort_order(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
 
 
 def _orthonormalize_degenerate(values, vectors, weights) -> None:
-    """Weighted orthonormal basis, in place, inside each multiplet.
+    """Weighted orthonormal basis, in place, inside each multiplet of
+    nonzero eigenvalues.
 
     One QR of sqrt(|w|) V_g per group gives the Gram-Schmidt basis Q of the
     group's columns, in order, under the |w| product.  On rules with
     negative weights the Cholesky factor R of Q^H W Q turns it into the
     Gram-Schmidt basis Q R^-1 under w itself.  Where w is indefinite on the
-    group's span (the null cluster of such rules) no w-orthonormal basis
-    exists, and the group keeps the |w| one.  The columns are then unscaled
-    and phase-fixed.
+    group's span no w-orthonormal basis exists, and the group keeps the |w|
+    one.  The columns are then unscaled and phase-fixed.  The t = 0 run is
+    left alone: _eigenpairs returns it |w|-orthonormal already.
     """
     sqrt_w = np.sqrt(np.abs(weights))[:, None]
     signed = bool(np.any(weights < 0))
     for grp in degenerate_groups(values):
+        if values[grp.start] == 0:
+            continue
         q, _ = scipy.linalg.qr(vectors[:, grp] * sqrt_w, mode="economic",
                                overwrite_a=True)
         q /= sqrt_w
@@ -129,51 +137,102 @@ def _orthonormalize_degenerate(values, vectors, weights) -> None:
         vectors[:, grp] = q
 
 
-def _eigenpairs(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _check_lapack(name: str, info: int) -> None:
+    if info != 0:
+        raise scipy.linalg.LinAlgError(f"LAPACK {name} failed (info {info})")
+
+
+def _eigenpairs(matrix: np.ndarray,
+                weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """All n eigenpairs of the weighted matrix S, unsorted, from an eig of
-    its significant subspace.
+    its significant subspace, with a |w|-orthonormal null basis.
 
     Every eigenvector with t != 0 lies in range(S), whose rank r is bounded
     by the radiating channel count, well below n = 2 N_q.  One column-pivoted
     QR S P = Q R gives r as the count of |R_ii| > n eps |R_00| (the
     numpy.linalg.matrix_rank convention).  The r x r matrix Q_r^H S Q_r,
-    formed as R_r P^T Q_r, carries the nonzero eigenvalues, with
-    eigenvectors Q_r y.  The other n - r modes get t = 0 and span the null
-    space of the truncated R, P [-R11^-1 R12; I].  At full rank this is
-    eig(S) itself.
+    formed as R_r P^T Q_r from only the r columns Q_r of Q, carries the
+    nonzero eigenvalues, with eigenvectors Q_r y.  The other n - r modes get
+    t = 0 and span the null space of the truncated R, P [-R11^-1 R12; I].
+    Their basis is |w|-orthonormal, so w-orthonormal on rules with positive
+    weights: sqrt|w|^-1 times the Q factor of sqrt|w| P [-R11^-1 R12; I],
+    from one triangular-pentagonal QR (LAPACK tpqrt, then tpmqrt to form
+    Q).  The scaled identity block is already triangular, so this costs
+    O(r (n - r)^2).  At full rank this is eig(S) itself.
+
+    Below SIGNIFICANCE_FLOOR an eigenvector's component along the null space
+    is rounding amplified by 1/|t|: up to 1e-2 at |t| ~ 1e-14.  The modes of
+    a lossless scatterer are w-orthogonal to its null space, so on rules
+    with positive weights that component is projected out of every mode
+    with 0 < |t| <= SIGNIFICANCE_FLOOR, which moves S v - t v by about |t|
+    times its size.  On rules with negative weights w is not a norm and the
+    null basis is only |w|-orthonormal, so the modes are kept as they are.
     """
     n = matrix.shape[0]
-    q, rmat, perm = scipy.linalg.qr(matrix, pivoting=True, mode="economic")
+    (qr, tau), rmat, perm = scipy.linalg.qr(matrix, pivoting=True,
+                                            mode="raw")
     diag = np.abs(np.diag(rmat))
     rank = int(np.count_nonzero(diag > n * np.finfo(float).eps * diag[0]))
     if rank == n:
         return scipy.linalg.eig(matrix)
-    q = q[:, :rank]
+    if rank == 0:
+        return (np.zeros(n, dtype=complex),
+                np.diag(1.0 / np.sqrt(np.abs(weights)) + 0j))
+    orgqr, tpqrt, tpmqrt = scipy.linalg.get_lapack_funcs(
+        ("orgqr", "tpqrt", "tpmqrt"), (qr,))
+    q, _, info = orgqr(qr[:, :rank], tau[:rank])
+    _check_lapack("orgqr", info)
     values = np.zeros(n, dtype=complex)
     vectors = np.zeros((n, n), dtype=complex)
     values[:rank], y = scipy.linalg.eig(rmat[:rank, np.argsort(perm)] @ q)
     vectors[:, :rank] = q @ y
-    vectors[perm[:rank], rank:] = -scipy.linalg.solve_triangular(
-        rmat[:rank, :rank], rmat[:rank, rank:])
-    vectors[perm[rank:], rank:] = np.eye(n - rank)
+
+    # rows in pivot order: the scaled identity is tpqrt's triangle on top,
+    # sqrt|w| X below it a full block (l = 0); 32 is the LAPACK block size
+    sqrt_w = np.sqrt(np.abs(weights))[perm]
+    null = n - rank
+    x = -scipy.linalg.solve_triangular(rmat[:rank, :rank], rmat[:rank, rank:])
+    _, v, t, info = tpqrt(0, min(null, 32), np.diag(sqrt_w[rank:] + 0j),
+                          x * sqrt_w[:rank, None], overwrite_a=1,
+                          overwrite_b=1)
+    _check_lapack("tpqrt", info)
+    q_top, q_bottom, info = tpmqrt(0, v, t, np.eye(null, dtype=complex),
+                                   np.zeros((rank, null), dtype=complex),
+                                   overwrite_a=1, overwrite_b=1)
+    _check_lapack("tpmqrt", info)
+    vectors[perm[rank:], rank:] = q_top / sqrt_w[rank:, None]
+    vectors[perm[:rank], rank:] = q_bottom / sqrt_w[:rank, None]
+
+    # the weak modes' null-space component is rounding (see above)
+    weak = np.flatnonzero(np.abs(values[:rank]) <= SIGNIFICANCE_FLOOR)
+    if weak.size and not np.any(weights < 0):
+        basis = vectors[:, rank:]
+        sub = vectors[:, weak]
+        sub -= basis @ (basis.conj().T @ (sub * weights[:, None]))
+        vectors[:, weak] = sub
     return values, vectors
 
 
 def decompose(smat: ScatteringMatrix) -> ModeSet:
     """Eigendecomposition of the weighted matrix: all 2 N_q modes, the
-    null space carrying t = 0 exactly (see _eigenpairs)."""
+    null space carrying t = 0 exactly (see _eigenpairs).
+
+    Each mode with t != 0 is scaled to unit radiated power and each
+    multiplet of them made w-orthonormal; the t = 0 run keeps the
+    |w|-orthonormal basis of _eigenpairs.  Every column is phase-fixed.
+    """
     if not smat.weighted:
         raise ValueError("decompose expects a weighted scattering matrix")
+    w = smat.rule.doubled_weights
     try:
-        values, vectors = _eigenpairs(smat.matrix)
+        values, vectors = _eigenpairs(smat.matrix, w)
     except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
         cond = np.linalg.cond(smat.matrix)
         raise EigensolverFailure(
             f"eigendecomposition failed (condition estimate {cond:.3e})") from exc
 
-    w = smat.rule.doubled_weights
     nrm = np.abs(w @ np.abs(vectors) ** 2)
-    nrm[nrm == 0] = 1.0
+    nrm[(nrm == 0) | (values == 0)] = 1.0
     vectors /= np.sqrt(nrm)
     _phase_fix(vectors)
 

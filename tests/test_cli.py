@@ -1,12 +1,18 @@
 import csv
 import io
 import json
+import math
 import os
+import pathlib
 import pickle
 import shutil
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scatmodes import dataio
 from scatmodes.errors import DimensionMismatch, ParseError
@@ -506,3 +512,132 @@ def test_sweep_keeps_an_l_max_its_rule_carries(tmp_path):
         "output": str(tmp_path / "out"),
     })
     assert main(["sweep", "--config", cfg]) == EXIT_OK
+
+
+def _with(path, value):
+    """A valid 14-point mie config with the field at path set to value."""
+    cfg = {"backend": {"type": "mie", "eps_r": 3.0},
+           "frequencies": {"ka": [0.8, 1.0]}, "quadrature": 14,
+           "output": "out"}
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return cfg
+
+
+@pytest.mark.parametrize("cfg", [
+    _with(["quadrature"], [26]),
+    _with(["quadrature"], 26.5),
+    _with(["frequencies"], [1, 2]),
+    _with(["frequencies", "ka"], [[1.0]]),
+    _with(["backend", "layers"], "x"),
+    _with(["backend", "l_max"], "a"),
+    _with(["backend", "l_max"], 2.5),
+    _with(["backend", "l_max"], -1),
+    _with(["output"], 5),
+    _with(["backend", "radius"], 10**400),
+], ids=["quadrature-list", "quadrature-fraction", "frequencies-list",
+        "ka-nested", "layers-string", "l_max-string", "l_max-fraction",
+        "l_max-negative", "output-number", "radius-past-float-range"])
+def test_malformed_config_is_a_usage_error(tmp_path, monkeypatch, capsys, cfg):
+    monkeypatch.chdir(tmp_path)
+    _write_config(tmp_path, cfg)
+    assert main(["sweep", "--config", "config.json"]) == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert os.listdir(tmp_path) == ["config.json"]
+
+
+def test_sweep_on_230_points_validates(tmp_path):
+    # the smallest multiplet, |t| ~ 3e-9 at ka 3.5, once shared the
+    # |w|-orthonormal basis of the null space and failed its eigenpair check
+    config = _write_config(tmp_path, {
+        "backend": {"type": "mie", "eps_r": 3.0, "radius": 1.0},
+        "frequencies": {"ka": [2.0, 3.5]},
+        "quadrature": 230,
+        "output": str(tmp_path / "out"),
+    })
+    assert main(["sweep", "--config", config]) == EXIT_OK
+    assert main(["validate", str(tmp_path / "out")]) == EXIT_OK
+
+
+_VALID_CONFIGS = st.fixed_dictionaries({
+    "backend": st.one_of(
+        st.fixed_dictionaries({"type": st.just("mie")}, optional={
+            "eps_r": st.just(3.0), "radius": st.sampled_from([0.5, 1.0]),
+            "l_max": st.sampled_from([1, 2, 3]),
+            "layers": st.just([{"eps_r": 2.0, "boundary_fraction": 0.5},
+                               {"eps_r": 3.0, "mu_r": 1.5,
+                                "boundary_fraction": 1.0}])}),
+        st.fixed_dictionaries({"type": st.just("dda"), "spacing": st.just(0.1),
+                               "eps_r": st.just(3.0)},
+                              optional={"extent": st.just([2, 1, 1])})),
+    "frequencies": st.one_of(
+        st.fixed_dictionaries({"ka": st.lists(st.sampled_from([0.4, 0.6]),
+                                              min_size=1, max_size=2)}),
+        st.fixed_dictionaries({"start_hz": st.just(3e7),
+                               "stop_hz": st.just(4e7),
+                               "count": st.sampled_from([1, 2])})),
+    "quadrature": st.sampled_from([6, 14, "auto"]),
+})
+#: where a mutation lands; one whose enclosing object is missing is skipped
+_FIELDS = [("backend",), ("backend", "type"), ("backend", "eps_r"),
+           ("backend", "mu_r"), ("backend", "radius"), ("backend", "l_max"),
+           ("backend", "layers"), ("backend", "extent"),
+           ("backend", "spacing"), ("frequencies",), ("frequencies", "ka"),
+           ("frequencies", "start_hz"), ("frequencies", "count"),
+           ("quadrature",), ("output",)]
+_MISSING = "<missing>"
+_JUNK = st.sampled_from([_MISSING, None, True, "x", "14", [], [1.0], [[1.0]],
+                         {}, {"a": 1}, -1, 0, 2.5, 15, math.inf, 10**400])
+
+
+def _mutate(cfg, mutations):
+    for path, value in mutations:
+        node = cfg
+        for key in path[:-1]:
+            node = node.get(key) if isinstance(node, dict) else None
+        if not isinstance(node, dict):
+            continue
+        if value == _MISSING:
+            node.pop(path[-1], None)
+        else:
+            node[path[-1]] = value
+    return cfg
+
+
+@settings(max_examples=60)
+@given(cfg=_VALID_CONFIGS, mutations=st.lists(
+    st.tuples(st.sampled_from(_FIELDS), _JUNK), max_size=3))
+def test_fuzzed_sweep_configs_end_in_a_documented_exit_code(cfg,
+                                                            mutations):
+    """No config ends in a traceback; a usage error writes nothing."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg["output"] = os.path.join(tmp, "out")
+        _mutate(cfg, mutations)
+        path = _write_config(pathlib.Path(tmp), cfg)
+        with warnings.catch_warnings():
+            # a coarse dipole lattice warns, and that is all it does
+            warnings.simplefilter("ignore", UserWarning)
+            code = main(["sweep", "--config", path])
+        assert code in (EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, EXIT_COMPUTE)
+        if code == EXIT_USAGE:
+            assert os.listdir(tmp) == ["config.json"]
+
+
+def test_output_that_is_a_file_is_a_usage_error(tmp_path, mie_config, capsys):
+    (tmp_path / "taken").write_text("")
+    assert main(["sweep", "--config", mie_config,
+                 "--out", str(tmp_path / "taken")]) == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: cannot create")
+
+
+def test_zero_frequency_count_flag_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["sweep", "--backend", "mie", "--nq", "14", "--out", str(out),
+                 "--freq-start", "4.7e7", "--freq-stop", "5e7",
+                 "--freq-count", "0"]) == EXIT_USAGE
+    assert "frequency count" in capsys.readouterr().err
+    assert not out.exists()

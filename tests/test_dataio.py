@@ -5,9 +5,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 import scatmodes as sm
 from scatmodes import dataio
+from scatmodes.cli import DEFAULT_TOLERANCES
+from scatmodes.quadrature import SUPPORTED_SIZES, quadrature_bound
 from scatmodes.errors import DimensionMismatch, ParseError
 from scatmodes.modes import C0
 
@@ -347,3 +350,31 @@ def test_extra_trailing_rows_name_counts(tmp_path):
     path = _write(tmp_path, "long.csv", text + "0,0,0,0\r\n3,3,0,0\r\n")
     with pytest.raises(DimensionMismatch, match="146 entries, expected 144"):
         dataio.read_dataset(path)
+
+
+def _ka_at_bound(n_q):
+    """The ka whose quadrature_bound is exactly n_q points."""
+    return scipy.optimize.brentq(lambda ka: quadrature_bound(ka) - n_q,
+                                 1e-3, 20.0)
+
+
+# two ka per rule up to its bound, one on the three costly ones, plus the
+# two cases where the null space once took in the smallest multiplet
+_ORACLE_CASES = (
+    [(n_q, 3.0, frac * _ka_at_bound(n_q))
+     for n_q in SUPPORTED_SIZES[:-3] for frac in (0.5, 1.0)]
+    + [(n_q, 3.0, _ka_at_bound(n_q)) for n_q in SUPPORTED_SIZES[-3:]]
+    + [(230, 3.0, 3.5), (230, 6.0, 4.2)])
+
+
+@pytest.mark.parametrize("n_q, eps_r, ka", _ORACLE_CASES)
+def test_band_limited_lossless_spheres_validate_on_every_rule(n_q, eps_r, ka):
+    rule = sm.lebedev_rule(n_q)
+    smat = sm.MieBackend(sm.LayeredSphere.homogeneous(1.0, eps_r)).sample(
+        rule, ka)
+    report = dataio.validation_report(smat)
+    tol = DEFAULT_TOLERANCES
+    assert report["reciprocity_residual"] < tol["reciprocity"]
+    assert report["lossless_residual_max"] < tol["lossless"]
+    assert report["eigenpair_residual_max"] < tol["eigenpair"]
+    assert report["n_modes"] == 2 * n_q

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import scatmodes as sm
 from scatmodes import modes
-from scatmodes.errors import BelowSignificanceThreshold
+from scatmodes.errors import BelowSignificanceThreshold, EigensolverFailure
 from scatmodes.modes import characteristic_angle, degenerate_groups, metrics
 from scatmodes.swe import _tangential_components
 
@@ -98,10 +98,11 @@ def test_decompose_deterministic(mie_modes_ka1):
 
 def _reference_decompose(smat):
     """decompose's post-processing as column loops on its raw eigenpairs:
-    normalize and phase-fix each column, sort, then modified Gram-Schmidt
-    inside each multiplet."""
-    values, vectors = modes._eigenpairs(smat.matrix)
+    normalize each column with t != 0 and phase-fix every column, sort,
+    then modified Gram-Schmidt inside each multiplet of nonzero values.
+    The t = 0 run keeps the |w|-orthonormal basis of the solve."""
     w = smat.rule.doubled_weights
+    values, vectors = modes._eigenpairs(smat.matrix, w)
 
     def phase_fix(vec):
         pivot = vec[int(np.argmax(np.abs(vec)))]
@@ -109,7 +110,7 @@ def _reference_decompose(smat):
 
     for n in range(vectors.shape[1]):
         nrm = abs((np.conj(vectors[:, n]) * w) @ vectors[:, n])
-        if nrm > 0:
+        if nrm > 0 and values[n] != 0:
             vectors[:, n] /= math.sqrt(nrm)
         vectors[:, n] = phase_fix(vectors[:, n])
 
@@ -122,10 +123,11 @@ def _reference_decompose(smat):
 
     start = 0
     for i in range(1, len(values) + 1):
-        if i < len(values) and abs(values[i] - values[start]) <= \
+        if i < len(values) and (values[i] == 0) == (values[start] == 0) \
+                and abs(values[i] - values[start]) <= \
                 1e-8 * max(1.0, abs(values[start])):
             continue
-        if i - start > 1:
+        if i - start > 1 and values[start] != 0:
             basis = []
             for n in range(start, i):
                 v = vectors[:, n].copy()
@@ -190,9 +192,10 @@ def test_decompose_matches_gram_schmidt_reference(case, mie_modes_ka1,
 
 @pytest.mark.parametrize("n_q, ka", [(74, 1.0), (74, 2.0), (230, 1.0)])
 def test_decompose_on_rules_with_negative_weights(n_q, ka, sphere_eps3):
-    # the signed product is indefinite on the null cluster, which therefore
-    # gets a |w|-orthonormal basis of the same span; every other multiplet
-    # gets the reference's w-orthonormal Gram-Schmidt basis
+    # the signed product is indefinite on the null cluster, which keeps the
+    # |w|-orthonormal basis of the solve; every other multiplet, the
+    # smallest one with |t| ~ 1e-9 too, gets the reference's w-orthonormal
+    # Gram-Schmidt basis
     rule = sm.lebedev_rule(n_q)
     tmat = sm.layered_tmatrix(sphere_eps3, ka, rule.order_capability // 2)
     weighted = sm.apply_weights(sm.s_from_t(tmat, rule, k=ka))
@@ -206,8 +209,9 @@ def test_decompose_on_rules_with_negative_weights(n_q, ka, sphere_eps3):
     for grp in degenerate_groups(values):
         f, ref = modeset.eigenvectors[:, grp], vectors[:, grp]
         eye = np.eye(f.shape[1])
-        if np.linalg.eigvalsh(_gram(ref, w)).min() > 0:
+        if modeset.eigenvalues[grp.start] != 0:
             definite += 1
+            assert np.linalg.eigvalsh(_gram(ref, w)).min() > 0
             assert np.max(np.abs(_projector(f, w)
                                  - _projector(ref, w))) <= 1e-12
             assert np.max(np.abs(_gram(f, w) - eye)) <= 1e-10
@@ -218,6 +222,40 @@ def test_decompose_on_rules_with_negative_weights(n_q, ka, sphere_eps3):
                                  - ref)) <= 1e-12
     assert definite >= 5 and indefinite == 1
     assert np.all(np.isfinite(modeset.eigenvectors))
+
+
+def test_degenerate_groups_never_join_zero_with_nonzero():
+    # below |t| = 1 the tolerance is absolute, so 3e-9, 2e-9j and 1e-12
+    # are one run; the exact zeros that follow are another
+    values = np.array([0.5, 0.5, 3e-9, 2e-9j, 1e-12, 0, 0, 0])
+    assert degenerate_groups(values) == [slice(0, 2), slice(2, 5),
+                                         slice(5, 8)]
+    assert degenerate_groups(np.array([1e-12, 0, 0])) == [slice(1, 3)]
+    assert degenerate_groups(np.array([1e-12, 0])) == []
+
+
+def test_decompose_sends_the_null_run_to_no_qr(sphere_eps3, monkeypatch):
+    """At N_q=302 the null run is 469 of 604 modes; apart from the pivoted
+    QR of S, no QR that decompose makes may see it."""
+    rule = sm.lebedev_rule(302)
+    weighted = sm.apply_weights(sm.MieBackend(sphere_eps3).sample(rule, 0.97))
+    calls = []
+    real_qr = scipy.linalg.qr
+
+    def recording_qr(a, *args, **kwargs):
+        calls.append((np.shape(a), kwargs.get("pivoting", False)))
+        return real_qr(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "qr", recording_qr)
+    modeset = sm.decompose(weighted)
+    null = int(np.count_nonzero(modeset.eigenvalues == 0))
+    assert null > 400
+    assert [shape for shape, pivoting in calls if pivoting] == [(604, 604)]
+    assert all(shape[1] < null for shape, pivoting in calls if not pivoting)
+    w = rule.doubled_weights
+    f = modeset.eigenvectors[:, -null:]
+    assert np.max(np.abs(_gram(f, w) - np.eye(null))) <= 1e-12
+    assert np.max(modeset.residuals[-null:]) <= 1e-12
 
 
 def test_lossless_residual_per_mode(mie_modes_ka1):
@@ -305,8 +343,8 @@ def test_sort_order_equals_the_tuple_key_sort():
 def _scipy_qr_decompose(smat):
     """decompose's post-processing spelled out with the tuple-key sort and
     scipy.linalg.qr."""
-    values, vectors = modes._eigenpairs(smat.matrix)
     w = smat.rule.doubled_weights
+    values, vectors = modes._eigenpairs(smat.matrix, w)
 
     def phase_fix(v):
         pivots = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
@@ -314,13 +352,15 @@ def _scipy_qr_decompose(smat):
         v *= np.abs(pivots) / pivots
 
     nrm = np.abs(w @ np.abs(vectors) ** 2)
-    nrm[nrm == 0] = 1.0
+    nrm[(nrm == 0) | (values == 0)] = 1.0
     vectors /= np.sqrt(nrm)
     phase_fix(vectors)
     order = _tuple_key_order(values, vectors)
     values, vectors = values[order], vectors[:, order]
     sqrt_w = np.sqrt(np.abs(w))[:, None]
     for grp in degenerate_groups(values):
+        if values[grp.start] == 0:
+            continue
         q, _ = scipy.linalg.qr(vectors[:, grp] * sqrt_w, mode="economic",
                                overwrite_a=True)
         q /= sqrt_w
@@ -376,10 +416,9 @@ def _assert_same_modes(w, values, vectors, ref_values, ref_vectors):
     Each significant multiplet and singlet is compared by its projector (a
     singlet column's phase-fix pivot can land on an exact magnitude tie).
     Below SIGNIFICANCE_FLOOR the eigenvectors are conditioned by gaps of
-    order |t|, in either solver, so those modes are compared as one span.
+    order |t|, in either solver, so those modes are compared as one span;
+    the full eig has no exact zeros there, so its runs differ too.
     """
-    groups = degenerate_groups(values)
-    assert groups == degenerate_groups(ref_values)
     significant = np.abs(ref_values) > modes.SIGNIFICANCE_FLOOR
     assert np.array_equal(np.abs(values) > modes.SIGNIFICANCE_FLOOR,
                           significant)
@@ -387,10 +426,11 @@ def _assert_same_modes(w, values, vectors, ref_values, ref_vectors):
                   initial=0.0) <= 1e-12 * abs(ref_values[0])
     n = len(values)
     cut = int(np.count_nonzero(significant))
-    for grp in groups:
-        if grp.start < cut < grp.stop:
-            cut = grp.stop
-    spans = [grp for grp in groups if grp.stop <= cut]
+    groups = [grp for grp in degenerate_groups(values) if grp.start < cut]
+    assert groups == [grp for grp in degenerate_groups(ref_values)
+                      if grp.start < cut]
+    cut = max([cut] + [grp.stop for grp in groups])
+    spans = list(groups)
     grouped = np.zeros(n, dtype=bool)
     for grp in groups:
         grouped[grp] = True
@@ -403,28 +443,21 @@ def _assert_same_modes(w, values, vectors, ref_values, ref_vectors):
 
 
 def _assert_matches_full_eig(weighted, modeset, reference):
-    """_assert_same_modes, and every eigenpair residual within 1e-10.
-
-    The raw pairs of the solve are held to 1e-10 everywhere.  On a rule
-    with negative weights the null cluster keeps a |w|-orthonormal basis,
-    which mixes the smallest multiplet (|t| ~ 1e-9) into it; decompose
-    leaves residuals of a few 1e-9 there with the full eig too, so those
-    modes are held to validate's default of 1e-8.
-    """
+    """_assert_same_modes, every eigenpair residual within 1e-10, for the
+    raw pairs of the solve and for decompose's modes, and the null run
+    |w|-orthonormal."""
     w = weighted.rule.doubled_weights
     _assert_same_modes(w, modeset.eigenvalues, modeset.eigenvectors,
                        reference.eigenvalues, reference.eigenvectors)
-    values, vectors = modes._eigenpairs(weighted.matrix)
-    vectors /= np.sqrt(np.abs(w @ np.abs(vectors) ** 2))
+    values, vectors = modes._eigenpairs(weighted.matrix, w)
+    live = values != 0  # the null run comes |w|-orthonormal
+    vectors[:, live] /= np.sqrt(np.abs(w @ np.abs(vectors[:, live]) ** 2))
     assert np.max(np.linalg.norm(weighted.matrix @ vectors - vectors * values,
                                  axis=0)) <= 1e-10
-    residuals = modeset.residuals
-    if np.any(w < 0):
-        null = degenerate_groups(modeset.eigenvalues)[-1]
-        assert null.stop == len(w) and modeset.eigenvalues[-1] == 0
-        assert np.max(residuals[null]) <= 1e-8
-        residuals = np.delete(residuals, np.arange(null.start, null.stop))
-    assert np.max(residuals) <= 1e-10
+    assert np.max(modeset.residuals) <= 1e-10
+    null = modeset.eigenvectors[:, modeset.eigenvalues == 0]
+    assert np.max(np.abs(_gram(null, np.abs(w)) - np.eye(null.shape[1]))) \
+        <= 1e-12
     assert modeset.n_modes == len(w)
 
 
@@ -465,16 +498,37 @@ def test_eigenpairs_match_full_eig_over_the_sweep(
 def test_eigenpairs_at_full_rank_are_the_full_eig():
     rng = np.random.default_rng(3)
     matrix = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
-    values, vectors = modes._eigenpairs(matrix)
+    values, vectors = modes._eigenpairs(matrix, np.ones(12))
     ref_values, ref_vectors = scipy.linalg.eig(matrix)
     assert np.array_equal(values, ref_values)
     assert np.array_equal(vectors, ref_vectors)
 
 
 def test_eigenpairs_of_a_zero_matrix_are_a_null_basis():
-    values, vectors = modes._eigenpairs(np.zeros((6, 6), dtype=complex))
+    w = np.array([0.5, 2.0, -0.25, 1.0, 4.0, 0.125])
+    values, vectors = modes._eigenpairs(np.zeros((6, 6), dtype=complex), w)
     assert np.array_equal(values, np.zeros(6))
-    assert np.linalg.matrix_rank(vectors) == 6
+    assert np.allclose(_gram(vectors, np.abs(w)), np.eye(6),
+                       rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("failing", ["orgqr", "tpqrt", "tpmqrt"])
+def test_a_failed_lapack_call_is_an_eigensolver_failure(
+        failing, mie_modes_ka1, monkeypatch):
+    real = scipy.linalg.get_lapack_funcs
+
+    def with_failure(names, arrays):
+        def fail(func):
+            def call(*args, **kwargs):
+                return (*func(*args, **kwargs)[:-1], -1)
+            return call
+        return [fail(func) if name == failing else func
+                for name, func in zip(names, real(names, arrays))]
+
+    monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", with_failure)
+    with pytest.raises(EigensolverFailure) as excinfo:
+        sm.decompose(sm.apply_weights(mie_modes_ka1[1]))
+    assert failing in str(excinfo.value.__cause__)
 
 
 @given(order=st.permutations(range(38)), ka=st.floats(0.5, 4.5))
