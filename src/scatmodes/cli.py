@@ -18,9 +18,9 @@ import numpy as np
 
 from . import dataio, tracking
 from .dda import DdaBackend, build_block
-from .errors import ParseError, ScatmodesError
+from .errors import ParseError, ScatmodesError, UnsupportedRuleSize
 from .mie import LayeredSphere, Layer, MieBackend, default_l_max
-from .modes import decompose, frequency, wavenumber
+from .modes import decompose, frequency, lossless_residual, wavenumber
 from .quadrature import lebedev_rule, minimum_points, quadrature_bound
 from .scattering import apply_weights
 
@@ -107,14 +107,17 @@ class RunConfig:
         _backend(self.backend)
 
     def rule(self):
-        """The sweep's rule.  A mie l_max beyond the rule's band is a usage
-        error: the sweep would only alias it."""
+        """The sweep's rule.  An unsupported size, or a mie l_max beyond the
+        rule's band, is a usage error: the sweep would only fail or alias."""
         backend = _backend(self.backend)
-        if self.n_q == "auto":
-            rule = lebedev_rule(max(minimum_points(k * backend.radius)
-                                    for k in self.wavenumbers))
-        else:
-            rule = lebedev_rule(self.n_q)
+        try:
+            if self.n_q == "auto":
+                rule = lebedev_rule(max(minimum_points(k * backend.radius)
+                                        for k in self.wavenumbers))
+            else:
+                rule = lebedev_rule(self.n_q)
+        except UnsupportedRuleSize as exc:
+            raise ConfigError(str(exc)) from exc
         l_max = backend.l_max if isinstance(backend, MieBackend) else None
         if l_max and rule.order_capability < 2 * l_max:
             raise ConfigError(f"l_max {l_max} needs quadrature degree >= "
@@ -341,7 +344,11 @@ def cmd_precision_study(config: RunConfig, nq_list: list, reference: int) -> int
             f"reference N_q {reference} must exceed every studied size {nq_list}")
     if config.backend["type"] != "mie":
         raise ConfigError("the precision study runs on the mie backend")
-    ref_rule = lebedev_rule(reference)
+    try:
+        ref_rule = lebedev_rule(reference)
+        rules = [lebedev_rule(n_q) for n_q in nq_list]
+    except UnsupportedRuleSize as exc:
+        raise ConfigError(str(exc)) from exc
     # fixed truncation across all rules so only quadrature aliasing varies
     backend = MieBackend(_backend(config.backend).sphere,
                          config.backend.get("l_max") or default_l_max(ref_rule))
@@ -360,15 +367,13 @@ def cmd_precision_study(config: RunConfig, nq_list: list, reference: int) -> int
             bound = quadrature_bound(ka)
             ref_modes = decompose(apply_weights(backend.sample(ref_rule, k)))
             ref_alpha = _angles(ref_modes, top)
-            for n_q in nq_list:
+            for n_q, rule in zip(nq_list, rules):
                 note = ""
                 if n_q < bound:
                     note = f"below the {math.ceil(bound)}-point estimate"
-                rule = lebedev_rule(n_q)
                 modes = decompose(apply_weights(backend.sample(rule, k)))
                 n = min(top, modes.n_modes, len(ref_alpha))
-                mag = float(np.mean(np.abs(
-                    np.abs(2.0 * modes.eigenvalues[:n] + 1.0) - 1.0)))
+                mag = float(np.mean(lossless_residual(modes)[:n]))
                 d = np.abs(_angles(modes, n) - ref_alpha[:n])
                 phase = float(np.mean(np.minimum(d, 2.0 * math.pi - d)))
                 writer.writerow([ka, n_q, f"{bound:.1f}", f"{mag:.6e}",

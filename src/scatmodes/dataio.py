@@ -22,9 +22,8 @@ from typing import NoReturn
 import numpy as np
 
 from .errors import DimensionMismatch, ParseError
-from .modes import C0, decompose, max_lossless_residual, metrics
-from .quadrature import (FOUR_PI, SUPPORTED_SIZES, Direction, QuadratureRule,
-                         lebedev_rule)
+from .modes import C0, decompose, lossless_residual, metrics
+from .quadrature import FOUR_PI, SUPPORTED_SIZES, QuadratureRule, lebedev_rule
 from .scattering import ScatteringMatrix, apply_weights, reciprocity_residual
 
 #: the dataset format version write_dataset writes; read_dataset takes 1 or 2
@@ -66,8 +65,8 @@ def write_dataset(smat: ScatteringMatrix, path: str) -> None:
         "format_version": FORMAT_VERSION,
         "frequency_hz": smat.k * C0 / (2.0 * math.pi),
         "wavenumber": smat.k,
-        "rule": [[p.theta, p.phi, w]
-                 for p, w in zip(smat.rule.points, smat.rule.weights)],
+        "rule": np.column_stack([smat.rule.theta, smat.rule.phi,
+                                 smat.rule.weights]).tolist(),
         "scaling_note": _SCALING_NOTE,
         "body": body,
     }
@@ -80,13 +79,16 @@ def write_dataset(smat: ScatteringMatrix, path: str) -> None:
 
 def _reconstruct_rule(rule_rows, line_no: int) -> QuadratureRule:
     try:
-        points = tuple(Direction(float(t), float(p)) for t, p, _ in rule_rows)
-        weights = np.array([float(w) for _, _, w in rule_rows])
-    except (TypeError, ValueError) as exc:
+        rows = np.array(rule_rows, dtype=float)
+        if rows.ndim != 2 or rows.shape[1] != 3:
+            raise ValueError(f"expected [theta, phi, weight] rows, got an "
+                             f"array of shape {rows.shape}")
+        n = len(rows)
+        candidate = QuadratureRule(*rows.T, order_capability=0,
+                                   name=f"custom-{n}")
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed rule entry: {exc}", line=line_no) from exc
-    n = len(points)
-    candidate = QuadratureRule(points=points, weights=weights,
-                               order_capability=0, name=f"custom-{n}")
+    weights = candidate.weights
     if n in SUPPORTED_SIZES:
         known = lebedev_rule(n)
         if candidate.matches(known):
@@ -240,10 +242,10 @@ def _raise_first_bad_row(path: str, n2: int,
 def validation_report(smat: ScatteringMatrix, top: int = 25) -> dict:
     """Physics self-checks for a dataset: reciprocity, unitarity, residuals."""
     modeset = decompose(apply_weights(smat))
-    res = np.abs(np.abs(2.0 * modeset.eigenvalues[:top] + 1.0) - 1.0)
+    res = lossless_residual(modeset)[:top]
     return {
         "reciprocity_residual": reciprocity_residual(smat),
-        "lossless_residual_max": max_lossless_residual(modeset, top=top),
+        "lossless_residual_max": float(res.max()),
         "lossless_residual_mean": float(res.mean()),
         "eigenpair_residual_max": float(np.max(modeset.residuals)),
         "n_modes": modeset.n_modes,

@@ -136,6 +136,8 @@ class Direction:
     def __post_init__(self):
         if not 0.0 <= self.theta <= math.pi:
             raise ValueError(f"theta out of range: {self.theta}")
+        if not math.isfinite(self.phi):
+            raise ValueError(f"phi is not finite: {self.phi}")
         phi = self.phi % (2.0 * math.pi)
         if self.theta < _POLE_TOL or math.pi - self.theta < _POLE_TOL:
             phi = 0.0
@@ -195,20 +197,58 @@ def _orbit_points(code: int, a: float, b: float) -> np.ndarray:
     return np.array(sorted(images))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadratureRule:
-    """Direction samples and steradian weights on the unit sphere."""
+    """Read-only arrays of directions (theta, phi) and steradian weights on
+    the unit sphere, with phi canonicalized as Direction does; a theta
+    outside [0, pi], a phi that is not finite, a weight that is zero or not
+    finite, or arrays of unequal length raise ValueError.  Built from them:
+    doubled_weights, the weights once per polarization block, and per point
+    the unit_vectors, theta_hats and phi_hats, each (N_q, 3).
+    """
 
-    points: tuple  # tuple[Direction]
+    theta: np.ndarray
+    phi: np.ndarray
     weights: np.ndarray
     order_capability: int
     name: str = ""
-    _cache: dict = field(default_factory=dict, init=False, repr=False,
-                         compare=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        theta, phi, weights = (np.array(a, dtype=float)
+                               for a in (self.theta, self.phi, self.weights))
+        if not (theta.ndim == 1 and theta.shape == phi.shape == weights.shape):
+            raise ValueError(f"theta, phi and weights must be 1-D arrays of "
+                             f"one length, got shapes {theta.shape}, "
+                             f"{phi.shape} and {weights.shape}")
+        for values, bad, what in (
+                (theta, ~((theta >= 0.0) & (theta <= math.pi)),
+                 "theta outside [0, pi]"),
+                (phi, ~np.isfinite(phi), "phi not finite"),
+                (weights, ~np.isfinite(weights) | (weights == 0.0),
+                 "weight zero or not finite")):
+            if bad.any():
+                q = int(np.argmax(bad))
+                raise ValueError(f"{what} at point {q}: {values[q]}")
+        phi %= 2.0 * math.pi
+        phi[(theta < _POLE_TOL) | (math.pi - theta < _POLE_TOL)] = 0.0
+        st, ct, sp, cp = np.sin(theta), np.cos(theta), np.sin(phi), np.cos(phi)
+        arrays = {"theta": theta, "phi": phi, "weights": weights,
+                  "doubled_weights": np.concatenate([weights, weights]),
+                  "unit_vectors": np.column_stack([st * cp, st * sp, ct]),
+                  "theta_hats": np.column_stack([ct * cp, ct * sp, -st]),
+                  "phi_hats": np.column_stack([-sp, cp, np.zeros_like(phi)])}
+        for name, value in arrays.items():
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     @property
     def n_points(self) -> int:
-        return len(self.points)
+        return len(self.theta)
+
+    def direction(self, q: int) -> Direction:
+        """Rule point q as a Direction, for per-excitation solver calls."""
+        return Direction(float(self.theta[q]), float(self.phi[q]))
 
     def cached(self, key, build):
         """build(), computed on first use and kept with the rule under key."""
@@ -216,47 +256,19 @@ class QuadratureRule:
             self._cache[key] = build()
         return self._cache[key]
 
-    @property
-    def doubled_weights(self) -> np.ndarray:
-        """The weights once per polarization block, (2 N_q,), read-only."""
-        def build():
-            w = np.concatenate([self.weights, self.weights])
-            w.setflags(write=False)
-            return w
-
-        return self.cached("w2", build)
-
-    @property
-    def unit_vectors(self) -> np.ndarray:
-        return self.cached(
-            "uv", lambda: np.array([p.unit_vector for p in self.points]))
-
-    @property
-    def theta_hats(self) -> np.ndarray:
-        return self.cached(
-            "th", lambda: np.array([p.theta_hat for p in self.points]))
-
-    @property
-    def phi_hats(self) -> np.ndarray:
-        return self.cached(
-            "ph", lambda: np.array([p.phi_hat for p in self.points]))
-
     def inversion_permutation(self) -> np.ndarray:
         """Index map p -> q with r_q = -r_p; raises if the rule is not closed."""
         from .errors import RuleNotInversionSymmetric
 
         def build():
             uv = self.unit_vectors
-            perm = np.full(self.n_points, -1, dtype=int)
-            for p in range(self.n_points):
-                d2 = np.sum((uv + uv[p]) ** 2, axis=1)
-                q = int(np.argmin(d2))
-                if d2[q] > 1e-20:
-                    raise RuleNotInversionSymmetric(
-                        f"no antipode for point {p} of rule "
-                        f"{self.name or self.n_points}")
-                perm[p] = q
-            return perm
+            d2 = np.sum((uv[:, None, :] + uv[None, :, :]) ** 2, axis=2)
+            unpaired = np.flatnonzero(d2.min(axis=1) > 1e-20)
+            if unpaired.size:
+                raise RuleNotInversionSymmetric(
+                    f"no antipode for point {unpaired[0]} of rule "
+                    f"{self.name or self.n_points}")
+            return np.argmin(d2, axis=1)
 
         return self.cached("inv", build)
 
@@ -294,9 +306,8 @@ def lebedev_rule(n_points: int) -> QuadratureRule:
         raise RuntimeError(
             f"Lebedev table for {n_points} produced {len(entries)} points")
     entries.sort(key=lambda e: (-e[0], e[1], e[2]))
-    points = tuple(Direction(t, p) for _, t, p in entries)
-    weights = np.array([w for w, _, _ in entries])
-    return QuadratureRule(points=points, weights=weights,
+    weights, theta, phi = np.array(entries).T
+    return QuadratureRule(theta=theta, phi=phi, weights=weights,
                           order_capability=RULE_DEGREE[n_points],
                           name=f"lebedev-{n_points}")
 
@@ -321,4 +332,4 @@ def minimum_points(ka: float) -> int:
 
 def integrate(rule: QuadratureRule, f) -> complex:
     """Weighted sum of f over the rule points; f maps Direction -> scalar."""
-    return sum(w * f(p) for p, w in zip(rule.points, rule.weights))
+    return sum(w * f(rule.direction(q)) for q, w in enumerate(rule.weights))

@@ -27,7 +27,8 @@ class ScatteringBackend:
     origin that holds the scatterer) and implement far_fields(); the
     inherited sample() then runs the 2 N_q plane-wave excitations through
     assemble().  far_fields() returns the far field of one incident plane
-    wave at every rule point, theta components stacked over phi components.
+    wave, from the Direction rule.direction(q), at every rule point, theta
+    components stacked over phi components.
     """
 
     radius: float
@@ -81,8 +82,8 @@ def assemble(backend: ScatteringBackend, rule: QuadratureRule,
     scale = k / (4j * math.pi)
     matrix = np.empty((2 * n, 2 * n), dtype=complex)
     for gi, pol in enumerate(POLARIZATIONS):
-        for q, direction in enumerate(rule.points):
-            col = gi * n + q
+        for q in range(n):
+            col, direction = gi * n + q, rule.direction(q)
             try:
                 ff = backend.far_fields(k, direction, pol, rule)
             except ScatmodesError:

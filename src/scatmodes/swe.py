@@ -176,9 +176,7 @@ def vsh_matrix(l_max: int, rule: QuadratureRule) -> np.ndarray:
     It is built once per (rule, l_max), kept with the rule and read-only.
     """
     def build():
-        theta = np.array([p.theta for p in rule.points])
-        phi = np.array([p.phi for p in rule.points])
-        a = np.vstack(_tangential_components(l_max, theta, phi))
+        a = np.vstack(_tangential_components(l_max, rule.theta, rule.phi))
         a.setflags(write=False)
         return a
 

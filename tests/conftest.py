@@ -131,8 +131,8 @@ def _write_v1_dataset(smat, path):
         "format_version": 1,
         "frequency_hz": smat.k * sm.C0 / (2.0 * math.pi),
         "wavenumber": smat.k,
-        "rule": [[p.theta, p.phi, w]
-                 for p, w in zip(smat.rule.points, smat.rule.weights)],
+        "rule": np.column_stack([smat.rule.theta, smat.rule.phi,
+                                 smat.rule.weights]).tolist(),
         "scaling_note": dataio._SCALING_NOTE,
     }
     with open(path, "w", newline="") as fh:

@@ -150,7 +150,7 @@ def test_acceptance_3_impedance_farfield_identities(dipole_block,
     duality = 0.0
     for q, pol in ((0, "theta"), (3, "phi")):
         col = q + (0 if pol == "theta" else rule.n_points)
-        v = sm.planewave_rhs(dipole_block, k, rule.points[q], pol)
+        v = sm.planewave_rhs(dipole_block, k, rule.direction(q), pol)
         duality = max(duality, float(np.max(
             np.abs(v - scale * kmat.conj().T[:, col]))))
 
@@ -193,7 +193,8 @@ def test_acceptance_5_closed_loop_excitation(sphere_eps3, mie_modes_ka1,
     amp = k / (4j * math.pi)
     rhs = np.zeros(3 * dipole_block.n_dipoles, dtype=complex)
     n = rule_d.n_points
-    for q, (p, w) in enumerate(zip(rule_d.points, rule_d.weights)):
+    for q, w in enumerate(rule_d.weights):
+        p = rule_d.direction(q)
         rhs += amp * w * f_d[q] * sm.planewave_rhs(dipole_block, k, p, "theta")
         rhs += amp * w * f_d[n + q] * sm.planewave_rhs(dipole_block, k, p, "phi")
     scattered_d = kmat @ system.solve(rhs)
@@ -357,15 +358,14 @@ def test_acceptance_9_dataset_round_trip(tmp_path, mie_modes_ka1):
     alpha_s = 3.0 * sm.EPS0 * d ** 3 * (eps_r - 1.0) / (eps_r + 2.0)
     alpha = 1.0 / (1.0 / alpha_s + 1j * k ** 3 / (6.0 * math.pi * sm.EPS0))
     scale = -1j * k ** 3 * alpha / (16.0 * math.pi ** 2 * sm.EPS0)
-    units = np.array([p.theta_hat for p in rule14.points]
-                     + [p.phi_hat for p in rule14.points])
+    units = np.vstack([rule14.theta_hats, rule14.phi_hats])
     matrix = scale * (units @ units.T).astype(complex)
     header = json.dumps({
         "format_version": 1,
         "frequency_hz": k * C0 / (2.0 * math.pi),
         "wavenumber": k,
-        "rule": [[p.theta, p.phi, w]
-                 for p, w in zip(rule14.points, rule14.weights)],
+        "rule": np.column_stack([rule14.theta, rule14.phi,
+                                 rule14.weights]).tolist(),
     })
     body = io.StringIO()
     writer = csv.writer(body)

@@ -119,6 +119,31 @@ def test_validate_unparsable_datasets_fail_per_file(tmp_path, mie_config,
     assert "compute error" not in captured.err
 
 
+@pytest.mark.parametrize("damage", ["weight-zero", "phi-nan", "phi-infinity"])
+def test_validate_fails_a_rule_it_cannot_decompose(tmp_path, mie_config,
+                                                   capsys, damage):
+    assert main(["sweep", "--config", mie_config]) == EXIT_OK
+    out = tmp_path / "out"
+    target = out / "dataset_0001.csv"
+    header = json.loads(target.read_text())
+    rule = header["rule"]
+    if damage == "weight-zero":  # weight 0 onto weight 1: the sum stays 4 pi
+        rule[1][2] += rule[0][2]
+        rule[0][2] = 0.0
+    else:
+        rule[3][1] = math.nan if damage == "phi-nan" else math.inf
+    target.write_text(json.dumps(header) + "\n")
+    capsys.readouterr()
+    assert main(["validate", str(out)]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert len(lines) == 3
+    assert "dataset_0001.csv: line 1: malformed rule entry" in lines[1]
+    assert lines[1].endswith("-> FAIL")
+    assert lines[0].endswith("PASS") and lines[2].endswith("PASS")
+    assert captured.err == ""
+
+
 def _npy(array, **kwargs):
     buf = io.BytesIO()
     np.lib.format.write_array(buf, array, **kwargs)
@@ -303,11 +328,23 @@ def test_backend_spec_that_is_not_an_object_is_usage_error(tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
-def test_unsupported_quadrature_size_is_compute_error(tmp_path, mie_config):
-    # 15 is not a tabulated rule size; the failure surfaces as a library error
-    code = main(["sweep", "--config", mie_config, "--nq", "15",
-                 "--out", str(tmp_path / "x")])
-    assert code == EXIT_COMPUTE
+@pytest.mark.parametrize("args", [
+    ["sweep", "--nq", "27"],
+    ["precision-study", "--nq-list", "14", "--reference", "27"],
+    ["precision-study", "--nq-list", "27", "--reference", "110"],
+    ["precision-study", "--nq-list", "14,27", "--reference", "110"],
+], ids=["sweep-nq-27", "precision-reference",
+        "precision-nq-list", "precision-nq-list-second"])
+def test_unsupported_rule_size_is_a_usage_error(tmp_path, monkeypatch, capsys,
+                                                args):
+    # no embedded rule has these sizes: refused before anything is written
+    monkeypatch.chdir(tmp_path)
+    _write_config(tmp_path, _with(["frequencies", "ka"], [1.0]))
+    assert main([args[0], "--config", "config.json", *args[1:]]) == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "is not a supported Lebedev size" in err[0]
+    assert err[0].startswith("error: ")
+    assert os.listdir(tmp_path) == ["config.json"]
 
 
 def test_dda_sweep_runs(tmp_path):
@@ -537,9 +574,12 @@ def _with(path, value):
     _with(["backend", "l_max"], -1),
     _with(["output"], 5),
     _with(["backend", "radius"], 10**400),
+    _with(["quadrature"], 27),
+    {**_with(["quadrature"], "auto"), "frequencies": {"ka": [1.0, 9.8]}},
 ], ids=["quadrature-list", "quadrature-fraction", "frequencies-list",
         "ka-nested", "layers-string", "l_max-string", "l_max-fraction",
-        "l_max-negative", "output-number", "radius-past-float-range"])
+        "l_max-negative", "output-number", "radius-past-float-range",
+        "quadrature-unsupported", "auto-past-largest-rule"])
 def test_malformed_config_is_a_usage_error(tmp_path, monkeypatch, capsys, cfg):
     monkeypatch.chdir(tmp_path)
     _write_config(tmp_path, cfg)

@@ -2,10 +2,15 @@ import csv
 import io
 import json
 import math
+import pathlib
+import tempfile
 
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy.spatial.transform import Rotation
 
 import scatmodes as sm
 from scatmodes import dataio
@@ -26,7 +31,7 @@ def _header(rule, k, **overrides):
         "format_version": 1,
         "frequency_hz": k * C0 / (2.0 * math.pi),
         "wavenumber": k,
-        "rule": [[p.theta, p.phi, w] for p, w in zip(rule.points, rule.weights)],
+        "rule": np.column_stack([rule.theta, rule.phi, rule.weights]).tolist(),
     }
     header.update(overrides)
     return header
@@ -193,6 +198,95 @@ def test_custom_rule_requires_full_sphere_weight(tmp_path):
         dataio.read_dataset(path)
 
 
+def _rows_turned_to_the_pole(rule, q, spin):
+    """The rule's [theta, phi, weight] rows turned so that point q lands on
+    the +z pole, then spun about z, as an external solver writes them:
+    theta from arccos, phi straight from atan2 (so in (-pi, pi]), and the
+    pole with its grid line's azimuth, spin."""
+    turn = Rotation.from_euler("zyz", [-rule.phi[q], -rule.theta[q], spin])
+    x, y, z = turn.as_matrix() @ rule.unit_vectors.T
+    rows = np.column_stack([np.arccos(np.clip(z, -1.0, 1.0)),
+                            np.arctan2(y, x), rule.weights])
+    rows[q, :2] = 0.0, spin
+    return rows
+
+
+@given(size=st.sampled_from(SUPPORTED_SIZES), data=st.data())
+def test_turned_lebedev_rules_round_trip_as_custom_rules(size, data):
+    """A turned rule reads back as custom-N, its phi canonicalized as
+    Direction does, and it and the samples survive another write and read
+    bit for bit."""
+    rule = sm.lebedev_rule(size)
+    q = data.draw(st.integers(0, size - 1), label="q")
+    spin = data.draw(st.floats(0.1, 6.0), label="spin")
+    rows = _rows_turned_to_the_pole(rule, q, spin)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    matrix = (rng.standard_normal((2 * size, 2 * size))
+              + 1j * rng.standard_normal((2 * size, 2 * size)))
+    expected = [sm.Direction(t, p) for t, p, _ in rows]
+    with tempfile.TemporaryDirectory() as name:
+        tmp = pathlib.Path(name)
+        np.save(tmp / "turned.npy", matrix)
+        header = _header(rule, 1.5, format_version=2, body="turned.npy")
+        header["rule"] = rows.tolist()
+        first = dataio.read_dataset(
+            _write(tmp, "turned.csv", json.dumps(header) + "\n"))
+        dataio.write_dataset(first, str(tmp / "again.csv"))
+        second = dataio.read_dataset(str(tmp / "again.csv"))
+    for back in (first, second):
+        assert back.rule.name == f"custom-{size}"
+        assert back.rule.theta.tobytes() == \
+            np.array([d.theta for d in expected]).tobytes()
+        assert back.rule.phi.tobytes() == \
+            np.array([d.phi for d in expected]).tobytes()
+        assert back.rule.weights.tobytes() == rule.weights.tobytes()
+        assert back.rule.phi[q] == 0.0
+        assert back.matrix.tobytes() == matrix.tobytes()
+
+
+def _damaged(rows, damage):
+    rows = [list(r) for r in rows]
+    kind, value = damage
+    if kind == "move-weight":  # weight 0 onto weight 1: the sum stays 4 pi
+        rows[1][2] += rows[0][2]
+        rows[0][2] = 0.0
+    elif kind == "row":
+        rows[3] = value(rows[3])
+    else:
+        rows[3][kind] = value
+    return rows
+
+
+_RULE_DAMAGE = {
+    "weight-zero": ("move-weight", None),
+    "weight-nan": (2, math.nan),
+    "phi-nan": (1, math.nan),
+    "phi-infinity": (1, math.inf),
+    "phi-minus-infinity": (1, -math.inf),
+    "theta-nan": (0, math.nan),
+    "theta-past-pi": (0, 3.5),
+    "theta-past-float-range": (0, 10 ** 400),
+    "short-row": ("row", lambda r: r[:2]),
+    "long-row": ("row", lambda r: r + [0.0]),
+    "null": (1, None),
+    "not-a-number": (0, "abc"),
+}
+
+
+@pytest.mark.parametrize("damage", list(_RULE_DAMAGE.values()),
+                         ids=list(_RULE_DAMAGE))
+def test_rule_that_cannot_be_decomposed_is_a_parse_error(tmp_path, damage):
+    rule = sm.lebedev_rule(26)
+    rows = np.column_stack([rule.theta, rule.phi, rule.weights]).tolist()
+    np.save(tmp_path / "bad.npy", np.zeros((52, 52), dtype=complex))
+    header = _header(rule, 1.0, format_version=2, body="bad.npy")
+    header["rule"] = _damaged(rows, damage)
+    path = _write(tmp_path, "bad.csv", json.dumps(header) + "\n")
+    with pytest.raises(ParseError, match="malformed rule entry") as excinfo:
+        dataio.read_dataset(path)
+    assert excinfo.value.line == 1
+
+
 def test_hand_built_single_dipole_dataset(tmp_path):
     """A dataset written from closed-form expressions, not by this library,
     must parse and reproduce the analytic single-dipole eigenvalue."""
@@ -203,8 +297,7 @@ def test_hand_built_single_dipole_dataset(tmp_path):
     alpha = 1.0 / (1.0 / alpha_static + 1j * k ** 3 / (6.0 * math.pi * sm.EPS0))
     # point scatterer at the origin: every sample is a polarization overlap
     scale = -1j * k ** 3 * alpha / (16.0 * math.pi ** 2 * sm.EPS0)
-    units = np.array([p.theta_hat for p in rule.points]
-                     + [p.phi_hat for p in rule.points])
+    units = np.vstack([rule.theta_hats, rule.phi_hats])
     matrix = scale * (units @ units.T).astype(complex)
 
     path = _write(tmp_path, "dipole.csv",

@@ -63,7 +63,7 @@ def test_drive_vector_farfield_duality(dipole_block, dda_pipeline):
     scale = -1j * 4.0 * math.pi / (sm.Z0 * k)
     for q, pol in [(0, "theta"), (5, "phi")]:
         col = q + (0 if pol == "theta" else rule.n_points)
-        v = sm.planewave_rhs(dipole_block, k, rule.points[q], pol)
+        v = sm.planewave_rhs(dipole_block, k, rule.direction(q), pol)
         assert np.max(np.abs(v - scale * kmat.conj().T[:, col])) < 1e-14
 
 

@@ -40,6 +40,13 @@ def test_readme_quick_start_runs():
     assert "circle residual" in result.stdout
 
 
+def test_readme_solver_wrapper_runs():
+    result = _run(["-c", _readme_block("### Plugging in another solver",
+                                       "python")])
+    assert result.returncode == 0, result.stderr
+    assert "wrapper matches DdaBackend" in result.stdout
+
+
 def test_readme_config_sweeps_and_validates(tmp_path):
     config = json.loads(_readme_block("Example `config.json`", "json"))
     (tmp_path / "config.json").write_text(json.dumps(config))

@@ -281,7 +281,8 @@ def test_characteristic_excitation_is_quadrature_sum(mie_modes_ka1):
     r = np.array([0.21, -0.13, 0.32])
     n = rule.n_points
     expected = np.zeros(3, dtype=complex)
-    for q, (p, w) in enumerate(zip(rule.points, rule.weights)):
+    for q, w in enumerate(rule.weights):
+        p = rule.direction(q)
         amp = -1j * k / (4 * math.pi * t_n) * w
         vec = f_n[q] * p.theta_hat + f_n[n + q] * p.phi_hat
         expected += amp * vec * np.exp(-1j * k * (p.unit_vector @ r))
@@ -388,9 +389,7 @@ def test_sweep_synthesis_and_decompose_equal_the_plain_reference(
         sm.Layer(e, m, f) for e, m, f in
         zip([1, 5, 1, 2], [3, 1, 8, 1], [0.25, 0.5, 0.75, 1.0])))
     rule = sweep.modesets[0].rule
-    theta = np.array([p.theta for p in rule.points])
-    phi = np.array([p.phi for p in rule.points])
-    a = np.vstack(_tangential_components(4, theta, phi))
+    a = np.vstack(_tangential_components(4, rule.theta, rule.phi))
     assert len(kas) == 201 and rule.n_points == 38
     for ka, modeset in zip(kas, sweep.modesets):
         tmat = sm.layered_tmatrix(sphere, ka, 4)
@@ -536,7 +535,7 @@ def test_decompose_is_invariant_under_point_order(order, ka):
     """The pivoted QR sees the columns in rule order; the modes must not."""
     rule = sm.lebedev_rule(38)
     moved = sm.QuadratureRule(
-        points=tuple(rule.points[i] for i in order),
+        theta=rule.theta[order], phi=rule.phi[order],
         weights=rule.weights[order], order_capability=rule.order_capability,
         name="lebedev-38-permuted")
     base = sm.decompose(_layered_sphere_38(ka, rule))

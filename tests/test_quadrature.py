@@ -2,12 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from scatmodes import quadrature
 from scatmodes.errors import RuleNotInversionSymmetric, UnsupportedRuleSize
+from scatmodes.mie import default_l_max
 from scatmodes.quadrature import (Direction, QuadratureRule, SUPPORTED_SIZES,
                                   SIZES_WITH_NEGATIVE_WEIGHTS, integrate,
                                   lebedev_rule, minimum_points,
                                   quadrature_bound)
+from scatmodes.swe import _tangential_components, vsh_matrix
 
 FOUR_PI = 4.0 * math.pi
 
@@ -76,6 +81,12 @@ def test_direction_pole_canonicalization():
         Direction(-0.1, 0.0)
 
 
+@pytest.mark.parametrize("phi", [math.inf, -math.inf, math.nan])
+def test_direction_rejects_non_finite_phi(phi):
+    with pytest.raises(ValueError, match="phi"):
+        Direction(1.0, phi)
+
+
 def test_direction_frames_orthonormal():
     d = Direction(0.7, 2.1)
     for a, b in [(d.unit_vector, d.theta_hat), (d.unit_vector, d.phi_hat),
@@ -100,7 +111,7 @@ def test_inversion_permutation_closed():
 
 
 def test_inversion_permutation_rejects_open_rule():
-    rule = QuadratureRule(points=(Direction(0.3, 0.1), Direction(1.0, 2.0)),
+    rule = QuadratureRule(theta=np.array([0.3, 1.0]), phi=np.array([0.1, 2.0]),
                           weights=np.array([1.0, 1.0]), order_capability=0)
     with pytest.raises(RuleNotInversionSymmetric):
         rule.inversion_permutation()
@@ -130,5 +141,95 @@ def test_integrate_constant_and_harmonic():
 
 def test_point_ordering_is_deterministic():
     a, b = lebedev_rule(38), lebedev_rule(38)
-    assert a.points == b.points
+    assert np.array_equal(a.theta, b.theta)
+    assert np.array_equal(a.phi, b.phi)
     assert np.array_equal(a.weights, b.weights)
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and a.tobytes() == b.tobytes())
+
+
+def _per_point_reference(n):
+    """lebedev_rule(n)'s arrays rebuilt one Direction at a time: the scalar
+    from_vector angles, one Direction per sorted point, frames from each
+    Direction and the antipode search one point at a time."""
+    entries = []
+    for code, a, b, v in quadrature._ORBITS[n]:
+        for xyz in quadrature._orbit_points(code, a, b):
+            d = Direction.from_vector(xyz)
+            entries.append((v * FOUR_PI, d.theta, d.phi))
+    entries.sort(key=lambda e: (-e[0], e[1], e[2]))
+    points = [Direction(t, p) for _, t, p in entries]
+    weights = np.array([w for w, _, _ in entries])
+    theta = np.array([p.theta for p in points])
+    phi = np.array([p.phi for p in points])
+    uv = np.array([p.unit_vector for p in points])
+    inversion = np.array([int(np.argmin(np.sum((uv + uv[p]) ** 2, axis=1)))
+                          for p in range(n)])
+    l_max = max(1, quadrature.RULE_DEGREE[n] // 2)
+    return {"theta": theta, "phi": phi, "weights": weights,
+            "doubled_weights": np.concatenate([weights, weights]),
+            "unit_vectors": uv,
+            "theta_hats": np.array([p.theta_hat for p in points]),
+            "phi_hats": np.array([p.phi_hat for p in points]),
+            "vsh": np.vstack(_tangential_components(l_max, theta, phi)),
+            "inversion": inversion}
+
+
+@pytest.mark.parametrize("n", SUPPORTED_SIZES)
+def test_rule_arrays_match_a_per_point_direction_reference(n):
+    rule = lebedev_rule(n)
+    expected = _per_point_reference(n)
+    got = {name: getattr(rule, name) for name in
+           ("theta", "phi", "weights", "doubled_weights", "unit_vectors",
+            "theta_hats", "phi_hats")}
+    got["vsh"] = vsh_matrix(default_l_max(rule), rule)
+    got["inversion"] = rule.inversion_permutation()
+    for name, value in expected.items():
+        assert _same_bits(got[name], value), name
+    for name in list(got)[:-1]:
+        assert not got[name].flags.writeable, name
+
+
+_ANGLES = st.floats(-1e3, 1e3, allow_nan=False)
+_THETAS = st.one_of(st.sampled_from([0.0, 5e-15, math.pi, math.pi - 5e-15]),
+                    st.floats(0.0, math.pi))
+
+
+@given(st.lists(st.tuples(_THETAS, _ANGLES), min_size=1, max_size=12))
+def test_rule_canonicalizes_phi_as_direction_does(points):
+    theta, phi = (np.array(a) for a in zip(*points))
+    rule = QuadratureRule(theta=theta, phi=phi, weights=np.ones(len(points)),
+                          order_capability=0)
+    expected = [Direction(t, p) for t, p in points]
+    assert _same_bits(rule.theta, [d.theta for d in expected])
+    assert _same_bits(rule.phi, [d.phi for d in expected])
+    assert _same_bits(phi, [p for _, p in points])  # the input is left alone
+
+
+@pytest.mark.parametrize("theta, phi, weights, what", [
+    ([0.3, math.nan], [0.1, 2.0], [1.0, 1.0], "theta"),
+    ([0.3, math.inf], [0.1, 2.0], [1.0, 1.0], "theta"),
+    ([0.3, -0.1], [0.1, 2.0], [1.0, 1.0], "theta"),
+    ([0.3, 3.2], [0.1, 2.0], [1.0, 1.0], "theta"),
+    ([0.3, 1.0], [0.1, math.nan], [1.0, 1.0], "phi"),
+    ([0.3, 1.0], [0.1, math.inf], [1.0, 1.0], "phi"),
+    ([0.3, 1.0], [-math.inf, 2.0], [1.0, 1.0], "phi"),
+    ([0.3, 1.0], [0.1, 2.0], [1.0, 0.0], "weight"),
+    ([0.3, 1.0], [0.1, 2.0], [1.0, -0.0], "weight"),
+    ([0.3, 1.0], [0.1, 2.0], [math.nan, 1.0], "weight"),
+    ([0.3, 1.0], [0.1, 2.0], [1.0, -math.inf], "weight"),
+    ([0.3, 1.0], [0.1], [1.0, 1.0], "one length"),
+    ([0.3, 1.0], [0.1, 2.0], [1.0, 1.0, 1.0], "one length"),
+    ([[0.3, 1.0]], [[0.1, 2.0]], [[1.0, 1.0]], "1-D"),
+], ids=["theta-nan", "theta-inf", "theta-negative", "theta-past-pi",
+        "phi-nan", "phi-inf", "phi-minus-inf", "weight-zero",
+        "weight-minus-zero", "weight-nan", "weight-minus-inf", "phi-short",
+        "weights-long", "two-dimensional"])
+def test_rule_rejects_points_it_cannot_carry(theta, phi, weights, what):
+    with pytest.raises(ValueError, match=what):
+        QuadratureRule(theta=np.array(theta), phi=np.array(phi),
+                       weights=np.array(weights), order_capability=0)

@@ -52,7 +52,7 @@ def test_eval_vsh_matches_sample_matrix():
     rule = sm.lebedev_rule(26)
     a = sm.vsh_matrix(3, rule)
     for p in (0, 7, 19):
-        d = rule.points[p]
+        d = rule.direction(p)
         for alpha in (0, 5, 12, 29):
             vec = sm.eval_vsh(SweIndex.from_alpha(alpha), d)
             theta_c = vec @ d.theta_hat
@@ -131,9 +131,8 @@ def test_vsh_matrix_is_kept_read_only_per_rule_and_degree():
     assert not a.flags.writeable
     with pytest.raises(ValueError):
         a[0, 0] = 1.0
-    theta = np.array([p.theta for p in rule.points])
-    phi = np.array([p.phi for p in rule.points])
-    assert np.array_equal(a, np.vstack(_tangential_components(3, theta, phi)))
+    assert np.array_equal(
+        a, np.vstack(_tangential_components(3, rule.theta, rule.phi)))
     # another degree, an equal rule object and a replaced rule each get
     # their own matrix
     other = sm.vsh_matrix(2, rule)
