@@ -78,6 +78,12 @@ def write_dataset(smat: ScatteringMatrix, path: str) -> None:
 
 
 def _reconstruct_rule(rule_rows, line_no: int) -> QuadratureRule:
+    # JSON numbers only: float() would take "1.5" and true as numbers
+    for row in rule_rows if isinstance(rule_rows, list) else (rule_rows,):
+        for value in row if isinstance(row, list) else (row,):
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ParseError(f"malformed rule entry: {value!r} is not a "
+                                 f"number", line=line_no)
     try:
         rows = np.array(rule_rows, dtype=float)
         if rows.ndim != 2 or rows.shape[1] != 3:

@@ -81,10 +81,21 @@ class LayeredSphere:
         return LayeredSphere(radius, (Layer(eps_r, mu_r, 1.0),))
 
 
-def _riccati(l, x):
-    """(psi, psi', chi, chi') with psi = x j_l(x), chi = -x y_l(x); broadcasts."""
-    j, jp = spherical_jn(l, x), spherical_jn(l, x, derivative=True)
-    y, yp = spherical_yn(l, x), spherical_yn(l, x, derivative=True)
+def _riccati(l_max: int, x: np.ndarray):
+    """(psi, psi', chi, chi') for l = 1..l_max along the last axis, with
+    psi = x j_l(x) and chi = -x y_l(x); x is a column.
+
+    One spherical_jn and one spherical_yn call over l = 0..l_max; the
+    derivatives follow from f_l' = f_{l-1} - (l + 1) f_l / x, the
+    expression SciPy's derivative=True evaluates for l >= 1, so for
+    x != 0 the results are bit-identical to it.
+    """
+    orders = np.arange(l_max + 1)
+    l = orders[1:]
+    j, y = spherical_jn(orders, x), spherical_yn(orders, x)
+    jp = j[..., :-1] - (l + 1) * j[..., 1:] / x
+    yp = y[..., :-1] - (l + 1) * y[..., 1:] / x
+    j, y = j[..., 1:], y[..., 1:]
     return j * x, j + x * jp, -y * x, -(y + x * yp)
 
 
@@ -138,8 +149,7 @@ def channel_eigenvalues(sphere: LayeredSphere, ka: float, l_max: int) -> np.ndar
 
     # overflow is detected per channel below; the batch runs to completion
     with np.errstate(all="ignore"):
-        psi, dpsi, chi, dchi = _riccati(np.arange(1, l_max + 1),
-                                        np.array(radii)[:, None])
+        psi, dpsi, chi, dchi = _riccati(l_max, np.array(radii)[:, None])
         # admittance pair (u, v) ~ (scaled derivative, value), defined up to scale
         u = _admittance_ratio(first) * dpsi[0]
         v = np.broadcast_to(psi[0], u.shape)

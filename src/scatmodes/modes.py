@@ -68,16 +68,21 @@ def degenerate_groups(values: np.ndarray) -> list[slice]:
     zeros form a run of their own: a value t != 0 never joins one, however
     small it is.
     """
-    groups, start = [], 0
     values = np.asarray(values).tolist()  # Python scalars: a faster loop
-    for i in range(1, len(values) + 1):
-        if (i == len(values)
-                or (values[i] == 0) != (values[start] == 0)
-                or abs(values[i] - values[start])
-                > DEGENERACY_TOL * max(1.0, abs(values[start]))):
-            if i - start > 1:
-                groups.append(slice(start, i))
-            start = i
+    groups, start, n = [], 0, len(values)
+    while start < n:
+        first, end = values[start], start + 1
+        if first == 0:
+            while end < n and values[end] == 0:
+                end += 1
+        else:
+            bound = DEGENERACY_TOL * max(1.0, abs(first))
+            while (end < n and values[end] != 0
+                   and not abs(values[end] - first) > bound):
+                end += 1
+        if end - start > 1:
+            groups.append(slice(start, end))
+        start = end
     return groups
 
 
@@ -101,9 +106,33 @@ def _sort_order(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     """
     firsts = vectors[np.argmax(vectors != 0, axis=0),
                      np.arange(vectors.shape[1])]
-    mag_t = np.array([abs(t) for t in values])
-    mag_f = np.array([abs(f) for f in firsts])
+    mag_t = np.fromiter(map(abs, values.tolist()), float, len(values))
+    mag_f = np.fromiter(map(abs, firsts.tolist()), float, len(firsts))
     return np.lexsort((mag_f, np.angle(values) % (2 * math.pi), -mag_t))
+
+
+def _check_lapack(name: str, info: int) -> None:
+    if info != 0:
+        raise scipy.linalg.LinAlgError(f"LAPACK {name} failed (info {info})")
+
+
+def _lapack(func, name: str, *args, **kwargs) -> list:
+    """Outputs of a LAPACK routine run with the workspace its own query
+    asks for, as scipy.linalg's wrappers run it: blocking, and with it the
+    rounding, depends on lwork."""
+    work = func(*args, lwork=-1, **kwargs)[-2]
+    *out, _, info = func(*args, lwork=int(work[0].real), **kwargs)
+    _check_lapack(name, info)
+    return out
+
+
+def _economic_q(a: np.ndarray) -> np.ndarray:
+    """Q of the economic QR of a tall matrix, which may be overwritten: the
+    Q of scipy.linalg.qr(a, mode="economic"), bit for bit, without its
+    wrapper."""
+    geqrf, orgqr = scipy.linalg.get_lapack_funcs(("geqrf", "orgqr"), (a,))
+    qr, tau = _lapack(geqrf, "geqrf", a, overwrite_a=1)
+    return _lapack(orgqr, "orgqr", qr, tau, overwrite_a=1)[0]
 
 
 def _orthonormalize_degenerate(values, vectors, weights) -> None:
@@ -115,16 +144,17 @@ def _orthonormalize_degenerate(values, vectors, weights) -> None:
     negative weights the Cholesky factor R of Q^H W Q turns it into the
     Gram-Schmidt basis Q R^-1 under w itself.  Where w is indefinite on the
     group's span no w-orthonormal basis exists, and the group keeps the |w|
-    one.  The columns are then unscaled and phase-fixed.  The t = 0 run is
+    one.  The columns are then unscaled and phase-fixed, all groups' in one
+    call: the phase fix treats each column on its own.  The t = 0 run is
     left alone: _eigenpairs returns it |w|-orthonormal already.
     """
     sqrt_w = np.sqrt(np.abs(weights))[:, None]
     signed = bool(np.any(weights < 0))
+    done = []
     for grp in degenerate_groups(values):
         if values[grp.start] == 0:
             continue
-        q, _ = scipy.linalg.qr(vectors[:, grp] * sqrt_w, mode="economic",
-                               overwrite_a=True)
+        q = _economic_q(vectors[:, grp] * sqrt_w)
         q /= sqrt_w
         if signed:
             try:
@@ -133,13 +163,13 @@ def _orthonormalize_degenerate(values, vectors, weights) -> None:
                 pass
             else:
                 q = scipy.linalg.solve_triangular(r, q.T, trans="T").T
-        _phase_fix(q)
         vectors[:, grp] = q
-
-
-def _check_lapack(name: str, info: int) -> None:
-    if info != 0:
-        raise scipy.linalg.LinAlgError(f"LAPACK {name} failed (info {info})")
+        done.append(np.arange(grp.start, grp.stop))
+    if done:
+        cols = np.concatenate(done)
+        fixed = vectors[:, cols]
+        _phase_fix(fixed)
+        vectors[:, cols] = fixed
 
 
 def _eigenpairs(matrix: np.ndarray,
@@ -169,31 +199,35 @@ def _eigenpairs(matrix: np.ndarray,
     null basis is only |w|-orthonormal, so the modes are kept as they are.
     """
     n = matrix.shape[0]
-    (qr, tau), rmat, perm = scipy.linalg.qr(matrix, pivoting=True,
-                                            mode="raw")
-    diag = np.abs(np.diag(rmat))
+    geqp3, trtrs, orgqr, tpqrt, tpmqrt = scipy.linalg.get_lapack_funcs(
+        ("geqp3", "trtrs", "orgqr", "tpqrt", "tpmqrt"), (matrix,))
+    qr, perm, tau = _lapack(geqp3, "geqp3", np.asarray_chkfinite(matrix))
+    perm -= 1
+    diag = np.abs(np.diag(qr))
     rank = int(np.count_nonzero(diag > n * np.finfo(float).eps * diag[0]))
     if rank == n:
         return scipy.linalg.eig(matrix)
     if rank == 0:
         return (np.zeros(n, dtype=complex),
                 np.diag(1.0 / np.sqrt(np.abs(weights)) + 0j))
-    orgqr, tpqrt, tpmqrt = scipy.linalg.get_lapack_funcs(
-        ("orgqr", "tpqrt", "tpmqrt"), (qr,))
     q, _, info = orgqr(qr[:, :rank], tau[:rank])
     _check_lapack("orgqr", info)
+    rmat = np.triu(qr[:rank])  # the rows of R that the solve uses
     values = np.zeros(n, dtype=complex)
     vectors = np.zeros((n, n), dtype=complex)
-    values[:rank], y = scipy.linalg.eig(rmat[:rank, np.argsort(perm)] @ q)
+    values[:rank], y = scipy.linalg.eig(rmat[:, np.argsort(perm)] @ q)
     vectors[:, :rank] = q @ y
 
     # rows in pivot order: the scaled identity is tpqrt's triangle on top,
     # sqrt|w| X below it a full block (l = 0); 32 is the LAPACK block size
     sqrt_w = np.sqrt(np.abs(weights))[perm]
     null = n - rank
-    x = -scipy.linalg.solve_triangular(rmat[:rank, :rank], rmat[:rank, rank:])
+    # R11 X = R12, posed on the transpose of the row-major slice R11, as
+    # scipy.linalg.solve_triangular poses it
+    x, info = trtrs(rmat[:, :rank].T, rmat[:, rank:], lower=1, trans=1)
+    _check_lapack("trtrs", info)
     _, v, t, info = tpqrt(0, min(null, 32), np.diag(sqrt_w[rank:] + 0j),
-                          x * sqrt_w[:rank, None], overwrite_a=1,
+                          -x * sqrt_w[:rank, None], overwrite_a=1,
                           overwrite_b=1)
     _check_lapack("tpqrt", info)
     q_top, q_bottom, info = tpmqrt(0, v, t, np.eye(null, dtype=complex),

@@ -105,22 +105,25 @@ def apply_weights(smat: ScatteringMatrix) -> ScatteringMatrix:
 
 
 def _dyads(smat: ScatteringMatrix) -> np.ndarray:
-    """Full 3x3 dyad at every sample pair, (N_q, N_q, 3, 3).
+    """Full 3x3 dyad at every sample pair, (3, 3, N_q, N_q).
 
-    dyad[p, q] sums S[(a, p), (b, q)] frame_a(p) frame_b(q)^T over the
+    dyad[:, :, p, q] sums S[(a, p), (b, q)] frame_a(p) frame_b(q)^T over the
     polarizations (a, b).  Complex-cast frames and the four terms added into
     zeros in (a, b) order reproduce the naive four-operand
-    einsum("pqab,pai,qbj->pqij") bit for bit, at under half its cost.
+    einsum("pqab,pai,qbj->pqij"), transposed, bit for bit, at under half its
+    cost.  The sample pair is the inner index, so that each broadcast runs
+    over N_q entries at a time.
     """
     rule = smat.rule
     n = rule.n_points
-    frames = (rule.theta_hats.astype(complex), rule.phi_hats.astype(complex))
+    frames = (rule.theta_hats.T.astype(complex),
+              rule.phi_hats.T.astype(complex))  # (3, N_q) each
     s4 = smat.matrix.reshape(2, n, 2, n)  # (a, p, b, q)
-    dyad = np.zeros((n, n, 3, 3), dtype=complex)
+    dyad = np.zeros((3, 3, n, n), dtype=complex)
     for a in range(2):
         for b in range(2):
-            left = s4[a, :, b, :, None] * frames[a][:, None, :]
-            dyad += left[..., None] * frames[b][None, :, None, :]
+            left = s4[a, None, :, b, :] * frames[a][:, :, None]
+            dyad += left[:, None] * frames[b][None, :, None, :]
     return dyad
 
 
@@ -133,5 +136,5 @@ def reciprocity_residual(smat: ScatteringMatrix) -> float:
     """
     inv = smat.rule.inversion_permutation()
     dyad = _dyads(smat)
-    swapped = dyad[np.ix_(inv, inv)].transpose(1, 0, 3, 2)
+    swapped = dyad.transpose(1, 0, 3, 2)[:, :, inv[:, None], inv]
     return float(np.max(np.abs(dyad - swapped)))

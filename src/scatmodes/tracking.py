@@ -86,23 +86,32 @@ def _align_degenerate(prev: ModeSet, cur: ModeSet,
     Works on a copy; within a multiplet any unitary mixing is still an
     eigenbasis, so the orthogonal-Procrustes rotation of the weighted Gram
     block is physically free.  Multiplets with no member among candidates,
-    the mode indices tracking may match, are left as they are.
+    the mode indices tracking may match, are left as they are.  Multiplets
+    of one size are solved as one stack, each with the same floating-point
+    operations as on its own.
     """
     vecs = cur.eigenvectors.copy()
     overlap = prev.eigenvectors.conj().T @ _weighted(cur)  # (n_prev, n_cur)
-    matchable = np.zeros(cur.n_modes, dtype=bool)
-    matchable[candidates] = True
+    matchable = set(candidates)
+    starts = {}  # multiplet size -> first mode of each multiplet
     for grp in degenerate_groups(cur.eigenvalues):
         size = grp.stop - grp.start
-        if overlap.shape[0] < size or not matchable[grp].any():
-            continue
-        block = overlap[:, grp]
-        # pair the multiplet against its strongest predecessors, then solve
-        # the square unitary Procrustes problem M Q ~ I
-        top = np.argsort(-np.linalg.norm(block, axis=1))[:size]
-        u, _, vh = np.linalg.svd(block[np.sort(top), :])
-        q = vh.conj().T @ u.conj().T
-        vecs[:, grp] = vecs[:, grp] @ q
+        if (size <= overlap.shape[0]
+                and not matchable.isdisjoint(range(grp.start, grp.stop))):
+            starts.setdefault(size, []).append(grp.start)
+    for size, first in starts.items():
+        cols = np.add.outer(first, np.arange(size))  # (multiplets, size)
+        blocks = overlap[:, cols]  # (n_prev, multiplets, size)
+        # pair each multiplet against its strongest predecessors, then
+        # solve the square unitary Procrustes problem M Q ~ I
+        norms = np.linalg.norm(blocks.reshape(-1, size), axis=1)
+        top = np.argsort(-norms.reshape(-1, len(first)), axis=0)[:size]
+        u, _, vh = np.linalg.svd(
+            blocks[np.sort(top, axis=0), np.arange(len(first))]
+            .transpose(1, 0, 2))
+        q = vh.conj().transpose(0, 2, 1) @ u.conj().transpose(0, 2, 1)
+        vecs[:, cols] = (vecs[:, cols].transpose(1, 0, 2) @ q) \
+            .transpose(1, 0, 2)
     return vecs
 
 
@@ -116,21 +125,24 @@ def correlation_matrix(prev: ModeSet, cur: ModeSet,
 
 
 def _greedy_match(corr: np.ndarray, rows, cols, min_correlation: float):
-    """Assign rows to columns in descending correlation; injective by skip."""
-    sub = corr[np.ix_(rows, cols)]
+    """Assign rows to columns in descending correlation; injective by skip.
+
+    The walk stops at the first entry below min_correlation.  NaN entries
+    sort last, so they are reached only when no entry is below it.
+    """
+    flat = corr[np.ix_(rows, cols)].ravel()
+    kept = (np.flatnonzero(flat >= min_correlation)
+            if np.any(flat < min_correlation) else np.arange(flat.size))
     # descending correlation; a stable sort keeps ties in row-major order
-    order = np.argsort(-sub.ravel(), kind="stable")
+    kept = kept[np.argsort(-flat[kept], kind="stable")]
     used_r, used_c, out = set(), set(), {}
-    for idx in order:
-        val = sub.flat[idx]
-        if val < min_correlation:
-            break
+    for idx, val in zip(kept.tolist(), flat[kept].tolist()):
         r, c = rows[idx // len(cols)], cols[idx % len(cols)]
         if r in used_r or c in used_c:
             continue
         used_r.add(r)
         used_c.add(c)
-        out[r] = (c, float(val))
+        out[r] = (c, val)
     return out
 
 
@@ -142,23 +154,24 @@ def track(sweep: SweepResult,
     if sweep.n_steps == 0:
         return TrackedTraces(sweep=sweep, traces=())
 
-    def significant(ms: ModeSet):
-        return [n for n in range(ms.n_modes)
-                if abs(ms.eigenvalues[n]) >= min_significance]
+    def significant(values):
+        return [n for n, t in enumerate(values) if abs(t) >= min_significance]
 
-    def open_trace(step, ms, n):
+    def open_trace(step, values, n):
         tr = Trace(trace_id=len(traces), start_step=step)
         tr.mode_indices.append(n)
-        tr.eigenvalues.append(complex(ms.eigenvalues[n]))
+        tr.eigenvalues.append(values[n])
         traces.append(tr)
         return tr
 
-    first = sweep.modesets[0]
-    active = {n: open_trace(0, first, n) for n in significant(first)}
+    # Python complex values: a faster loop, and abs as the scalar one
+    values = sweep.modesets[0].eigenvalues.astype(complex).tolist()
+    active = {n: open_trace(0, values, n) for n in significant(values)}
 
     for step in range(1, sweep.n_steps):
         prev, cur = sweep.modesets[step - 1], sweep.modesets[step]
-        candidates = significant(cur)
+        values = cur.eigenvalues.astype(complex).tolist()
+        candidates = significant(values)
         aligned = _align_degenerate(prev, cur, candidates)
         corr = correlation_matrix(prev, cur, aligned)
         match = _greedy_match(corr, list(active), candidates, min_correlation)
@@ -167,12 +180,12 @@ def track(sweep: SweepResult,
             if m in match:
                 n, val = match[m]
                 trace.mode_indices.append(n)
-                trace.eigenvalues.append(complex(cur.eigenvalues[n]))
+                trace.eigenvalues.append(values[n])
                 trace.correlations.append(val)
                 next_active[n] = trace
         for n in candidates:
             if n not in next_active:
-                next_active[n] = open_trace(step, cur, n)
+                next_active[n] = open_trace(step, values, n)
         active = next_active
 
     return TrackedTraces(sweep=sweep, traces=tuple(traces))

@@ -119,7 +119,8 @@ def test_validate_unparsable_datasets_fail_per_file(tmp_path, mie_config,
     assert "compute error" not in captured.err
 
 
-@pytest.mark.parametrize("damage", ["weight-zero", "phi-nan", "phi-infinity"])
+@pytest.mark.parametrize("damage", ["weight-zero", "phi-nan", "phi-infinity",
+                                    "numeric-string", "boolean"])
 def test_validate_fails_a_rule_it_cannot_decompose(tmp_path, mie_config,
                                                    capsys, damage):
     assert main(["sweep", "--config", mie_config]) == EXIT_OK
@@ -130,6 +131,10 @@ def test_validate_fails_a_rule_it_cannot_decompose(tmp_path, mie_config,
     if damage == "weight-zero":  # weight 0 onto weight 1: the sum stays 4 pi
         rule[1][2] += rule[0][2]
         rule[0][2] = 0.0
+    elif damage == "numeric-string":  # the same phi, spelled as a string
+        rule[3][1] = str(rule[3][1])
+    elif damage == "boolean":
+        rule[3][1] = True
     else:
         rule[3][1] = math.nan if damage == "phi-nan" else math.inf
     target.write_text(json.dumps(header) + "\n")
@@ -355,7 +360,8 @@ def test_dda_sweep_runs(tmp_path):
         "quadrature": 14,
         "output": str(tmp_path / "dda_out"),
     })
-    assert main(["sweep", "--config", cfg]) == EXIT_OK
+    with pytest.warns(UserWarning, match="lattice spacing"):
+        assert main(["sweep", "--config", cfg]) == EXIT_OK
     manifest = dataio.read_manifest(str(tmp_path / "dda_out"))
     assert manifest["complete"] is True
 

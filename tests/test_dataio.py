@@ -270,6 +270,9 @@ _RULE_DAMAGE = {
     "long-row": ("row", lambda r: r + [0.0]),
     "null": (1, None),
     "not-a-number": (0, "abc"),
+    "numeric-string": (0, "1.5"),
+    "true": (1, True),
+    "false": (0, False),
 }
 
 

@@ -168,6 +168,22 @@ def test_overflow_matches_per_channel_loop(sphere, ka, l_max, l, detail):
     assert str(batched.value).endswith(f"l={l} {detail}")
 
 
+def test_riccati_equals_the_scipy_derivative_path():
+    """One spherical_jn and one spherical_yn call with the derivative
+    recurrence, against four scipy calls with derivative=True, for
+    l = 1..30 over x from 1e-3 to 50, and down to 1e-12, where y_l and
+    its derivative overflow."""
+    x = np.concatenate([np.geomspace(1e-12, 1e-4, 41),
+                        np.geomspace(1e-3, 50.0, 801)])[:, None]
+    with np.errstate(all="ignore"):
+        got = sm.mie._riccati(30, x)
+        ref = _riccati(np.arange(1, 31), x)
+    assert not np.all(np.isfinite(ref[2])) and not np.all(np.isfinite(ref[3]))
+    for g, r in zip(got, ref):
+        assert g.shape == r.shape == (842, 30)
+        assert np.array_equal(g, r, equal_nan=True)
+
+
 @pytest.mark.parametrize("eps,mu", [(3.0, 1.0), (2.0, 1.0), (5.0, 2.0)])
 @pytest.mark.parametrize("ka", [0.5, 1.0, 2.0, 4.5])
 def test_homogeneous_matches_textbook(eps, mu, ka):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scatmodes as sm
@@ -240,18 +240,25 @@ def test_decompose_sends_the_null_run_to_no_qr(sphere_eps3, monkeypatch):
     rule = sm.lebedev_rule(302)
     weighted = sm.apply_weights(sm.MieBackend(sphere_eps3).sample(rule, 0.97))
     calls = []
-    real_qr = scipy.linalg.qr
+    real = scipy.linalg.get_lapack_funcs
 
-    def recording_qr(a, *args, **kwargs):
-        calls.append((np.shape(a), kwargs.get("pivoting", False)))
-        return real_qr(a, *args, **kwargs)
+    def recording(names, arrays):
+        def record(name, func):
+            def call(a, *args, **kwargs):
+                if kwargs.get("lwork") != -1:
+                    calls.append((name, np.shape(a)))
+                return func(a, *args, **kwargs)
+            return call
+        return [record(name, func) if name in ("geqp3", "geqrf") else func
+                for name, func in zip(names, real(names, arrays))]
 
-    monkeypatch.setattr(scipy.linalg, "qr", recording_qr)
+    monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", recording)
     modeset = sm.decompose(weighted)
     null = int(np.count_nonzero(modeset.eigenvalues == 0))
     assert null > 400
-    assert [shape for shape, pivoting in calls if pivoting] == [(604, 604)]
-    assert all(shape[1] < null for shape, pivoting in calls if not pivoting)
+    assert [shape for name, shape in calls if name == "geqp3"] == [(604, 604)]
+    assert all(shape[1] < null for name, shape in calls if name == "geqrf")
+    assert any(name == "geqrf" for name, shape in calls)
     w = rule.doubled_weights
     f = modeset.eigenvectors[:, -null:]
     assert np.max(np.abs(_gram(f, w) - np.eye(null))) <= 1e-12
@@ -511,7 +518,8 @@ def test_eigenpairs_of_a_zero_matrix_are_a_null_basis():
                        rtol=0, atol=1e-15)
 
 
-@pytest.mark.parametrize("failing", ["orgqr", "tpqrt", "tpmqrt"])
+@pytest.mark.parametrize("failing", ["geqp3", "orgqr", "trtrs", "tpqrt",
+                                     "tpmqrt"])
 def test_a_failed_lapack_call_is_an_eigensolver_failure(
         failing, mie_modes_ka1, monkeypatch):
     real = scipy.linalg.get_lapack_funcs
@@ -545,3 +553,122 @@ def test_decompose_is_invariant_under_point_order(order, ka):
     vectors[rows] = permuted.eigenvectors
     _assert_same_modes(rule.doubled_weights, permuted.eigenvalues, vectors,
                        base.eigenvalues, base.eigenvectors)
+
+
+def _scalar_degenerate_groups(values):
+    """The one-pass scalar scan that degenerate_groups must reproduce."""
+    groups, start = [], 0
+    values = np.asarray(values).tolist()
+    for i in range(1, len(values) + 1):
+        if (i == len(values)
+                or (values[i] == 0) != (values[start] == 0)
+                or abs(values[i] - values[start])
+                > modes.DEGENERACY_TOL * max(1.0, abs(values[start]))):
+            if i - start > 1:
+                groups.append(slice(start, i))
+            start = i
+    return groups
+
+
+# parts on and either side of the tolerance (2e-8 - 1e-8 is exactly 1e-8),
+# signed zeros, NaN and infinity
+_PARTS = st.sampled_from([0.0, -0.0, 1e-12, 1e-8, 2e-8, 4e-8, 0.5,
+                          0.5 + 1e-8, 0.5 + 2e-8, 1.0, 1.0 + 1e-8, 2.0,
+                          2.0 + 2e-8, 2.0 + 4e-8, -2.0, math.nan, math.inf])
+_VALUES = st.lists(st.builds(complex, _PARTS, _PARTS)
+                   | st.complex_numbers(max_magnitude=1e6), max_size=24)
+
+
+@settings(max_examples=300)
+@given(values=_VALUES, by_magnitude=st.booleans(), real=st.booleans())
+def test_degenerate_groups_equal_the_scalar_scan(values, by_magnitude, real):
+    if by_magnitude:
+        values.sort(key=lambda t: -abs(t) if abs(t) == abs(t) else 0.0)
+    arr = np.array(values, dtype=complex)
+    if real:
+        arr = arr.real.copy()
+    assert degenerate_groups(arr) == _scalar_degenerate_groups(arr)
+
+
+def test_degenerate_groups_equal_the_scalar_scan_over_the_sweep(
+        magnetodielectric_sweep):
+    _, sweep = magnetodielectric_sweep
+    for modeset in sweep.modesets:
+        assert degenerate_groups(modeset.eigenvalues) == \
+            _scalar_degenerate_groups(modeset.eigenvalues)
+
+
+@pytest.mark.parametrize("rows", [40, 76, 80])
+def test_economic_q_equals_scipy_economic_qr(rows):
+    """1 to 40 columns: past 32, LAPACK blocks by the queried workspace."""
+    rng = np.random.default_rng(rows)
+    for cols in range(1, min(rows, 40) + 1):
+        a = rng.standard_normal((rows, cols)) \
+            + 1j * rng.standard_normal((rows, cols))
+        ref, _ = scipy.linalg.qr(a, mode="economic")
+        got = modes._economic_q(a.copy())
+        assert got.shape == ref.shape
+        assert np.array_equal(got, ref)
+
+
+def _scipy_eigenpairs(matrix, weights):
+    """_eigenpairs through scipy.linalg.qr and solve_triangular."""
+    n = matrix.shape[0]
+    (qr, tau), rmat, perm = scipy.linalg.qr(matrix, pivoting=True,
+                                            mode="raw")
+    diag = np.abs(np.diag(rmat))
+    rank = int(np.count_nonzero(diag > n * np.finfo(float).eps * diag[0]))
+    if rank == n:
+        return scipy.linalg.eig(matrix)
+    if rank == 0:
+        return (np.zeros(n, dtype=complex),
+                np.diag(1.0 / np.sqrt(np.abs(weights)) + 0j))
+    orgqr, tpqrt, tpmqrt = scipy.linalg.get_lapack_funcs(
+        ("orgqr", "tpqrt", "tpmqrt"), (qr,))
+    q, _, _ = orgqr(qr[:, :rank], tau[:rank])
+    values = np.zeros(n, dtype=complex)
+    vectors = np.zeros((n, n), dtype=complex)
+    values[:rank], y = scipy.linalg.eig(rmat[:rank, np.argsort(perm)] @ q)
+    vectors[:, :rank] = q @ y
+    sqrt_w = np.sqrt(np.abs(weights))[perm]
+    null = n - rank
+    x = -scipy.linalg.solve_triangular(rmat[:rank, :rank], rmat[:rank, rank:])
+    _, v, t, _ = tpqrt(0, min(null, 32), np.diag(sqrt_w[rank:] + 0j),
+                       x * sqrt_w[:rank, None], overwrite_a=1, overwrite_b=1)
+    q_top, q_bottom, _ = tpmqrt(0, v, t, np.eye(null, dtype=complex),
+                                np.zeros((rank, null), dtype=complex),
+                                overwrite_a=1, overwrite_b=1)
+    vectors[perm[rank:], rank:] = q_top / sqrt_w[rank:, None]
+    vectors[perm[:rank], rank:] = q_bottom / sqrt_w[:rank, None]
+    weak = np.flatnonzero(np.abs(values[:rank]) <= modes.SIGNIFICANCE_FLOOR)
+    if weak.size and not np.any(weights < 0):
+        basis = vectors[:, rank:]
+        sub = vectors[:, weak]
+        sub -= basis @ (basis.conj().T @ (sub * weights[:, None]))
+        vectors[:, weak] = sub
+    return values, vectors
+
+
+def test_eigenpairs_equal_the_scipy_wrapper_path(magnetodielectric_matrices,
+                                                 sphere_eps3, dda_pipeline):
+    """Bare geqp3 and trtrs against scipy.linalg.qr and solve_triangular,
+    bit for bit: every step of the 201-step sweep, rules with negative
+    weights, the dipole block, and ranks 1 to 12."""
+    _, weighted = magnetodielectric_matrices
+    cases = [(m.matrix, m.rule.doubled_weights) for m in weighted]
+    for n_q in (6, 26, 74, 110, 230):
+        rule = sm.lebedev_rule(n_q)
+        smat = sm.MieBackend(sphere_eps3).sample(rule, 1.7)
+        cases.append((sm.apply_weights(smat).matrix, rule.doubled_weights))
+    block = sm.apply_weights(dda_pipeline[4])
+    cases.append((block.matrix, block.rule.doubled_weights))
+    rng = np.random.default_rng(3)
+    w = np.abs(rng.standard_normal(28)) + 0.1
+    for rank in range(1, 13):
+        u = rng.standard_normal((28, rank)) + 1j * rng.standard_normal((28, rank))
+        cases.append((u @ u.conj().T * w[None, :], w))
+    for matrix, weights in cases:
+        got, ref = modes._eigenpairs(matrix, weights), \
+            _scipy_eigenpairs(matrix, weights)
+        assert np.array_equal(got[0], ref[0])
+        assert np.array_equal(got[1], ref[1])

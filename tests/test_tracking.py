@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import scatmodes as sm
 from scatmodes import tracking
@@ -207,3 +211,93 @@ def test_tracks_equal_the_full_eig_tracks(magnetodielectric_sweep,
             <= 1e-12
         assert np.max(np.abs(np.subtract(tr.correlations, ref.correlations)),
                       initial=0.0) <= 1e-12
+
+
+def _per_multiplet_alignment(prev, cur, candidates):
+    """_align_degenerate one multiplet at a time."""
+    vecs = cur.eigenvectors.copy()
+    overlap = prev.eigenvectors.conj().T @ (
+        cur.eigenvectors * cur.rule.doubled_weights[:, None])
+    matchable = np.zeros(cur.n_modes, dtype=bool)
+    matchable[candidates] = True
+    for grp in degenerate_groups(cur.eigenvalues):
+        size = grp.stop - grp.start
+        if overlap.shape[0] < size or not matchable[grp].any():
+            continue
+        block = overlap[:, grp]
+        top = np.argsort(-np.linalg.norm(block, axis=1))[:size]
+        u, _, vh = np.linalg.svd(block[np.sort(top), :])
+        vecs[:, grp] = vecs[:, grp] @ (vh.conj().T @ u.conj().T)
+    return vecs
+
+
+def test_stacked_alignment_equals_the_per_multiplet_one(
+        magnetodielectric_sweep):
+    """Every step of the 201-step sweep, bit for bit, with the significant
+    modes and with every mode as candidates."""
+    sets = magnetodielectric_sweep[1].modesets
+    for prev, cur in zip(sets, sets[1:]):
+        every = list(range(cur.n_modes))
+        significant = [n for n in every if abs(cur.eigenvalues[n]) >= 1e-3]
+        for candidates in (significant, every):
+            assert np.array_equal(
+                tracking._align_degenerate(prev, cur, candidates),
+                _per_multiplet_alignment(prev, cur, candidates))
+
+
+def _walk_greedy_match(corr, rows, cols, min_correlation):
+    """_greedy_match as a walk over the whole stable descending sort."""
+    sub = corr[np.ix_(rows, cols)]
+    used_r, used_c, out = set(), set(), {}
+    for idx in np.argsort(-sub.ravel(), kind="stable"):
+        val = sub.flat[idx]
+        if val < min_correlation:
+            break
+        r, c = rows[idx // len(cols)], cols[idx % len(cols)]
+        if r in used_r or c in used_c:
+            continue
+        used_r.add(r)
+        used_c.add(c)
+        out[r] = (c, float(val))
+    return out
+
+
+# ties, values on and either side of the default threshold, NaN
+_CORRELATIONS = st.sampled_from([0.0, 0.3, 0.7, math.nextafter(0.7, 0.0),
+                                 math.nextafter(0.7, 1.0), 0.9, 1.0,
+                                 1.0 + 1e-12, math.nan])
+
+
+def _check_greedy_match(corr, rows, cols, min_correlation):
+    got = tracking._greedy_match(corr, rows, cols, min_correlation)
+    ref = _walk_greedy_match(corr, rows, cols, min_correlation)
+    assert list(got) == list(ref)
+    for r, (c, val) in ref.items():
+        assert got[r][0] == c and type(got[r][1]) is float
+        assert got[r][1] == val or (math.isnan(val) and math.isnan(got[r][1]))
+
+
+@pytest.mark.parametrize("corr, min_correlation", [
+    ([[math.nan, 0.9], [0.8, math.nan]], 0.7),  # no entry below: NaN reached
+    ([[math.nan, 0.9], [0.1, math.nan]], 0.7),  # 0.1 stops the walk first
+    ([[0.7, 0.7], [0.7, 0.7]], 0.7),  # ties on the threshold, row-major
+    ([[0.5, math.nan], [0.9, 0.2]], math.nan),  # nothing compares below NaN
+])
+def test_greedy_match_equals_the_full_walk_on_nan_and_ties(corr,
+                                                           min_correlation):
+    _check_greedy_match(np.array(corr), [1, 0], [0, 1], min_correlation)
+
+
+@settings(max_examples=300)
+@given(data=st.data(), n_prev=st.integers(0, 6), n_cur=st.integers(0, 6),
+       min_correlation=st.sampled_from([0.7, 0.0, 0.9, math.nan]))
+def test_greedy_match_equals_the_full_walk(data, n_prev, n_cur,
+                                           min_correlation):
+    corr = np.array(data.draw(st.lists(_CORRELATIONS, min_size=n_prev * n_cur,
+                                       max_size=n_prev * n_cur)),
+                    dtype=float).reshape(n_prev, n_cur)
+    rows = data.draw(st.permutations(range(n_prev)))
+    rows = rows[:data.draw(st.integers(0, n_prev))]
+    cols = sorted(data.draw(st.sets(st.integers(0, max(n_cur - 1, 0)),
+                                    max_size=n_cur))) if n_cur else []
+    _check_greedy_match(corr, rows, cols, min_correlation)
