@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,6 +112,42 @@ def _sort_order(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     return np.lexsort((mag_f, np.angle(values) % (2 * math.pi), -mag_t))
 
 
+#: matrix size 2 N_q from which overlap runs f and g side by side; below
+#: it the helper thread costs about what it saves (measured on 2 cores)
+OVERLAP_MIN_SIZE = 200
+
+
+def overlap(f, g, size: int) -> tuple:
+    """(f(), g()), with f on a helper thread while g runs on the caller
+    when size >= OVERLAP_MIN_SIZE, else both here, g first.
+
+    f and g must not share writable state; the work that overlaps is native
+    code that releases the GIL.  The thread is joined even when g raises;
+    an exception of f is re-raised here, after any exception of g, as on
+    the inline path.  No thread outlives the call, so none survives a fork.
+    """
+    if size < OVERLAP_MIN_SIZE:
+        second = g()
+        return f(), second
+    box = {}
+
+    def run():
+        try:
+            box["result"] = f()
+        except BaseException as exc:  # re-raised on the caller below
+            box["error"] = exc
+
+    worker = threading.Thread(target=run, name="scatmodes-overlap")
+    worker.start()
+    try:
+        second = g()
+    finally:
+        worker.join()
+    if "error" in box:
+        raise box["error"]
+    return box["result"], second
+
+
 def _check_lapack(name: str, info: int) -> None:
     if info != 0:
         raise scipy.linalg.LinAlgError(f"LAPACK {name} failed (info {info})")
@@ -188,7 +225,8 @@ def _eigenpairs(matrix: np.ndarray,
     weights: sqrt|w|^-1 times the Q factor of sqrt|w| P [-R11^-1 R12; I],
     from one triangular-pentagonal QR (LAPACK tpqrt, then tpmqrt to form
     Q).  The scaled identity block is already triangular, so this costs
-    O(r (n - r)^2).  At full rank this is eig(S) itself.
+    O(r (n - r)^2).  At full rank this is eig(S) itself.  The null basis
+    and the r x r eig are independent: overlap runs them side by side.
 
     Below SIGNIFICANCE_FLOOR an eigenvector's component along the null space
     is rounding amplified by 1/|t|: up to 1e-2 at |t| ~ 1e-14.  The modes of
@@ -210,30 +248,37 @@ def _eigenpairs(matrix: np.ndarray,
     if rank == 0:
         return (np.zeros(n, dtype=complex),
                 np.diag(1.0 / np.sqrt(np.abs(weights)) + 0j))
-    q, _, info = orgqr(qr[:, :rank], tau[:rank])
-    _check_lapack("orgqr", info)
     rmat = np.triu(qr[:rank])  # the rows of R that the solve uses
-    values = np.zeros(n, dtype=complex)
-    vectors = np.zeros((n, n), dtype=complex)
-    values[:rank], y = scipy.linalg.eig(rmat[:, np.argsort(perm)] @ q)
-    vectors[:, :rank] = q @ y
-
     # rows in pivot order: the scaled identity is tpqrt's triangle on top,
     # sqrt|w| X below it a full block (l = 0); 32 is the LAPACK block size
     sqrt_w = np.sqrt(np.abs(weights))[perm]
     null = n - rank
-    # R11 X = R12, posed on the transpose of the row-major slice R11, as
-    # scipy.linalg.solve_triangular poses it
-    x, info = trtrs(rmat[:, :rank].T, rmat[:, rank:], lower=1, trans=1)
-    _check_lapack("trtrs", info)
-    _, v, t, info = tpqrt(0, min(null, 32), np.diag(sqrt_w[rank:] + 0j),
-                          -x * sqrt_w[:rank, None], overwrite_a=1,
-                          overwrite_b=1)
-    _check_lapack("tpqrt", info)
-    q_top, q_bottom, info = tpmqrt(0, v, t, np.eye(null, dtype=complex),
-                                   np.zeros((rank, null), dtype=complex),
-                                   overwrite_a=1, overwrite_b=1)
-    _check_lapack("tpmqrt", info)
+
+    def null_basis():  # LAPACK work, which releases the GIL
+        # R11 X = R12, posed on the transpose of the row-major slice R11, as
+        # scipy.linalg.solve_triangular poses it
+        x, info = trtrs(rmat[:, :rank].T, rmat[:, rank:], lower=1, trans=1)
+        _check_lapack("trtrs", info)
+        _, v, t, info = tpqrt(0, min(null, 32), np.diag(sqrt_w[rank:] + 0j),
+                              -x * sqrt_w[:rank, None], overwrite_a=1,
+                              overwrite_b=1)
+        _check_lapack("tpqrt", info)
+        q_top, q_bottom, info = tpmqrt(0, v, t, np.eye(null, dtype=complex),
+                                       np.zeros((rank, null), dtype=complex),
+                                       overwrite_a=1, overwrite_b=1)
+        _check_lapack("tpmqrt", info)
+        return q_top, q_bottom
+
+    def significant():  # scipy.linalg.eig holds the GIL: keep it here
+        q, _, info = orgqr(qr[:, :rank], tau[:rank])
+        _check_lapack("orgqr", info)
+        return q, *scipy.linalg.eig(rmat[:, np.argsort(perm)] @ q)
+
+    (q_top, q_bottom), (q, t_sig, y) = overlap(null_basis, significant, n)
+    values = np.zeros(n, dtype=complex)
+    vectors = np.zeros((n, n), dtype=complex)
+    values[:rank] = t_sig
+    vectors[:, :rank] = q @ y
     vectors[perm[rank:], rank:] = q_top / sqrt_w[rank:, None]
     vectors[perm[:rank], rank:] = q_bottom / sqrt_w[:rank, None]
 
@@ -274,8 +319,16 @@ def decompose(smat: ScatteringMatrix) -> ModeSet:
     values, vectors = values[order], vectors[:, order]
     _orthonormalize_degenerate(values, vectors, w)
 
-    residuals = np.linalg.norm(
-        smat.matrix @ vectors - vectors * values[None, :], axis=0)
+    # S V in two row halves into one C-ordered buffer: the same bits as
+    # S @ V (a column split or an F-ordered buffer gives other bits)
+    n = len(values)
+    half = n // 2
+    product = np.empty((n, n), dtype=complex)
+    overlap(lambda: np.matmul(smat.matrix[:half], vectors, out=product[:half]),
+            lambda: np.matmul(smat.matrix[half:], vectors, out=product[half:]),
+            n)
+    product -= vectors * values[None, :]
+    residuals = np.linalg.norm(product, axis=0)
     return ModeSet(k=smat.k, eigenvalues=values, eigenvectors=vectors,
                    rule=smat.rule, residuals=residuals)
 

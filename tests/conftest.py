@@ -57,6 +57,13 @@ def mie_modes_ka1(sphere_eps3):
 
 
 @pytest.fixture(scope="session")
+def mie_eps3_110(sphere_eps3):
+    """Unweighted samples of the eps_r=3 sphere at ka=1, N_q=110: a matrix
+    large enough for decompose to overlap its work on a helper thread."""
+    return sm.MieBackend(sphere_eps3).sample(sm.lebedev_rule(110), 1.0)
+
+
+@pytest.fixture(scope="session")
 def dipole_block():
     """4x4x1 dielectric block with circumscribing radius 0.5 at k=1."""
     spacing = 1.0 / math.sqrt(4**2 + 4**2 + 1**2)  # half-diagonal = 0.5

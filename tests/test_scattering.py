@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -139,7 +141,11 @@ def _einsum_dyads(smat):
 
 
 @pytest.mark.parametrize("n_q", [6, 38, 110, 302])
-def test_reciprocity_dyads_equal_the_einsum_reference(n_q, dda_pipeline):
+def test_reciprocity_dyads_equal_the_einsum_reference(n_q, dda_pipeline,
+                                                      monkeypatch):
+    """Every dyad block, and its transpose block, equals the reference's
+    block, and the blocks cover all nine components; both blockings, one
+    block and one transpose pair per block, are checked at every size."""
     rule = sm.lebedev_rule(n_q)
     sphere = sm.LayeredSphere(1.0, (sm.Layer(5.0, 3.0, 0.5),
                                     sm.Layer(2.0, 1.0, 1.0)))
@@ -149,13 +155,23 @@ def test_reciprocity_dyads_equal_the_einsum_reference(n_q, dda_pipeline):
     cases = [smat, sm.ScatteringMatrix(rule=rule, k=1.3, matrix=noise)]
     if n_q == 38:
         cases.append(dda_pipeline[4])  # the dipole block on its 50-point rule
-    for case in cases:
-        ref = _einsum_dyads(case)
-        got = np.ascontiguousarray(scattering._dyads(case)
-                                   .transpose(2, 3, 0, 1))
-        # bit for bit, signed zeros included
-        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
-        inv = case.rule.inversion_permutation()
-        swapped = ref[np.ix_(inv, inv)].transpose(1, 0, 3, 2)
-        assert sm.reciprocity_residual(case) == float(
-            np.max(np.abs(ref - swapped)))
+    for budget in (0, math.inf):
+        monkeypatch.setattr(scattering, "RECIPROCITY_BLOCK_BYTES", budget)
+        for case in cases:
+            ref = _einsum_dyads(case)  # (p, q, i, j)
+            covered = []
+            for rows, cols in scattering._dyad_blocks(case.n_points):
+                for r, c in ((rows, cols), (cols, rows)):
+                    got = np.ascontiguousarray(
+                        scattering._dyads(case, r, c).transpose(2, 3, 0, 1))
+                    want = np.ascontiguousarray(ref[:, :, r][:, :, :, c])
+                    # bit for bit, signed zeros included
+                    assert np.array_equal(got.view(np.uint64),
+                                          want.view(np.uint64))
+                    covered += [(i, j) for i in r for j in c]
+            assert sorted(set(covered)) == [(i, j) for i in range(3)
+                                            for j in range(3)]
+            inv = case.rule.inversion_permutation()
+            swapped = ref[np.ix_(inv, inv)].transpose(1, 0, 3, 2)
+            assert sm.reciprocity_residual(case) == float(
+                np.max(np.abs(ref - swapped)))
