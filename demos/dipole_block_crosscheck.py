@@ -24,7 +24,7 @@ import scatmodes as sm
 def main():
     k = 1.0
     spacing = 1.0 / math.sqrt(33)  # circumscribing radius 0.5 -> ka = 0.5
-    model = sm.build_block((4, 4, 1), spacing, eps_r=3.0, k=k)
+    model = sm.build_block((4, 4, 1), spacing, eps_r=3.0)
     rule = sm.lebedev_rule(50)
     print(f"block of {model.n_dipoles} dipoles, ka = 0.5, rule {rule.name}")
 

@@ -12,6 +12,7 @@ Run: python3 demos/sphere_modes.py
 import numpy as np
 
 import scatmodes as sm
+from scatmodes.mie import default_l_max
 
 
 def main():
@@ -30,7 +31,7 @@ def main():
     print(f"lossless-circle residual (top 25): "
           f"{sm.max_lossless_residual(modeset):.2e}")
 
-    l_max = rule.order_capability // 2
+    l_max = default_l_max(rule)
     channels = sm.channel_eigenvalues(sphere, ka, l_max)
 
     print("\n  n   |t_n|      alpha_n   nearest analytic channel   rel err")

@@ -8,6 +8,7 @@ fields so a run is reproducible from one artifact.  Exit codes: 0 ok,
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import os
@@ -18,11 +19,14 @@ import numpy as np
 
 from . import dataio, tracking
 from .dda import DdaBackend, build_block
-from .errors import ParseError, ScatmodesError, UnsupportedRuleSize
+from .errors import (InsufficientQuadrature, ParseError, ScatmodesError,
+                     UnsupportedRuleSize, ZeroContrast)
 from .mie import LayeredSphere, Layer, MieBackend, default_l_max
-from .modes import decompose, frequency, lossless_residual, wavenumber
+from .modes import (LOSSLESS_TOP, characteristic_angle, decompose, frequency,
+                    lossless_residual, wavenumber)
 from .quadrature import lebedev_rule, minimum_points, quadrature_bound
 from .scattering import apply_weights
+from .swe import require_capability
 
 EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, EXIT_COMPUTE = 0, 1, 2, 3
 
@@ -86,7 +90,7 @@ def _count(value, what: str) -> int:
 
 @dataclass
 class RunConfig:
-    backend: dict
+    backend: MieBackend | DdaBackend
     wavenumbers: np.ndarray          # ascending
     n_q: int | str = "auto"          # point count or "auto"
     output: str = "out"
@@ -103,30 +107,27 @@ class RunConfig:
         if not isinstance(self.output, str) or not self.output:
             raise ConfigError(f"output must be a directory path, got "
                               f"{self.output!r}")
-        # a bad scatterer spec fails here, before any output is written
-        _backend(self.backend)
 
     def rule(self):
-        """The sweep's rule.  An unsupported size, or a mie l_max beyond the
-        rule's band, is a usage error: the sweep would only fail or alias."""
-        backend = _backend(self.backend)
+        """The sweep's rule.  An unsupported size, or one that would alias a
+        mie l_max, is a usage error; one below the sampling estimate warns."""
+        ka = self.wavenumbers[-1] * self.backend.radius
         try:
-            if self.n_q == "auto":
-                rule = lebedev_rule(max(minimum_points(k * backend.radius)
-                                        for k in self.wavenumbers))
-            else:
-                rule = lebedev_rule(self.n_q)
-        except UnsupportedRuleSize as exc:
+            rule = lebedev_rule(minimum_points(ka) if self.n_q == "auto"
+                                else self.n_q)
+            if isinstance(self.backend, MieBackend) and self.backend.l_max:
+                l_max = self.backend.l_max
+                require_capability(rule, 2 * l_max, f"l_max {l_max}")
+        except (UnsupportedRuleSize, InsufficientQuadrature) as exc:
             raise ConfigError(str(exc)) from exc
-        l_max = backend.l_max if isinstance(backend, MieBackend) else None
-        if l_max and rule.order_capability < 2 * l_max:
-            raise ConfigError(f"l_max {l_max} needs quadrature degree >= "
-                              f"{2 * l_max}; {rule.name} integrates only to "
-                              f"degree {rule.order_capability}")
+        # a single dipole has ka = 0, where any rule meets the estimate
+        if ka > 0 and rule.n_points < (bound := quadrature_bound(ka)):
+            print(f"warning: {rule.name} is below the {math.ceil(bound)}-point "
+                  f"estimate at the largest ka={ka:g}", file=sys.stderr)
         return rule
 
 
-def _grid_from_config(cfg: dict) -> np.ndarray:
+def _grid_from_config(cfg: dict, radius: float) -> np.ndarray:
     grid = cfg.get("frequencies")
     if grid is None:
         raise ConfigError("config needs a 'frequencies' section")
@@ -136,7 +137,6 @@ def _grid_from_config(cfg: dict) -> np.ndarray:
         if not isinstance(grid["ka"], list):
             raise ConfigError(f"'ka' must be a list of numbers, got "
                               f"{grid['ka']!r}")
-        radius = _backend(cfg["backend"]).radius
         return np.array([_real(ka, "each 'ka'") for ka in grid["ka"]]) / radius
     try:
         start = _real(grid["start_hz"], "start_hz")
@@ -169,8 +169,8 @@ def load_config(args) -> RunConfig:
             "stop_hz": args.freq_stop if args.freq_stop is not None else args.freq_start,
             "count": 1 if args.freq_count is None else args.freq_count,
         }
-    if args.nq is not None:
-        cfg["quadrature"] = args.nq if args.nq == "auto" else int(args.nq)
+    if getattr(args, "nq", None) is not None:
+        cfg["quadrature"] = args.nq
     if args.out:
         cfg["output"] = args.out
     if "tolerances" in cfg:
@@ -181,34 +181,37 @@ def load_config(args) -> RunConfig:
     if not isinstance(cfg["backend"], dict):
         raise ConfigError(f"backend spec must be a JSON object, got "
                           f"{cfg['backend']!r}")
-    return RunConfig(backend=cfg["backend"],
-                     wavenumbers=_grid_from_config(cfg),
+    backend = _backend(cfg["backend"])  # before any output is written
+    return RunConfig(backend=backend,
+                     wavenumbers=_grid_from_config(cfg, backend.radius),
                      n_q=cfg.get("quadrature", "auto"),
                      output=cfg.get("output", "out"))
 
 
-def _backend(spec: dict, k: float | None = None):
+def _backend(spec: dict):
     """The backend a spec describes, or a ConfigError naming what is wrong.
 
     Its radius holds the scatterer about the origin: a "ka" grid and "auto"
-    quadrature both mean k times it.  A dda block built at a given k warns
-    when its lattice is coarse for that wavelength.
+    quadrature both mean k times it.  A scatterer the model refuses, such
+    as a dda eps_r of 1, is a ConfigError too.
     """
     kind = spec.get("type")
     if kind is None:
         raise ConfigError("backend spec needs a 'type' field")
     if kind == "dda":
-        try:
-            spacing = _real(spec["spacing"], "dda 'spacing'")
-            eps_r = _real(spec["eps_r"], "dda 'eps_r'")
-        except KeyError as exc:
-            raise ConfigError(f"dda backend needs field {exc}") from exc
         extent = spec.get("extent", [4, 4, 1])
         if not isinstance(extent, list) or len(extent) != 3:
             raise ConfigError(f"dda 'extent' must be three cell counts, got "
                               f"{extent!r}")
         extent = [_count(n, "each dda 'extent'") for n in extent]
-        return DdaBackend(build_block(extent, spacing, eps_r, k=k))
+        try:
+            return DdaBackend(build_block(
+                extent, _real(spec["spacing"], "dda 'spacing'"),
+                _real(spec["eps_r"], "dda 'eps_r'")))
+        except KeyError as exc:
+            raise ConfigError(f"dda backend needs field {exc}") from exc
+        except ZeroContrast as exc:
+            raise ConfigError(str(exc)) from exc
     if kind != "mie":
         raise ConfigError(f"unknown backend type {kind!r}; "
                           f"expected 'mie' or 'dda'")
@@ -256,7 +259,7 @@ def cmd_sweep(config: RunConfig) -> int:
     entries, modesets, failure = [], [], None
     for i, k in enumerate(config.wavenumbers):
         try:
-            smat = _backend(config.backend, k).sample(rule, k)
+            smat = config.backend.sample(rule, k)
             name = f"dataset_{i:04d}.csv"
             dataio.write_dataset(smat, os.path.join(config.output, name))
             modeset = decompose(apply_weights(smat))
@@ -342,7 +345,7 @@ def cmd_precision_study(config: RunConfig, nq_list: list, reference: int) -> int
     if any(n >= reference for n in nq_list):
         raise ConfigError(
             f"reference N_q {reference} must exceed every studied size {nq_list}")
-    if config.backend["type"] != "mie":
+    if not isinstance(config.backend, MieBackend):
         raise ConfigError("the precision study runs on the mie backend")
     try:
         ref_rule = lebedev_rule(reference)
@@ -350,29 +353,25 @@ def cmd_precision_study(config: RunConfig, nq_list: list, reference: int) -> int
     except UnsupportedRuleSize as exc:
         raise ConfigError(str(exc)) from exc
     # fixed truncation across all rules so only quadrature aliasing varies
-    backend = MieBackend(_backend(config.backend).sphere,
-                         config.backend.get("l_max") or default_l_max(ref_rule))
-    top = 25
+    backend = config.backend if config.backend.l_max else MieBackend(
+        config.backend.sphere, default_l_max(ref_rule))
 
     _make_output(config.output)
     out_path = os.path.join(config.output, "precision_study.csv")
-    import csv as _csv
-
     with open(out_path, "w", newline="") as fh:
-        writer = _csv.writer(fh)
+        writer = csv.writer(fh)
         writer.writerow(["ka", "n_q", "bound_estimate", "magnitude_error",
                          "phase_error", "note"])
         for k in config.wavenumbers:
             ka = k * backend.radius
             bound = quadrature_bound(ka)
             ref_modes = decompose(apply_weights(backend.sample(ref_rule, k)))
-            ref_alpha = _angles(ref_modes, top)
+            ref_alpha = _angles(ref_modes, LOSSLESS_TOP)
             for n_q, rule in zip(nq_list, rules):
-                note = ""
-                if n_q < bound:
-                    note = f"below the {math.ceil(bound)}-point estimate"
+                note = (f"below the {math.ceil(bound)}-point estimate"
+                        if n_q < bound else "")
                 modes = decompose(apply_weights(backend.sample(rule, k)))
-                n = min(top, modes.n_modes, len(ref_alpha))
+                n = min(LOSSLESS_TOP, modes.n_modes, len(ref_alpha))
                 mag = float(np.mean(lossless_residual(modes)[:n]))
                 d = np.abs(_angles(modes, n) - ref_alpha[:n])
                 phase = float(np.mean(np.minimum(d, 2.0 * math.pi - d)))
@@ -385,10 +384,15 @@ def cmd_precision_study(config: RunConfig, nq_list: list, reference: int) -> int
 
 
 def _angles(modeset, top):
-    from .modes import characteristic_angle
-
     return np.array([characteristic_angle(t)[0]
                      for t in modeset.eigenvalues[:top]])
+
+
+def _point_count(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad point count {text!r}") from None
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -408,7 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", help="JSON run configuration")
         p.add_argument("--out", help="output directory")
-        p.add_argument("--nq", help="quadrature point count or 'auto'")
         p.add_argument("--backend", help="backend type or inline JSON spec")
         p.add_argument("--freq-start", type=float, dest="freq_start")
         p.add_argument("--freq-stop", type=float, dest="freq_stop")
@@ -416,15 +419,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="run a frequency sweep")
     common(p_sweep)
+    p_sweep.add_argument("--nq", help="quadrature point count or 'auto'",
+                         type=lambda v: v if v == "auto" else _point_count(v))
 
     p_val = sub.add_parser("validate", help="physics checks on datasets")
     p_val.add_argument("path", help="dataset file or sweep directory")
     p_val.add_argument("--tolerance", action="append", metavar="KEY=VAL")
 
-    p_prec = sub.add_parser("precision-study",
+    # no abbreviations: "--nq" would pass for "--nq-list"
+    p_prec = sub.add_parser("precision-study", allow_abbrev=False,
                             help="eigenvalue error vs quadrature size")
     common(p_prec)
     p_prec.add_argument("--nq-list", required=True,
+                        type=lambda v: [_point_count(n) for n in v.split(",")],
                         help="comma-separated point counts to study")
     p_prec.add_argument("--reference", type=int, required=True,
                         help="reference point count (largest)")
@@ -440,10 +447,7 @@ def main(argv=None) -> int:
         config = load_config(args)
         if args.command == "sweep":
             return cmd_sweep(config)
-        if args.command == "precision-study":
-            nq_list = [int(v) for v in args.nq_list.split(",")]
-            return cmd_precision_study(config, nq_list, args.reference)
-        raise ConfigError(f"unknown command {args.command}")
+        return cmd_precision_study(config, args.nq_list, args.reference)
     except ScatmodesError as exc:
         print(f"compute error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE

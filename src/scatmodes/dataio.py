@@ -22,9 +22,11 @@ from typing import NoReturn
 import numpy as np
 
 from .errors import DimensionMismatch, ParseError
-from .modes import C0, decompose, lossless_residual, metrics, overlap
+from .modes import (LOSSLESS_TOP, decompose, frequency, lossless_residual,
+                    metrics, overlap, wavenumber)
 from .quadrature import FOUR_PI, SUPPORTED_SIZES, QuadratureRule, lebedev_rule
 from .scattering import ScatteringMatrix, apply_weights, reciprocity_residual
+from .tracking import TRACE_COLUMNS
 
 #: the dataset format version write_dataset writes; read_dataset takes 1 or 2
 FORMAT_VERSION = 2
@@ -63,7 +65,7 @@ def write_dataset(smat: ScatteringMatrix, path: str) -> None:
                          f"name it with another extension, e.g. .csv")
     header = {
         "format_version": FORMAT_VERSION,
-        "frequency_hz": smat.k * C0 / (2.0 * math.pi),
+        "frequency_hz": frequency(smat.k),
         "wavenumber": smat.k,
         "rule": np.column_stack([smat.rule.theta, smat.rule.phi,
                                  smat.rule.weights]).tolist(),
@@ -128,7 +130,7 @@ def read_dataset(path: str) -> ScatteringMatrix:
         except (TypeError, ValueError) as exc:
             raise ParseError(f"frequency is not a number: {exc}",
                              line=1) from exc
-        if abs(k - 2.0 * math.pi * f_hz / C0) > 1e-9 * abs(k):
+        if abs(k - wavenumber(f_hz)) > 1e-9 * abs(k):
             raise ParseError(
                 f"wavenumber {k} inconsistent with frequency {f_hz} Hz", line=1)
         rule = _reconstruct_rule(header["rule"], line_no=1)
@@ -245,12 +247,12 @@ def _raise_first_bad_row(path: str, n2: int,
     raise ParseError(f"body does not parse: {exc}") from exc
 
 
-def validation_report(smat: ScatteringMatrix, top: int = 25) -> dict:
+def validation_report(smat: ScatteringMatrix) -> dict:
     """Physics self-checks for a dataset: reciprocity, unitarity, residuals."""
     reciprocity, modeset = overlap(lambda: reciprocity_residual(smat),
                                    lambda: decompose(apply_weights(smat)),
                                    2 * smat.n_points)
-    res = lossless_residual(modeset)[:top]
+    res = lossless_residual(modeset)[:LOSSLESS_TOP]
     return {
         "reciprocity_residual": reciprocity,
         "lossless_residual_max": float(res.max()),
@@ -260,15 +262,13 @@ def validation_report(smat: ScatteringMatrix, top: int = 25) -> dict:
     }
 
 
-def write_modes(modeset, path: str, top: int | None = None) -> None:
+def write_modes(modeset, path: str) -> None:
     """Per-mode eigenvalues and metrics as CSV."""
-    n = modeset.n_modes if top is None else min(top, modeset.n_modes)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["mode", "re_t", "im_t", "significance", "alpha_n",
                          "re_lambda", "im_lambda", "lossless_residual"])
-        for i in range(n):
-            m = metrics(modeset.eigenvalues[i])
+        for i, m in enumerate(map(metrics, modeset.eigenvalues)):
             lam = m.lambda_n
             if lam is None:  # t = 0: lambda is infinite
                 lam = complex(math.nan, math.nan)
@@ -280,8 +280,6 @@ def write_modes(modeset, path: str, top: int | None = None) -> None:
 
 def write_traces(rows: list, path: str) -> None:
     """Long-format trace table as CSV; fixed column order."""
-    from .tracking import TRACE_COLUMNS
-
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRACE_COLUMNS)

@@ -62,7 +62,7 @@ class DipoleModel:
         return 1.0 / inv
 
 
-def build_block(extent, spacing: float, eps_r: float, k: float | None = None) -> DipoleModel:
+def build_block(extent, spacing: float, eps_r: float) -> DipoleModel:
     """Cubic-lattice block of extent (nx, ny, nz) cells, centered at origin."""
     nx, ny, nz = (int(v) for v in extent)
     if min(nx, ny, nz) < 1:
@@ -70,11 +70,6 @@ def build_block(extent, spacing: float, eps_r: float, k: float | None = None) ->
     grids = [spacing * (np.arange(n) - (n - 1) / 2.0) for n in (nx, ny, nz)]
     xx, yy, zz = np.meshgrid(*grids, indexing="ij")
     positions = np.column_stack([xx.ravel(), yy.ravel(), zz.ravel()])
-    if k is not None and spacing > (2.0 * math.pi / k) / 10.0:
-        warnings.warn(
-            f"lattice spacing {spacing:.3e} m exceeds a tenth of the "
-            f"wavelength {2 * math.pi / k:.3e} m; expect coarse-model error",
-            stacklevel=2)
     return DipoleModel(positions=positions, spacing=spacing,
                        relative_permittivity=eps_r)
 
@@ -110,6 +105,11 @@ class ImpedanceSystem:
     def __post_init__(self):
         if self.k <= 0:
             raise ValueError(f"k must be positive, got {self.k}")
+        wavelength = 2.0 * math.pi / self.k
+        if self.model.spacing > wavelength / 10.0:
+            warnings.warn(f"lattice spacing {self.model.spacing:.3e} m exceeds "
+                          f"a tenth of the wavelength {wavelength:.3e} m; "
+                          f"expect coarse-model error", stacklevel=3)
         n = self.model.n_dipoles
         omega = C0 * self.k
         blocks = -(self.k ** 2 / EPS0) * _green_blocks(self.model.positions, self.k)
@@ -213,6 +213,8 @@ def scattering_matrix(model: DipoleModel, rule: QuadratureRule, k: float,
                       backend: DdaBackend | None = None) -> ScatteringMatrix:
     """Sampled scattering matrix -(1/Z0) K Z^{-1} K^H, all excitations at once."""
     backend = backend or DdaBackend(model)
+    if backend.model is not model:
+        raise ValueError("backend was built on a different dipole model")
     kmat = backend.kmat(k, rule)
     sol = backend.system(k).solve(kmat.conj().T)
     return ScatteringMatrix(rule=rule, k=k,

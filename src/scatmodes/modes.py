@@ -22,6 +22,9 @@ EPS0 = 1.0 / (Z0 * C0)    # vacuum permittivity, F/m
 #: numerically robust reformulation; it also bounds the detectable |lambda|.
 SIGNIFICANCE_FLOOR = 1e-6
 
+#: the leading modes the lossless-circle checks read
+LOSSLESS_TOP = 25
+
 
 @dataclass
 class ModeSet:
@@ -344,14 +347,14 @@ class ModalMetrics:
     at_branch_endpoint: bool = False
 
 
-def characteristic_angle(t: complex, epsilon: float = SIGNIFICANCE_FLOOR):
+def characteristic_angle(t: complex):
     """Characteristic angle in [pi/2, 3pi/2].
 
-    For weak modes the direct argument of t is noise-dominated, so the
-    reformulated arg(1 + 2t)/2 + pi/2 is used instead.  Values landing
+    For weak modes (|t| <= SIGNIFICANCE_FLOOR) the argument of t is noise,
+    so the reformulated arg(1 + 2t)/2 + pi/2 is used instead.  Values landing
     exactly on a branch endpoint are mapped to pi/2 and flagged.
     """
-    if abs(t) > epsilon:
+    if abs(t) > SIGNIFICANCE_FLOOR:
         alpha = np.angle(t) % (2.0 * math.pi)
         if alpha < math.pi / 2.0 - 1e-12:
             alpha += 2.0 * math.pi
@@ -364,11 +367,11 @@ def characteristic_angle(t: complex, epsilon: float = SIGNIFICANCE_FLOOR):
     return float(alpha), endpoint
 
 
-def metrics(t: complex, epsilon: float = SIGNIFICANCE_FLOOR) -> ModalMetrics:
+def metrics(t: complex) -> ModalMetrics:
     t = complex(t)
     s = 2.0 * t + 1.0
     lam = None if t == 0 else 1j * (1.0 + 1.0 / t)
-    alpha, endpoint = characteristic_angle(t, epsilon)
+    alpha, endpoint = characteristic_angle(t)
     return ModalMetrics(t=t, modal_significance=abs(t), lambda_n=lam,
                         alpha_n=alpha, s_n=s,
                         lossless_residual=abs(abs(s) - 1.0),
@@ -384,22 +387,21 @@ def lossless_residual(modeset: ModeSet) -> np.ndarray:
     return np.abs(np.abs(2.0 * modeset.eigenvalues + 1.0) - 1.0)
 
 
-def max_lossless_residual(modeset: ModeSet, top: int = 25) -> float:
+def max_lossless_residual(modeset: ModeSet, top: int = LOSSLESS_TOP) -> float:
     res = lossless_residual(modeset)
     return float(np.max(res[:top])) if len(res) else 0.0
 
 
 def characteristic_excitation(f_n: np.ndarray, t_n: complex,
-                              rule: QuadratureRule, k: float,
-                              floor: float = SIGNIFICANCE_FLOOR):
+                              rule: QuadratureRule, k: float):
     """Incident-field sampler of the characteristic plane-wave spectrum.
 
     Returns a pure function r -> E(r) (complex 3-vector) evaluating the
     quadrature form of the modal excitation integral.
     """
-    if abs(t_n) <= floor:
+    if abs(t_n) <= SIGNIFICANCE_FLOOR:
         raise BelowSignificanceThreshold(
-            f"|t| = {abs(t_n):.3e} at or below floor {floor:.1e}")
+            f"|t| = {abs(t_n):.3e} at or below floor {SIGNIFICANCE_FLOOR:.1e}")
     n = rule.n_points
     f_n = np.asarray(f_n, dtype=complex)
     amp = (-1j * k / (4.0 * math.pi * t_n)) * rule.weights

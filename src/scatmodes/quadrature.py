@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import UnsupportedRuleSize
+from .errors import RuleNotInversionSymmetric, UnsupportedRuleSize
 
 FOUR_PI = 4.0 * math.pi
 
@@ -258,8 +258,6 @@ class QuadratureRule:
 
     def inversion_permutation(self) -> np.ndarray:
         """Index map p -> q with r_q = -r_p; raises if the rule is not closed."""
-        from .errors import RuleNotInversionSymmetric
-
         def build():
             uv = self.unit_vectors
             d2 = np.sum((uv[:, None, :] + uv[None, :, :]) ** 2, axis=2)

@@ -15,7 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientQuadrature
+from .modes import Z0
 from .quadrature import Direction, QuadratureRule
+from .scattering import ScatteringMatrix
 
 # (-j)**e for integer e, via e mod 4
 _MINUS_J_POW = (1.0 + 0.0j, -1.0j, -1.0 + 0.0j, 1.0j)
@@ -61,8 +63,7 @@ def n_swe(l_max: int) -> int:
 
 
 def swe_indices(l_max: int) -> list[SweIndex]:
-    out = [SweIndex.from_alpha(a) for a in range(n_swe(l_max))]
-    return out
+    return [SweIndex.from_alpha(a) for a in range(n_swe(l_max))]
 
 
 @dataclass
@@ -183,7 +184,8 @@ def vsh_matrix(l_max: int, rule: QuadratureRule) -> np.ndarray:
     return rule.cached(("vsh", l_max), build)
 
 
-def _require_capability(rule: QuadratureRule, needed: int, what: str):
+def require_capability(rule: QuadratureRule, needed: int, what: str):
+    """InsufficientQuadrature unless the rule integrates to degree needed."""
     if rule.order_capability < needed:
         raise InsufficientQuadrature(
             f"{what} needs quadrature degree >= {needed}, rule "
@@ -196,7 +198,7 @@ def t_from_s(smat, l_max: int) -> TransitionMatrix:
     if smat.weighted:
         raise ValueError("t_from_s expects the unweighted sample matrix")
     rule = smat.rule
-    _require_capability(rule, 2 * l_max, "double projection")
+    require_capability(rule, 2 * l_max, "double projection")
     a = vsh_matrix(l_max, rule)
     w = rule.doubled_weights
     entries = (a.conj().T * w) @ smat.matrix @ (a * w[:, None])
@@ -205,9 +207,7 @@ def t_from_s(smat, l_max: int) -> TransitionMatrix:
 
 def s_from_t(tmat: TransitionMatrix, rule: QuadratureRule, k: float | None = None):
     """Synthesize scattering-dyadic samples at the rule points from T."""
-    from .scattering import ScatteringMatrix
-
-    _require_capability(rule, 2 * tmat.l_max, "sample synthesis")
+    require_capability(rule, 2 * tmat.l_max, "sample synthesis")
     a = vsh_matrix(tmat.l_max, rule)
     matrix = a @ tmat.entries @ a.conj().T
     return ScatteringMatrix(rule=rule, k=k if k is not None else tmat.k,
@@ -222,8 +222,6 @@ def expand_farfield(samples: np.ndarray, rule: QuadratureRule, l_max: int):
     than raised since band-unlimited fields legitimately leave content
     behind.
     """
-    from .modes import Z0
-
     samples = np.asarray(samples, dtype=complex)
     a = vsh_matrix(l_max, rule)
     w = rule.doubled_weights

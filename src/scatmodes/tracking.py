@@ -64,10 +64,6 @@ class Trace:
     def n_steps(self) -> int:
         return len(self.mode_indices)
 
-    @property
-    def last_step(self) -> int:
-        return self.start_step + self.n_steps - 1
-
 
 @dataclass(frozen=True)
 class TrackedTraces:

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scatmodes import dataio
+from scatmodes import cli, dataio
 from scatmodes.errors import DimensionMismatch, ParseError
 from scatmodes import build_block
 from scatmodes.cli import (EXIT_COMPUTE, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION,
@@ -364,6 +364,94 @@ def test_dda_sweep_runs(tmp_path):
         assert main(["sweep", "--config", cfg]) == EXIT_OK
     manifest = dataio.read_manifest(str(tmp_path / "dda_out"))
     assert manifest["complete"] is True
+
+
+def _counting(cls, built):
+    """cls, with each construction appended to built."""
+    class Counting(cls):
+        def __init__(self, *args, **kwargs):
+            built.append(cls.__name__)
+            super().__init__(*args, **kwargs)
+    return Counting
+
+
+def test_mie_sweep_builds_its_backend_once(tmp_path, monkeypatch, mie_config):
+    # a three-frequency "ka" grid once built the backend six times
+    built = []
+    monkeypatch.setattr(cli, "MieBackend", _counting(cli.MieBackend, built))
+    assert main(["sweep", "--config", mie_config]) == EXIT_OK
+    assert built == ["MieBackend"]
+    assert len(dataio.read_manifest(str(tmp_path / "out"))["entries"]) == 3
+
+
+def test_dda_sweep_builds_its_backend_once(tmp_path, monkeypatch):
+    built = []
+    monkeypatch.setattr(cli, "DdaBackend", _counting(cli.DdaBackend, built))
+    cfg = _write_config(tmp_path, {
+        "backend": {"type": "dda", "extent": [2, 2, 1], "spacing": 0.05,
+                    "eps_r": 3.0},
+        "frequencies": {"ka": [1.0, 1.2]},
+        "quadrature": 14,
+        "output": str(tmp_path / "out"),
+    })
+    # the lattice is coarse at both frequencies: one warning each
+    with pytest.warns(UserWarning, match="lattice spacing") as record:
+        assert main(["sweep", "--config", cfg]) == EXIT_OK
+    assert built == ["DdaBackend"]
+    assert len(record) == 2
+
+
+@pytest.mark.parametrize("command", [
+    ["sweep"], ["precision-study", "--nq-list", "14", "--reference", "26"]])
+def test_refused_dda_spec_is_usage_error(tmp_path, capsys, command):
+    # eps_r 1 scatters nothing; it once exited 3 as a compute error
+    backend = json.dumps({"type": "dda", "spacing": 0.1, "eps_r": 1})
+    assert main([*command, "--backend", backend, "--freq-start", "1e8",
+                 "--out", str(tmp_path / "out")]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "scatters nothing" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_explicit_rule_below_the_estimate_warns(tmp_path, capsys):
+    # ka ~ 105 wants about 17,700 points; the run goes on as before
+    out = str(tmp_path / "out")
+    assert main(["sweep", "--backend", "mie", "--freq-start", "5e9",
+                 "--nq", "6", "--out", out]) == EXIT_OK
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["warning: lebedev-6 is below the 17702-point estimate at "
+                   "the largest ka=104.792"]
+    assert dataio.read_manifest(out)["complete"] is True
+
+
+def test_single_dipole_sweep_on_an_explicit_rule_runs(tmp_path, capsys):
+    # one dipole sits at the origin: its ka is 0 and has no estimate
+    backend = json.dumps({"type": "dda", "extent": [1, 1, 1], "spacing": 0.1,
+                          "eps_r": 3.0})
+    assert main(["sweep", "--backend", backend, "--freq-start", "1e8",
+                 "--nq", "14", "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("nq", ["26", "auto"])
+def test_adequate_rule_does_not_warn(tmp_path, capsys, mie_config, nq):
+    # the 26-point rule meets the 25-point estimate at ka 1.2
+    assert main(["sweep", "--config", mie_config, "--nq", nq]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("args, flag", [
+    (["sweep", "--nq", "26.5"], "--nq"),
+    (["precision-study", "--nq-list", "14,x", "--reference", "26"],
+     "--nq-list"),
+    (["precision-study", "--nq", "26", "--nq-list", "14",
+      "--reference", "26"], "--nq"),
+], ids=["nq-fraction", "nq-list-word", "precision-study-nq"])
+def test_bad_point_count_flag_is_named(capsys, args, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == EXIT_USAGE
+    assert flag in capsys.readouterr().err
 
 
 def test_precision_study_outputs_table(tmp_path, capsys):

@@ -326,12 +326,12 @@ def test_validation_report_fields(mie_modes_ka1):
 def test_write_modes_table(tmp_path, mie_modes_ka1):
     _, _, modeset = mie_modes_ka1
     path = str(tmp_path / "modes.csv")
-    dataio.write_modes(modeset, path, top=5)
+    dataio.write_modes(modeset, path)
     with open(path, newline="") as fh:
         rows = list(csv.DictReader(fh))
-    assert len(rows) == 5
-    assert float(rows[0]["significance"]) == pytest.approx(
-        abs(modeset.eigenvalues[0]))
+    assert [int(r["mode"]) for r in rows] == list(range(modeset.n_modes))
+    assert [float(r["significance"]) for r in rows] == pytest.approx(
+        np.abs(modeset.eigenvalues))
 
 
 def test_write_modes_null_rows(tmp_path, mie_modes_ka1):

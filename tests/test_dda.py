@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -25,9 +26,14 @@ def test_build_block_rejects_unit_permittivity():
         sm.build_block((2, 2, 1), 0.1, 1.0)
 
 
-def test_build_block_warns_on_coarse_lattice():
-    with pytest.warns(UserWarning, match="tenth of the"):
-        sm.build_block((2, 2, 1), 1.0, 3.0, k=1.0)
+def test_impedance_system_warns_on_coarse_lattice():
+    # the lattice meets a wavelength when the impedance matrix is built
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = sm.build_block((2, 2, 1), 1.0, 3.0)
+        sm.ImpedanceSystem(model, 0.5)  # spacing 1 < a tenth of 4 pi
+    with pytest.warns(UserWarning, match="tenth of the wavelength 6.283e"):
+        sm.ImpedanceSystem(model, 1.0)
 
 
 def test_polarizability_radiation_correction():
@@ -80,6 +86,18 @@ def test_backend_sample_is_the_one_shot_matrix(dipole_block, dda_pipeline):
     assert np.array_equal(got.matrix.view(np.uint64),
                           smat_direct.matrix.view(np.uint64))
     assert backend.radius == dipole_block.circumscribing_radius
+
+
+def test_scattering_matrix_refuses_a_backend_of_another_model():
+    # given block a and a backend built on block b, it once sampled b
+    a = sm.build_block((2, 2, 1), 0.3, 3.0)
+    b = sm.build_block((2, 1, 1), 0.3, 3.0)
+    rule = sm.lebedev_rule(14)
+    with pytest.raises(ValueError, match="different dipole model"):
+        sm.scattering_matrix(a, rule, 1.0, sm.DdaBackend(b))
+    backend = sm.DdaBackend(a)
+    assert np.array_equal(sm.scattering_matrix(a, rule, 1.0, backend).matrix,
+                          sm.scattering_matrix(a, rule, 1.0).matrix)
 
 
 def test_backend_keeps_one_impedance_system():
