@@ -110,7 +110,11 @@ class RunConfig:
 
     def rule(self):
         """The sweep's rule.  An unsupported size, or one that would alias a
-        mie l_max, is a usage error; one below the sampling estimate warns."""
+        mie l_max, is a usage error; one below the sampling estimate warns.
+        "auto" on a scatterer of zero radius is a usage error too."""
+        if self.n_q == "auto":
+            _require_radius(self.backend.radius, '"auto" quadrature',
+                            "give a point count")
         ka = self.wavenumbers[-1] * self.backend.radius
         try:
             rule = lebedev_rule(minimum_points(ka) if self.n_q == "auto"
@@ -127,6 +131,15 @@ class RunConfig:
         return rule
 
 
+def _require_radius(radius: float, what: str, instead: str) -> None:
+    """A ConfigError naming the zero radius unless radius is positive: what
+    means k times it, and a single dipole sits at its block's center."""
+    if not radius > 0:
+        raise ConfigError(f"{what} needs a scatterer of positive radius, and "
+                          f"this one's radius is {radius:g} (a single "
+                          f"dipole); {instead}")
+
+
 def _grid_from_config(cfg: dict, radius: float) -> np.ndarray:
     grid = cfg.get("frequencies")
     if grid is None:
@@ -137,7 +150,10 @@ def _grid_from_config(cfg: dict, radius: float) -> np.ndarray:
         if not isinstance(grid["ka"], list):
             raise ConfigError(f"'ka' must be a list of numbers, got "
                               f"{grid['ka']!r}")
-        return np.array([_real(ka, "each 'ka'") for ka in grid["ka"]]) / radius
+        kas = np.array([_real(ka, "each 'ka'") for ka in grid["ka"]])
+        _require_radius(radius, "a 'ka' grid",
+                        "give the frequencies as start_hz, stop_hz and count")
+        return kas / radius
     try:
         start = _real(grid["start_hz"], "start_hz")
         stop = _real(grid["stop_hz"], "stop_hz")
@@ -176,6 +192,9 @@ def load_config(args) -> RunConfig:
     if "tolerances" in cfg:
         raise ConfigError("a config's \"tolerances\" have no effect; pass "
                           "--tolerance KEY=VAL to validate instead")
+    if args.command == "precision-study" and "quadrature" in cfg:
+        raise ConfigError("precision-study takes no \"quadrature\": it runs "
+                          "the rules of --nq-list and --reference")
     if "backend" not in cfg:
         raise ConfigError("no backend configured (use --backend or a config file)")
     if not isinstance(cfg["backend"], dict):

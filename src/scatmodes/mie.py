@@ -22,7 +22,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import spherical_jn, spherical_yn
+# the ufuncs behind scipy.special.spherical_jn/yn, whose wrappers add only
+# the reflection for negative x, which a recursion radius never takes
+from scipy.special._ufuncs import _spherical_jn, _spherical_yn
 
 from .errors import ScatmodesError
 from .quadrature import QuadratureRule
@@ -85,14 +87,15 @@ def _riccati(l_max: int, x: np.ndarray):
     """(psi, psi', chi, chi') for l = 1..l_max along the last axis, with
     psi = x j_l(x) and chi = -x y_l(x); x is a column.
 
-    One spherical_jn and one spherical_yn call over l = 0..l_max; the
-    derivatives follow from f_l' = f_{l-1} - (l + 1) f_l / x, the
-    expression SciPy's derivative=True evaluates for l >= 1, so for
-    x != 0 the results are bit-identical to it.
+    One call of each spherical-Bessel ufunc over l = 0..l_max: for x >= 0
+    these are spherical_jn and spherical_yn, bit for bit.  The derivatives
+    follow from f_l' = f_{l-1} - (l + 1) f_l / x, the expression SciPy's
+    derivative=True evaluates for l >= 1, so for x != 0 the results are
+    bit-identical to it.
     """
-    orders = np.arange(l_max + 1)
+    orders = np.arange(l_max + 1, dtype=np.dtype("long"))
     l = orders[1:]
-    j, y = spherical_jn(orders, x), spherical_yn(orders, x)
+    j, y = _spherical_jn(orders, x), _spherical_yn(orders, x)
     jp = j[..., :-1] - (l + 1) * j[..., 1:] / x
     yp = y[..., :-1] - (l + 1) * y[..., 1:] / x
     j, y = j[..., 1:], y[..., 1:]
@@ -160,7 +163,9 @@ def channel_eigenvalues(sphere: LayeredSphere, ka: float, l_max: int) -> np.ndar
             mat = np.empty(u.shape + (2, 2))
             mat[..., 0, 0], mat[..., 0, 1] = psi[a], chi[a]
             mat[..., 1, 0], mat[..., 1, 1] = mp * dpsi[a], mp * dchi[a]
-            cd, singular = _batched_solve(mat, np.stack([v, u], axis=-1)[..., None])
+            rhs = np.empty(u.shape + (2, 1))
+            rhs[..., 0, 0], rhs[..., 1, 0] = v, u
+            cd, singular = _batched_solve(mat, rhs)
             flag(singular, f"(layer transfer at x={radii[a]})")
             c, d = cd[..., 0, 0], cd[..., 1, 0]
             u = mp * (c * dpsi[b] + d * dchi[b])

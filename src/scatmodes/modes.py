@@ -156,14 +156,62 @@ def _check_lapack(name: str, info: int) -> None:
         raise scipy.linalg.LinAlgError(f"LAPACK {name} failed (info {info})")
 
 
+#: LAPACK workspace sizes by (routine, argument signature, flags), filled
+#: by _workspace.  A query's answer depends on nothing else, so an entry
+#: never goes stale.  Safe from any thread: a key is looked up and stored
+#: by single dict operations, and two threads that miss the same key store
+#: the same value.
+_WORKSPACE: dict = {}
+
+
+def _signature(args, flags: dict) -> tuple:
+    """What a workspace query answers from: the dtype and shape of each
+    array argument, the value of any other, and the flags, sorted."""
+    return (tuple([(a.dtype.char, a.shape) if isinstance(a, np.ndarray)
+                   else a for a in args]), tuple(sorted(flags.items())))
+
+
+def _workspace(key: tuple, query) -> int:
+    """The lwork cached under key, from int(query()) on first use."""
+    lwork = _WORKSPACE.get(key)
+    if lwork is None:
+        lwork = _WORKSPACE.setdefault(key, int(query()))
+    return lwork
+
+
 def _lapack(func, name: str, *args, **kwargs) -> list:
     """Outputs of a LAPACK routine run with the workspace its own query
-    asks for, as scipy.linalg's wrappers run it: blocking, and with it the
-    rounding, depends on lwork."""
-    work = func(*args, lwork=-1, **kwargs)[-2]
-    *out, _, info = func(*args, lwork=int(work[0].real), **kwargs)
+    (lwork=-1) asks for, as scipy.linalg's wrappers run it: blocking, and
+    with it the rounding, depends on lwork.  The query runs once per
+    routine, argument dtypes and shapes, and flags (see _WORKSPACE)."""
+    lwork = _workspace((name, *_signature(args, kwargs)),
+                       lambda: func(*args, lwork=-1, **kwargs)[-2][0].real)
+    *out, _, info = func(*args, lwork=lwork, **kwargs)
     _check_lapack(name, info)
     return out
+
+
+def _geev(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and right eigenvectors of a square complex matrix, which
+    is left alone: scipy.linalg.eig(a), bit for bit, without its wrapper.
+
+    LAPACK geev runs with the workspace eig takes from geev_lwork, cached
+    as _lapack caches its queries; any nonzero info is a LinAlgError.
+    """
+    a = np.asarray_chkfinite(a)
+    geev, geev_lwork = scipy.linalg.get_lapack_funcs(("geev", "geev_lwork"),
+                                                     (a,))
+    flags = {"compute_vl": 0, "compute_vr": 1}
+
+    def query():
+        work, info = geev_lwork(a.shape[0], **flags)
+        _check_lapack("geev_lwork", info)
+        return work.real
+
+    lwork = _workspace(("geev", *_signature((a,), flags)), query)
+    values, _, vectors, info = geev(a, lwork=lwork, **flags)
+    _check_lapack("geev", info)
+    return values, vectors
 
 
 def _economic_q(a: np.ndarray) -> np.ndarray:
@@ -228,8 +276,10 @@ def _eigenpairs(matrix: np.ndarray,
     weights: sqrt|w|^-1 times the Q factor of sqrt|w| P [-R11^-1 R12; I],
     from one triangular-pentagonal QR (LAPACK tpqrt, then tpmqrt to form
     Q).  The scaled identity block is already triangular, so this costs
-    O(r (n - r)^2).  At full rank this is eig(S) itself.  The null basis
-    and the r x r eig are independent: overlap runs them side by side.
+    O(r (n - r)^2).  At full rank, as on noisy solver data, this is eig(S)
+    itself.  Both eigensolves are _geev, so scipy.linalg.eig's bits.  The
+    null basis and the r x r eig are independent: overlap runs them side
+    by side.
 
     Below SIGNIFICANCE_FLOOR an eigenvector's component along the null space
     is rounding amplified by 1/|t|: up to 1e-2 at |t| ~ 1e-14.  The modes of
@@ -242,12 +292,13 @@ def _eigenpairs(matrix: np.ndarray,
     n = matrix.shape[0]
     geqp3, trtrs, orgqr, tpqrt, tpmqrt = scipy.linalg.get_lapack_funcs(
         ("geqp3", "trtrs", "orgqr", "tpqrt", "tpmqrt"), (matrix,))
-    qr, perm, tau = _lapack(geqp3, "geqp3", np.asarray_chkfinite(matrix))
+    matrix = np.asarray_chkfinite(matrix)
+    qr, perm, tau = _lapack(geqp3, "geqp3", matrix)
     perm -= 1
     diag = np.abs(np.diag(qr))
     rank = int(np.count_nonzero(diag > n * np.finfo(float).eps * diag[0]))
     if rank == n:
-        return scipy.linalg.eig(matrix)
+        return _geev(matrix)
     if rank == 0:
         return (np.zeros(n, dtype=complex),
                 np.diag(1.0 / np.sqrt(np.abs(weights)) + 0j))
@@ -272,10 +323,10 @@ def _eigenpairs(matrix: np.ndarray,
         _check_lapack("tpmqrt", info)
         return q_top, q_bottom
 
-    def significant():  # scipy.linalg.eig holds the GIL: keep it here
+    def significant():  # geev holds the GIL: keep it here
         q, _, info = orgqr(qr[:, :rank], tau[:rank])
         _check_lapack("orgqr", info)
-        return q, *scipy.linalg.eig(rmat[:, np.argsort(perm)] @ q)
+        return q, *_geev(rmat[:, np.argsort(perm)] @ q)
 
     (q_top, q_bottom), (q, t_sig, y) = overlap(null_basis, significant, n)
     values = np.zeros(n, dtype=complex)

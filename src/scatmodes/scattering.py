@@ -130,19 +130,29 @@ def _dyads(smat: ScatteringMatrix, rows, cols) -> np.ndarray:
     into zeros in (a, b) order reproduce the naive four-operand
     einsum("pqab,pai,qbj->pqij"), transposed, bit for bit, at under half its
     cost.  The sample pair is the inner index, so that each broadcast runs
-    over N_q entries at a time.
+    over N_q entries at a time.  The frames, cast and indexed for the
+    block, depend only on the rule and are kept with it.
     """
     rule = smat.rule
     n = rule.n_points
-    frames = (rule.theta_hats.T.astype(complex),
-              rule.phi_hats.T.astype(complex))  # (3, N_q) each
-    rows, cols = list(rows), list(cols)
+
+    def build():
+        frames = (rule.theta_hats.T.astype(complex),
+                  rule.phi_hats.T.astype(complex))  # (3, N_q) each
+        blocks = ([f[list(rows), :, None] for f in frames],
+                  [f[None, list(cols), None, :] for f in frames])
+        for arr in blocks[0] + blocks[1]:
+            arr.setflags(write=False)
+        return blocks
+
+    left_frames, right_frames = rule.cached(
+        ("dyad frames", tuple(rows), tuple(cols)), build)
     s4 = smat.matrix.reshape(2, n, 2, n)  # (a, p, b, q)
     dyad = np.zeros((len(rows), len(cols), n, n), dtype=complex)
     for a in range(2):
         for b in range(2):
-            left = s4[a, None, :, b, :] * frames[a][rows, :, None]
-            dyad += left[:, None] * frames[b][None, cols, None, :]
+            left = s4[a, None, :, b, :] * left_frames[a]
+            dyad += left[:, None] * right_frames[b]
     return dyad
 
 
@@ -155,10 +165,21 @@ def reciprocity_residual(smat: ScatteringMatrix) -> float:
     of components at a time (see _dyad_blocks): at N_q = 302 the check
     holds under 8 MB at once, where the whole dyad takes 13 MB.
     """
-    inv = smat.rule.inversion_permutation()
+    rule, n = smat.rule, smat.n_points
+    inv = rule.inversion_permutation()
+
+    def build():  # inv[q] n + inv[p] at p n + q: one gather, kept with the rule
+        pairs = (inv[None, :] * n + inv[:, None]).ravel()
+        pairs.setflags(write=False)
+        return pairs
+
+    pairs = rule.cached("inverted pairs", build)
 
     def violation(dyad, mirror):
-        swapped = mirror.transpose(1, 0, 3, 2)[:, :, inv[:, None], inv]
+        # swapped[i, j, p, q] = mirror[j, i, inv[q], inv[p]]
+        rows, cols = mirror.shape[:2]
+        swapped = (mirror.reshape(rows, cols, n * n).take(pairs, axis=2)
+                   .reshape(rows, cols, n, n).transpose(1, 0, 2, 3))
         return np.max(np.abs(dyad - swapped))
 
     worst = []

@@ -344,7 +344,10 @@ def test_unsupported_rule_size_is_a_usage_error(tmp_path, monkeypatch, capsys,
                                                 args):
     # no embedded rule has these sizes: refused before anything is written
     monkeypatch.chdir(tmp_path)
-    _write_config(tmp_path, _with(["frequencies", "ka"], [1.0]))
+    cfg = _with(["frequencies", "ka"], [1.0])
+    if args[0] == "precision-study":
+        del cfg["quadrature"]  # refused there: the flags name its rules
+    _write_config(tmp_path, cfg)
     assert main([args[0], "--config", "config.json", *args[1:]]) == EXIT_USAGE
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and "is not a supported Lebedev size" in err[0]
@@ -433,6 +436,31 @@ def test_single_dipole_sweep_on_an_explicit_rule_runs(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize("frequencies, quadrature, what", [
+    ({"ka": [0.5]}, "auto", "a 'ka' grid"),
+    ({"ka": [0.5]}, 14, "a 'ka' grid"),
+    ({"start_hz": 1e8, "stop_hz": 1e8, "count": 1}, "auto",
+     '"auto" quadrature'),
+], ids=["ka-auto", "ka-explicit-rule", "hz-auto"])
+def test_zero_radius_is_a_usage_error(tmp_path, monkeypatch, capsys,
+                                      frequencies, quadrature, what):
+    # one dipole sits at its block's center: "ka" and "auto" mean k times 0;
+    # the ka grid once divided by it, and "auto" read "ka must be positive"
+    monkeypatch.chdir(tmp_path)
+    _write_config(tmp_path, {
+        "backend": {"type": "dda", "extent": [1, 1, 1], "spacing": 0.1,
+                    "eps_r": 3},
+        "frequencies": frequencies, "quadrature": quadrature,
+        "output": "out"})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["sweep", "--config", "config.json"]) == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {what} needs")
+    assert "radius is 0 (a single dipole)" in err[0]
+    assert os.listdir(tmp_path) == ["config.json"]
+
+
 @pytest.mark.parametrize("nq", ["26", "auto"])
 def test_adequate_rule_does_not_warn(tmp_path, capsys, mie_config, nq):
     # the 26-point rule meets the 25-point estimate at ka 1.2
@@ -468,6 +496,25 @@ def test_precision_study_outputs_table(tmp_path, capsys):
     # the coarse rule sits below the sampling estimate and is annotated
     assert "below" in rows[0]["note"]
     assert float(rows[1]["magnitude_error"]) < float(rows[0]["magnitude_error"])
+
+
+@pytest.mark.parametrize("quadrature", [27, 26])
+def test_precision_study_refuses_a_config_quadrature(tmp_path, monkeypatch,
+                                                     capsys, quadrature):
+    # the study runs --nq-list and --reference; 27, which no rule has,
+    # once ran to exit 0
+    monkeypatch.chdir(tmp_path)
+    _write_config(tmp_path, {
+        "backend": {"type": "mie", "eps_r": 3.0},
+        "frequencies": {"ka": [1.0]}, "quadrature": quadrature,
+        "output": "prec"})
+    assert main(["precision-study", "--config", "config.json",
+                 "--nq-list", "14", "--reference", "26"]) == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert '"quadrature"' in err[0] and "--nq-list" in err[0] \
+        and "--reference" in err[0]
+    assert os.listdir(tmp_path) == ["config.json"]
 
 
 def test_precision_study_overflow_is_compute_error(tmp_path, capsys):

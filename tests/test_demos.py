@@ -55,3 +55,14 @@ def test_readme_config_sweeps_and_validates(tmp_path):
     assert sweep.returncode == 0, sweep.stderr
     validate = _run([*cli, "validate", config["output"]], cwd=tmp_path)
     assert validate.returncode == 0, validate.stdout + validate.stderr
+
+
+def test_readme_study_config_runs_the_precision_study(tmp_path):
+    config = json.loads(_readme_block("Example `study.json`", "json"))
+    (tmp_path / "study.json").write_text(json.dumps(config))
+    command = _readme_block("## CLI", "bash").splitlines()[-1].split()
+    assert command[:4] == ["scatmodes", "precision-study", "--config",
+                           "study.json"]
+    study = _run(["-m", "scatmodes.cli", *command[1:]], cwd=tmp_path)
+    assert study.returncode == 0, study.stderr
+    assert (tmp_path / config["output"] / "precision_study.csv").exists()

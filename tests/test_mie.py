@@ -184,6 +184,20 @@ def test_riccati_equals_the_scipy_derivative_path():
         assert np.array_equal(g, r, equal_nan=True)
 
 
+def test_bessel_ufuncs_equal_the_public_functions():
+    """_riccati calls the ufuncs behind spherical_jn and spherical_yn; for
+    x >= 0 their wrappers add nothing, l = 0..30 over x from 1e-12 to 50
+    (y_l overflows at the small end)."""
+    orders = np.arange(31)
+    x = np.concatenate([[0.0], np.geomspace(1e-12, 50.0, 1201)])[:, None]
+    with np.errstate(all="ignore"):
+        for ufunc, public in ((sm.mie._spherical_jn, spherical_jn),
+                              (sm.mie._spherical_yn, spherical_yn)):
+            got, ref = ufunc(orders, x), public(orders, x)
+            assert got.shape == ref.shape == (1202, 31)
+            assert np.array_equal(got, ref, equal_nan=True)
+
+
 @pytest.mark.parametrize("eps,mu", [(3.0, 1.0), (2.0, 1.0), (5.0, 2.0)])
 @pytest.mark.parametrize("ka", [0.5, 1.0, 2.0, 4.5])
 def test_homogeneous_matches_textbook(eps, mu, ka):

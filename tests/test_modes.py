@@ -511,6 +511,109 @@ def test_eigenpairs_at_full_rank_are_the_full_eig():
     assert np.array_equal(vectors, ref_vectors)
 
 
+def _same_bits(got, ref):
+    """Equal shapes, dtypes and bytes: signed zeros and NaN payloads too."""
+    return (got.shape == ref.shape and got.dtype == ref.dtype
+            and got.tobytes() == ref.tobytes())
+
+
+def _assert_is_scipy_eig(a):
+    values, vectors = modes._geev(a)
+    ref_values, ref_vectors = scipy.linalg.eig(a)
+    assert _same_bits(values, ref_values)
+    assert _same_bits(vectors, ref_vectors)
+
+
+def test_geev_equals_scipy_eig():
+    """Sizes 1 to 80, and past 75, where geev's Hessenberg QR takes the
+    multishift path whose deflation window follows lwork, up to the
+    r = 143 of the 110-point rule and beyond; plus a multiplet, a
+    diagonal and a zero matrix."""
+    rng = np.random.default_rng(80)
+    for n in [*range(1, 81), 96, 143, 200]:
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        _assert_is_scipy_eig(a)
+    q, _ = np.linalg.qr(a)
+    _assert_is_scipy_eig(q @ np.diag(np.repeat([2.0, -1j, 0.5], [5, 7, 188]))
+                         @ q.conj().T)
+    _assert_is_scipy_eig(np.diag(np.arange(12.0) + 0j))
+    _assert_is_scipy_eig(np.zeros((9, 9), dtype=complex))
+
+
+def test_geev_equals_scipy_eig_on_every_sweep_block(magnetodielectric_matrices,
+                                                    monkeypatch):
+    """_geev is the one eigensolver _eigenpairs calls, once per step, and on
+    each r x r block of the 201-step sweep it gives eig's bits."""
+    _, weighted = magnetodielectric_matrices
+    blocks, real = [], modes._geev
+
+    def recording(a):
+        blocks.append(a.copy())
+        return real(a)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(modes, "_geev", recording)
+        for smat in weighted:
+            modes._eigenpairs(smat.matrix, smat.rule.doubled_weights)
+    assert len(blocks) == 201
+    assert all(a.shape == (48, 48) for a in blocks)
+    for a in blocks:
+        _assert_is_scipy_eig(a)
+
+
+def _fresh_lwork(key):
+    """The workspace a new query gives for a _WORKSPACE key."""
+    name, args, flags = key
+    flags = dict(flags)
+    if name == "geev":
+        ((char, (n, _)),) = args
+        query = scipy.linalg.get_lapack_funcs("geev_lwork",
+                                              dtype=np.dtype(char))
+        work, info = query(n, **flags)
+    else:
+        arrays = [np.zeros(shape, dtype=char) for char, shape in args]
+        func = scipy.linalg.get_lapack_funcs(name, arrays)
+        *_, work, info = func(*arrays, lwork=-1, **flags)
+        work = work[0]
+    assert info == 0
+    return int(work.real)
+
+
+def _workspace_cases(weighted, dda_pipeline):
+    """Matrices that reach every LAPACK call decompose makes: sweep steps,
+    a rule with negative weights, the dipole block, a matrix large enough
+    for the helper thread, and full-rank noise."""
+    sphere = sm.LayeredSphere.homogeneous(1.0, 3.0)
+    cases = [weighted[0], weighted[100], weighted[200],
+             sm.apply_weights(dda_pipeline[4]),
+             sm.apply_weights(_full_rank_noise(38))]
+    for n_q, ka in ((74, 1.0), (110, 1.0)):
+        smat = sm.MieBackend(sphere).sample(sm.lebedev_rule(n_q), ka)
+        cases.append(sm.apply_weights(smat))
+    return cases
+
+
+def test_decompose_is_the_same_with_a_cold_and_a_warm_workspace_cache(
+        magnetodielectric_matrices, dda_pipeline, monkeypatch):
+    """Each case decomposes to the same bits with the workspace cache
+    emptied first and with it filled; every cached lwork equals a fresh
+    query, and each key names its routine, argument dtypes and shapes."""
+    _, weighted = magnetodielectric_matrices
+    for smat in _workspace_cases(weighted, dda_pipeline):
+        monkeypatch.setattr(modes, "_WORKSPACE", {})
+        cold = sm.decompose(smat)
+        filled = dict(modes._WORKSPACE)
+        assert {key[0] for key in filled} >= {"geqp3", "geev"}
+        warm = sm.decompose(smat)
+        assert modes._WORKSPACE == filled
+        for got, ref in ((warm.eigenvalues, cold.eigenvalues),
+                         (warm.eigenvectors, cold.eigenvectors),
+                         (warm.residuals, cold.residuals)):
+            assert _same_bits(got, ref)
+        for key, lwork in filled.items():
+            assert lwork == _fresh_lwork(key), key
+
+
 def test_eigenpairs_of_a_zero_matrix_are_a_null_basis():
     w = np.array([0.5, 2.0, -0.25, 1.0, 4.0, 0.125])
     values, vectors = modes._eigenpairs(np.zeros((6, 6), dtype=complex), w)
@@ -519,29 +622,44 @@ def test_eigenpairs_of_a_zero_matrix_are_a_null_basis():
                        rtol=0, atol=1e-15)
 
 
+def _full_rank_noise(n_q):
+    """test_scattering's seeded noise samples on the rule of n_q points:
+    full rank, as noisy solver data is."""
+    noise = np.random.default_rng(n_q).standard_normal((2 * n_q, 2 * n_q))
+    return sm.ScatteringMatrix(rule=sm.lebedev_rule(n_q), k=1.3,
+                               matrix=noise * (1.0 + 1j))
+
+
 @pytest.mark.parametrize("failing", ["geqp3", "orgqr", "trtrs", "tpqrt",
-                                     "tpmqrt"])
+                                     "tpmqrt", "geev"])
 def test_a_failed_lapack_call_is_an_eigensolver_failure(
         failing, mie_modes_ka1, mie_eps3_110, monkeypatch):
     """On N_q=110 trtrs, tpqrt and tpmqrt run on overlap's helper thread:
-    their failure must reach the caller, and the thread must be gone."""
+    their failure must reach the caller, and the thread must be gone.  A
+    negative info is a bad argument; a positive one a numerical failure,
+    such as a geev that does not converge.  geev also solves the full-rank
+    matrix of noisy samples."""
     real = scipy.linalg.get_lapack_funcs
+    cases = [mie_modes_ka1[1], mie_eps3_110]
+    if failing in ("geqp3", "geev"):
+        cases.append(_full_rank_noise(26))
+    for info in (-1, 2):
+        def with_failure(names, arrays):
+            def fail(func):
+                def call(*args, **kwargs):
+                    return (*func(*args, **kwargs)[:-1], info)
+                return call
+            return [fail(func) if name == failing else func
+                    for name, func in zip(names, real(names, arrays))]
 
-    def with_failure(names, arrays):
-        def fail(func):
-            def call(*args, **kwargs):
-                return (*func(*args, **kwargs)[:-1], -1)
-            return call
-        return [fail(func) if name == failing else func
-                for name, func in zip(names, real(names, arrays))]
-
-    monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", with_failure)
-    threads = threading.active_count()
-    for smat in (mie_modes_ka1[1], mie_eps3_110):
-        with pytest.raises(EigensolverFailure) as excinfo:
-            sm.decompose(sm.apply_weights(smat))
-        assert failing in str(excinfo.value.__cause__)
-        assert threading.active_count() == threads
+        monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", with_failure)
+        threads = threading.active_count()
+        for smat in cases:
+            with pytest.raises(EigensolverFailure) as excinfo:
+                sm.decompose(sm.apply_weights(smat))
+            assert f"LAPACK {failing} failed (info {info})" in str(
+                excinfo.value.__cause__)
+            assert threading.active_count() == threads
 
 
 @pytest.mark.xfail(strict=True, reason=(

@@ -6,6 +6,7 @@ multithreaded BLAS.
 """
 
 import multiprocessing
+import sys
 import threading
 
 import numpy as np
@@ -61,6 +62,42 @@ def test_overlapped_outputs_equal_the_inline_ones_bit_for_bit(
         assert reports[0]["reciprocity_residual"] == sm.reciprocity_residual(
             smat)
     assert threads  # the default path did run on the helper thread
+
+
+def test_workspace_cache_filled_from_many_threads(sphere_eps3, monkeypatch):
+    """More threads than cores decompose at once from an empty workspace
+    cache, with a short switch interval (N_q=110 also starts the helper
+    thread): every result has the bits of a lone decompose, and the cache
+    ends as a lone run fills it, one lwork per key."""
+    cases = [sm.apply_weights(sm.MieBackend(sphere_eps3).sample(
+        sm.lebedev_rule(n_q), 1.0)) for n_q in (26, 38, 110)]
+    monkeypatch.setattr(modes, "_WORKSPACE", {})
+    want = [sm.decompose(smat) for smat in cases]
+    lone = dict(modes._WORKSPACE)
+    monkeypatch.setattr(modes, "_WORKSPACE", {})
+    results = {}
+
+    def work(i):
+        results[i] = sm.decompose(cases[i % len(cases)])
+
+    workers = [threading.Thread(target=work, args=(i,)) for i in range(9)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert sorted(results) == list(range(9))
+    for i, got in results.items():
+        ref = want[i % len(cases)]
+        for name in ("eigenvalues", "eigenvectors", "residuals"):
+            assert np.array_equal(_bits(getattr(got, name)),
+                                  _bits(getattr(ref, name)))
+    assert modes._WORKSPACE == lone
 
 
 def _decompose_in_child(smat, conn):

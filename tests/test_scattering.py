@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import scatmodes as sm
-from scatmodes import scattering
+from scatmodes import modes, scattering
 from scatmodes.errors import AlreadyWeighted
 from scatmodes.scattering import POLARIZATIONS
 
@@ -175,3 +176,19 @@ def test_reciprocity_dyads_equal_the_einsum_reference(n_q, dda_pipeline,
             swapped = ref[np.ix_(inv, inv)].transpose(1, 0, 3, 2)
             assert sm.reciprocity_residual(case) == float(
                 np.max(np.abs(ref - swapped)))
+
+
+@pytest.mark.parametrize("n_q", [6, 38, 110])
+def test_full_rank_noise_gets_the_bits_of_scipy_eig(n_q):
+    """The seeded noise samples above have full rank, as noisy solver data
+    has, so _eigenpairs solves the whole weighted matrix: bit for bit what
+    scipy.linalg.eig returns for it."""
+    rule = sm.lebedev_rule(n_q)
+    noise = np.random.default_rng(n_q).standard_normal((2 * n_q, 2 * n_q))
+    weighted = sm.apply_weights(sm.ScatteringMatrix(
+        rule=rule, k=1.3, matrix=noise * (1.0 + 1j)))
+    got = modes._eigenpairs(weighted.matrix, rule.doubled_weights)
+    ref = scipy.linalg.eig(weighted.matrix)
+    for g, r in zip(got, ref):
+        assert g.shape == r.shape and g.dtype == r.dtype
+        assert g.tobytes() == r.tobytes()
