@@ -131,6 +131,15 @@ class RunConfig:
         return rule
 
 
+def _check_keys(spec: dict, accepted: tuple, where: str) -> None:
+    """A ConfigError naming each key of spec outside accepted, and where it
+    sits: a misspelled key would otherwise be ignored."""
+    unknown = [key for key in spec if key not in accepted]
+    if unknown:
+        raise ConfigError(f"unknown key {', '.join(map(repr, unknown))} in "
+                          f"{where}; it accepts {', '.join(accepted)}")
+
+
 def _require_radius(radius: float, what: str, instead: str) -> None:
     """A ConfigError naming the zero radius unless radius is positive: what
     means k times it, and a single dipole sits at its block's center."""
@@ -146,6 +155,7 @@ def _grid_from_config(cfg: dict, radius: float) -> np.ndarray:
         raise ConfigError("config needs a 'frequencies' section")
     if not isinstance(grid, dict):
         raise ConfigError(f"'frequencies' must be a JSON object, got {grid!r}")
+    _check_keys(grid, ("ka", "start_hz", "stop_hz", "count"), "'frequencies'")
     if "ka" in grid:
         if not isinstance(grid["ka"], list):
             raise ConfigError(f"'ka' must be a list of numbers, got "
@@ -195,6 +205,8 @@ def load_config(args) -> RunConfig:
     if args.command == "precision-study" and "quadrature" in cfg:
         raise ConfigError("precision-study takes no \"quadrature\": it runs "
                           "the rules of --nq-list and --reference")
+    _check_keys(cfg, ("backend", "frequencies", "quadrature", "output"),
+                "the config")
     if "backend" not in cfg:
         raise ConfigError("no backend configured (use --backend or a config file)")
     if not isinstance(cfg["backend"], dict):
@@ -218,6 +230,8 @@ def _backend(spec: dict):
     if kind is None:
         raise ConfigError("backend spec needs a 'type' field")
     if kind == "dda":
+        _check_keys(spec, ("type", "extent", "spacing", "eps_r"),
+                    "the dda backend")
         extent = spec.get("extent", [4, 4, 1])
         if not isinstance(extent, list) or len(extent) != 3:
             raise ConfigError(f"dda 'extent' must be three cell counts, got "
@@ -234,6 +248,8 @@ def _backend(spec: dict):
     if kind != "mie":
         raise ConfigError(f"unknown backend type {kind!r}; "
                           f"expected 'mie' or 'dda'")
+    _check_keys(spec, ("type", "radius", "eps_r", "mu_r", "layers", "l_max"),
+                "the mie backend")
     radius = _real(spec.get("radius", 1.0), "mie 'radius'")
     layers = spec.get("layers")
     if layers is None:
@@ -245,6 +261,9 @@ def _backend(spec: dict):
         raise ConfigError(f"mie 'layers' must be a list of objects, got "
                           f"{layers!r}")
     else:
+        for i, layer in enumerate(layers):
+            _check_keys(layer, ("eps_r", "mu_r", "boundary_fraction"),
+                        f"mie layer {i}")
         try:
             sphere = LayeredSphere(radius, tuple(
                 Layer(_real(l["eps_r"], "layer 'eps_r'"),

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import ctypes
 import math
 import threading
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import cython_blas, cython_lapack
 
 from .errors import BelowSignificanceThreshold, EigensolverFailure
 from .quadrature import QuadratureRule
@@ -191,27 +193,182 @@ def _lapack(func, name: str, *args, **kwargs) -> list:
     return out
 
 
-def _geev(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and right eigenvectors of a square complex matrix, which
-    is left alone: scipy.linalg.eig(a), bit for bit, without its wrapper.
+_CAPSULE_NAME = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+    ("PyCapsule_GetName", ctypes.pythonapi))
+_CAPSULE_POINTER = ctypes.PYFUNCTYPE(
+    ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+    ("PyCapsule_GetPointer", ctypes.pythonapi))
 
-    LAPACK geev runs with the workspace eig takes from geev_lwork, cached
-    as _lapack caches its queries; any nonzero info is a LinAlgError.
+
+def _native(module, name: str, restype, nargs: int):
+    """A ctypes caller of the routine that SciPy's cython_blas or
+    cython_lapack module exports as name, so of SciPy's own BLAS and LAPACK.
+
+    Every argument is a pointer, passed as an address (an int), and the GIL
+    is released while the routine runs, which the f2py wrappers of geev,
+    trtrs, tpqrt and tpmqrt do not do.
+    """
+    capsule = module.__pyx_capi__[name]
+    address = _CAPSULE_POINTER(capsule, _CAPSULE_NAME(capsule))
+    return ctypes.CFUNCTYPE(restype, *[ctypes.c_void_p] * nargs)(address)
+
+
+_ZGEEV = _native(cython_lapack, "zgeev", None, 14)
+_ZTRTRS = _native(cython_lapack, "ztrtrs", None, 10)
+_ZTPQRT = _native(cython_lapack, "ztpqrt", None, 12)
+_ZTPMQRT = _native(cython_lapack, "ztpmqrt", None, 17)
+_ZLAQPS = _native(cython_lapack, "zlaqps", None, 14)
+_ZLAQP2 = _native(cython_lapack, "zlaqp2", None, 10)
+_DZNRM2 = _native(cython_blas, "dznrm2", ctypes.c_double, 3)
+
+
+def _address(array: np.ndarray) -> int:
+    """The address of the first element of a writable array that is 1-D
+    and contiguous, or 2-D in Fortran order, as LAPACK takes a matrix;
+    any other array is a TypeError."""
+    return ctypes.addressof(ctypes.c_char.from_buffer(array.T))
+
+
+def _call(func, name: str, *args) -> None:
+    """The _native routine func on args and a trailing info, as LAPACK
+    takes them: an int by a pointer to a copy, an array by its address
+    (see _address), a bytes as it is.  Each array must be of the routine's
+    type, which every caller builds its arrays to be.  A nonzero info is a
+    LinAlgError."""
+    count = len(args)
+    ints = (ctypes.c_int * (count + 1))()
+    base = ctypes.addressof(ints)
+    pointers = list(args)
+    for k, arg in enumerate(args):
+        kind = type(arg)
+        if kind is int:
+            ints[k] = arg
+            pointers[k] = base + 4 * k
+        elif kind is np.ndarray:
+            pointers[k] = _address(arg)
+    func(*pointers, base + 4 * count)
+    _check_lapack(name, ints[count])
+
+
+#: the flags of the one geev run decompose makes: right eigenvectors only
+_GEEV_FLAGS = {"compute_vl": 0, "compute_vr": 1}
+#: geev's integer arguments: n, ldvl = 1, lwork and info
+_GEEV_INTS = ctypes.c_int * 4
+
+
+def _geev(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and right eigenvectors of a square complex128 matrix,
+    which is left alone: scipy.linalg.eig(a), bit for bit, without its
+    wrapper and without holding the GIL.
+
+    LAPACK zgeev runs through _native with the workspace eig takes from
+    geev_lwork, cached as _lapack caches its queries; a nonzero info is a
+    LinAlgError.  It runs once per sweep step, so its arguments are packed
+    as f2py packs them: one buffer holds the outputs (the eigenvectors, then
+    the eigenvalues), another the Fortran-ordered copy of a and the
+    workspaces, and the integers share one array.
     """
     a = np.asarray_chkfinite(a)
-    geev, geev_lwork = scipy.linalg.get_lapack_funcs(("geev", "geev_lwork"),
-                                                     (a,))
-    flags = {"compute_vl": 0, "compute_vr": 1}
+    n = a.shape[0]
 
     def query():
-        work, info = geev_lwork(a.shape[0], **flags)
+        (geev_lwork,) = scipy.linalg.get_lapack_funcs(("geev_lwork",), (a,))
+        work, info = geev_lwork(n, **_GEEV_FLAGS)
         _check_lapack("geev_lwork", info)
         return work.real
 
-    lwork = _workspace(("geev", *_signature((a,), flags)), query)
-    values, _, vectors, info = geev(a, lwork=lwork, **flags)
-    _check_lapack("geev", info)
-    return values, vectors
+    lwork = _workspace(("geev", *_signature((a,), _GEEV_FLAGS)), query)
+    nn = n * n
+    out = np.empty(nn + n, dtype=complex)
+    scratch = np.empty(nn + lwork + n, dtype=complex)  # a, work, rwork
+    scratch[:nn].reshape(n, n).T[...] = a
+    ints = _GEEV_INTS(n, 1, lwork, 0)
+    vr, mat, i = _address(out), _address(scratch), ctypes.addressof(ints)
+    work = mat + 16 * nn
+    # jobvl, jobvr, n, a, lda, w, vl (never read), ldvl, vr, ldvr, work,
+    # lwork, rwork (2 n doubles), info
+    _ZGEEV(b"N", b"V", i, mat, i, vr + 16 * nn, i, i + 4, vr, i, work, i + 8,
+           work + 16 * lwork, i + 12)
+    _check_lapack("geev", ints[3])
+    return out[nn:], out[:nn].reshape(n, n).T
+
+
+#: geqp3's crossover from blocked to unblocked code (LAPACK ilaenv's NX
+#: for geqrf): its last columns go to zlaqp2 in one call
+_QP3_CROSSOVER = 128
+
+
+def _pivoted_qr(matrix: np.ndarray, settle: bool = True) -> tuple:
+    """S P = Q R by LAPACK geqp3, stopped once the rank has settled.
+
+    Returns geqp3's packed (Fortran-ordered) qr, the 0-based pivots, tau and
+    the count `done` of columns factored.  Up to _QP3_CROSSOVER + nb columns
+    geqp3 blocks at most once and runs as it is (done = n).  Above that this
+    is geqp3's own driver loop: dznrm2 column norms, zlaqps panels of up to
+    nb columns (nb from geqp3's workspace query, lwork = (n + 1) nb), and
+    zlaqp2 for the last _QP3_CROSSOVER columns, so with settle=False it
+    gives geqp3's bits.  With settle, it stops after the first panel at
+    which every trailing column's 2-norm is at most thr/2, thr = n eps
+    |R_00| being _eigenpairs' rank cut: each later |R_kk| is at most the
+    largest trailing norm, so none can exceed thr.  The rank, rows
+    0..done-1 of qr (their trailing entries up to the column order of
+    later pivots, which only swap columns), tau[:done] and perm[:done]
+    are then geqp3's bits; the rest of qr is partly reduced and the rest of
+    perm holds the unpivoted columns.
+    """
+    n = matrix.shape[0]
+    (geqp3,) = scipy.linalg.get_lapack_funcs(("geqp3",), (matrix,))
+
+    def query():  # the one geqp3 call the panels make
+        *_, work, info = geqp3(matrix, lwork=-1)
+        _check_lapack("geqp3", info)
+        return work[0].real
+
+    lwork = _workspace(("geqp3", *_signature((matrix,), {})), query)
+    nb = lwork // (n + 1)
+    if not 2 <= nb < n - _QP3_CROSSOVER:  # one panel at most: geqp3 itself
+        qr, perm, tau, _, info = geqp3(matrix, lwork=lwork)
+        _check_lapack("geqp3", info)
+        perm -= 1
+        return qr, perm, tau, n
+    a = np.empty(n * n, dtype=complex)
+    a.reshape(n, n).T[...] = matrix  # Fortran order, column j at j n
+    jpvt = np.arange(1, n + 1, dtype=np.intc)
+    tau = np.zeros(n, dtype=complex)
+    vn = np.empty(2 * n)  # partial column norms, then their reference
+    work = np.empty(lwork, dtype=complex)
+    ints = np.array([n, n, 0, 0, 0, 1], dtype=np.intc)
+    ap, jp, tp, vp, wp, i = (_address(x) for x in (a, jpvt, tau, vn, work,
+                                                   ints))
+    # rows and lda, trailing columns (= ldf), offset, jb, kb, and 1
+    m, cols, offset, jb, kb, one = range(i, i + 24, 4)
+
+    def norms(j):  # dznrm2 of rows j.. of each column from j on
+        ints[1] = n - j
+        return [_DZNRM2(cols, ap + 16 * (k * n + j), one)
+                for k in range(j, n)]
+
+    vn[:n] = norms(0)
+    vn[n:] = vn[:n]
+    cut = n * np.finfo(float).eps
+    j = 0
+    while j < n - _QP3_CROSSOVER:
+        ints[1:4] = n - j, j, min(nb, n - _QP3_CROSSOVER - j)
+        _ZLAQPS(m, cols, offset, jb, kb, ap + 16 * n * j, m, jp + 4 * j,
+                tp + 16 * j, vp + 8 * j, vp + 8 * (n + j), wp,
+                wp + 16 * int(ints[3]), cols)
+        j += int(ints[4])
+        if settle:
+            thr = cut * abs(a[0])
+            # the partial norms only decide when to take the exact ones
+            if vn[j:n].max() <= thr and max(norms(j)) <= thr / 2:
+                jpvt -= 1
+                return a.reshape(n, n).T, jpvt, tau, j
+    ints[1:3] = n - j, j
+    _ZLAQP2(m, cols, offset, ap + 16 * n * j, m, jp + 4 * j, tp + 16 * j,
+            vp + 8 * j, vp + 8 * (n + j), wp)
+    jpvt -= 1
+    return a.reshape(n, n).T, jpvt, tau, n
 
 
 def _economic_q(a: np.ndarray) -> np.ndarray:
@@ -267,8 +424,9 @@ def _eigenpairs(matrix: np.ndarray,
 
     Every eigenvector with t != 0 lies in range(S), whose rank r is bounded
     by the radiating channel count, well below n = 2 N_q.  One column-pivoted
-    QR S P = Q R gives r as the count of |R_ii| > n eps |R_00| (the
-    numpy.linalg.matrix_rank convention).  The r x r matrix Q_r^H S Q_r,
+    QR S P = Q R (_pivoted_qr, stopped once r has settled) gives r as the
+    count of |R_ii| > n eps |R_00| (the numpy.linalg.matrix_rank
+    convention).  The r x r matrix Q_r^H S Q_r,
     formed as R_r P^T Q_r from only the r columns Q_r of Q, carries the
     nonzero eigenvalues, with eigenvectors Q_r y.  The other n - r modes get
     t = 0 and span the null space of the truncated R, P [-R11^-1 R12; I].
@@ -276,10 +434,12 @@ def _eigenpairs(matrix: np.ndarray,
     weights: sqrt|w|^-1 times the Q factor of sqrt|w| P [-R11^-1 R12; I],
     from one triangular-pentagonal QR (LAPACK tpqrt, then tpmqrt to form
     Q).  The scaled identity block is already triangular, so this costs
-    O(r (n - r)^2).  At full rank, as on noisy solver data, this is eig(S)
-    itself.  Both eigensolves are _geev, so scipy.linalg.eig's bits.  The
-    null basis and the r x r eig are independent: overlap runs them side
-    by side.
+    O(r (n - r)^2).  Where the QR stopped early the columns of R12 come in
+    another order than a full geqp3's, so the basis differs from its basis
+    of the same space.  At full rank, as on noisy solver data, this is
+    eig(S) itself.  Both eigensolves are _geev, so scipy.linalg.eig's bits.
+    The null basis and the r x r eig are independent and release the GIL:
+    overlap runs them side by side.
 
     Below SIGNIFICANCE_FLOOR an eigenvector's component along the null space
     is rounding amplified by 1/|t|: up to 1e-2 at |t| ~ 1e-14.  The modes of
@@ -290,40 +450,50 @@ def _eigenpairs(matrix: np.ndarray,
     null basis is only |w|-orthonormal, so the modes are kept as they are.
     """
     n = matrix.shape[0]
-    geqp3, trtrs, orgqr, tpqrt, tpmqrt = scipy.linalg.get_lapack_funcs(
-        ("geqp3", "trtrs", "orgqr", "tpqrt", "tpmqrt"), (matrix,))
     matrix = np.asarray_chkfinite(matrix)
-    qr, perm, tau = _lapack(geqp3, "geqp3", matrix)
-    perm -= 1
+    qr, perm, tau, done = _pivoted_qr(matrix)
     diag = np.abs(np.diag(qr))
-    rank = int(np.count_nonzero(diag > n * np.finfo(float).eps * diag[0]))
+    rank = int(np.count_nonzero(diag[:done]
+                                > n * np.finfo(float).eps * diag[0]))
     if rank == n:
         return _geev(matrix)
     if rank == 0:
         return (np.zeros(n, dtype=complex),
                 np.diag(1.0 / np.sqrt(np.abs(weights)) + 0j))
+    (orgqr,) = scipy.linalg.get_lapack_funcs(("orgqr",), (matrix,))
     rmat = np.triu(qr[:rank])  # the rows of R that the solve uses
     # rows in pivot order: the scaled identity is tpqrt's triangle on top,
-    # sqrt|w| X below it a full block (l = 0); 32 is the LAPACK block size
+    # sqrt|w| X below it a full block (l = 0); 32 is the LAPACK block size.
+    # Every array LAPACK works on is made here, in Fortran order, so the
+    # helper thread allocates nothing large of its own: what a thread's
+    # malloc arena frees it may keep, and peak memory with it.
     sqrt_w = np.sqrt(np.abs(weights))[perm]
     null = n - rank
+    r11 = np.ascontiguousarray(rmat[:, :rank])  # r11.T: R11^T, Fortran order
+    x = np.array(rmat[:, rank:], order="F")  # R12, then X, then reflectors
+    top = np.zeros((null, null), dtype=complex, order="F")
+    np.fill_diagonal(top, sqrt_w[rank:])
+    bottom = np.zeros((rank, null), dtype=complex, order="F")
+    nb = min(null, 32)
+    t = np.empty((nb, null), dtype=complex, order="F")
+    work = np.empty(nb * null, dtype=complex)
 
-    def null_basis():  # LAPACK work, which releases the GIL
+    def null_basis():  # LAPACK through _call, which releases the GIL
         # R11 X = R12, posed on the transpose of the row-major slice R11, as
         # scipy.linalg.solve_triangular poses it
-        x, info = trtrs(rmat[:, :rank].T, rmat[:, rank:], lower=1, trans=1)
-        _check_lapack("trtrs", info)
-        _, v, t, info = tpqrt(0, min(null, 32), np.diag(sqrt_w[rank:] + 0j),
-                              -x * sqrt_w[:rank, None], overwrite_a=1,
-                              overwrite_b=1)
-        _check_lapack("tpqrt", info)
-        q_top, q_bottom, info = tpmqrt(0, v, t, np.eye(null, dtype=complex),
-                                       np.zeros((rank, null), dtype=complex),
-                                       overwrite_a=1, overwrite_b=1)
-        _check_lapack("tpmqrt", info)
-        return q_top, q_bottom
+        _call(_ZTRTRS, "trtrs", b"L", b"T", b"N", rank, null, r11.T, rank, x,
+              rank)
+        np.negative(x, out=x)
+        np.multiply(x, sqrt_w[:rank, None], out=x)
+        _call(_ZTPQRT, "tpqrt", rank, null, 0, nb, top, null, x, rank, t, nb,
+              work)
+        top[...] = 0  # tpmqrt applies Q to [I; 0]
+        np.fill_diagonal(top, 1.0)
+        _call(_ZTPMQRT, "tpmqrt", b"L", b"N", rank, null, null, 0, nb, x, rank,
+              t, nb, top, null, bottom, rank, work)
+        return top, bottom
 
-    def significant():  # geev holds the GIL: keep it here
+    def significant():
         q, _, info = orgqr(qr[:, :rank], tau[:rank])
         _check_lapack("orgqr", info)
         return q, *_geev(rmat[:, np.argsort(perm)] @ q)

@@ -730,6 +730,71 @@ def test_malformed_config_is_a_usage_error(tmp_path, monkeypatch, capsys, cfg):
     assert os.listdir(tmp_path) == ["config.json"]
 
 
+_DDA = {"type": "dda", "extent": [1, 1, 1], "spacing": 0.1, "eps_r": 3.0}
+_LAYERS = [{"eps_r": 2.0, "boundary_fraction": 0.5},
+           {"eps_r": 3.0, "mu_r": 1.5, "boundary_fraction": 1.0}]
+
+
+@pytest.mark.parametrize("cfg, where", [
+    (_with(["backend", "mur"], 5), "'mur' in the mie backend"),
+    ({**_with(["quadrature"], 14), "quadrture": 302}, "'quadrture' in the config"),
+    ({**_with(["backend"], {**_DDA, "epsr": 5}),
+      "frequencies": {"start_hz": 1e8, "stop_hz": 1e8, "count": 1}},
+     "'epsr' in the dda backend"),
+    (_with(["frequencies", "kaa"], [3.0]), "'kaa' in 'frequencies'"),
+    (_with(["backend", "layers"], [_LAYERS[0], {**_LAYERS[1], "mur": 2}]),
+     "'mur' in mie layer 1"),
+    ({**_with(["backend", "Eps_r"], 5), "outptu": "x"}, "'outptu' in the config"),
+    (_with(["backend", "mu_r"], 1.0) | {"tolerance": 1}, "'tolerance' in the config"),
+], ids=["mie-mur", "quadrture", "dda-epsr", "frequencies-kaa", "layer-mur",
+        "two-levels", "tolerance"])
+def test_unknown_config_key_is_a_usage_error(tmp_path, monkeypatch, capsys,
+                                             cfg, where):
+    """A misspelled key was ignored: "mur" swept a non-magnetic sphere and
+    "quadrture" the "auto" rule.  Each is one error naming the key and where
+    it sits, with nothing written."""
+    monkeypatch.chdir(tmp_path)
+    _write_config(tmp_path, cfg)
+    assert main(["sweep", "--config", "config.json"]) == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: unknown key ")
+    assert where in err[0]
+    assert os.listdir(tmp_path) == ["config.json"]
+
+
+@pytest.mark.parametrize("command", [
+    ["sweep"], ["precision-study", "--nq-list", "14", "--reference", "26"]])
+def test_unknown_backend_flag_key_is_a_usage_error(tmp_path, capsys, command):
+    backend = json.dumps({"type": "mie", "eps_r": 3, "mur": 5})
+    assert main([*command, "--backend", backend, "--freq-start", "1e8",
+                 "--out", str(tmp_path / "out")]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == ("error: unknown key 'mur' in the mie backend; it accepts "
+                   "type, radius, eps_r, mu_r, layers, l_max\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_every_documented_config_key_is_accepted(tmp_path):
+    """The keys the README lists, each at its level, run a sweep."""
+    out = str(tmp_path / "out")
+    mie = {"type": "mie", "radius": 1.0, "eps_r": 3.0, "mu_r": 1.0,
+           "l_max": 2}
+    configs = [
+        {"backend": mie, "frequencies": {"ka": [0.5]}, "quadrature": 14,
+         "output": out},
+        {"backend": {"type": "mie", "layers": _LAYERS},
+         "frequencies": {"start_hz": 1e7, "stop_hz": 2e7, "count": 2},
+         "quadrature": "auto", "output": out},
+        {"backend": _DDA, "frequencies": {"start_hz": 1e8, "stop_hz": 1e8,
+                                          "count": 1},
+         "quadrature": 6, "output": out},
+    ]
+    for cfg in configs:
+        shutil.rmtree(out, ignore_errors=True)
+        assert main(["sweep", "--config", _write_config(tmp_path, cfg)]) \
+            == EXIT_OK
+
+
 def test_sweep_on_230_points_validates(tmp_path):
     # the smallest multiplet, |t| ~ 3e-9 at ka 3.5, once shared the
     # |w|-orthonormal basis of the null space and failed its eigenpair check

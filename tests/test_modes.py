@@ -1,5 +1,7 @@
+import ctypes
 import math
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -236,12 +238,13 @@ def test_degenerate_groups_never_join_zero_with_nonzero():
 
 
 def test_decompose_sends_the_null_run_to_no_qr(sphere_eps3, monkeypatch):
-    """At N_q=302 the null run is 469 of 604 modes; apart from the pivoted
-    QR of S, no QR that decompose makes may see it."""
+    """At N_q=302 the null run is 469 of 604 modes; the pivoted QR of S
+    stops once the rank has settled, and no other QR that decompose makes
+    may see the null run."""
     rule = sm.lebedev_rule(302)
     weighted = sm.apply_weights(sm.MieBackend(sphere_eps3).sample(rule, 0.97))
-    calls = []
-    real = scipy.linalg.get_lapack_funcs
+    calls, stops = [], []
+    real, real_qr = scipy.linalg.get_lapack_funcs, modes._pivoted_qr
 
     def recording(names, arrays):
         def record(name, func):
@@ -253,11 +256,21 @@ def test_decompose_sends_the_null_run_to_no_qr(sphere_eps3, monkeypatch):
         return [record(name, func) if name in ("geqp3", "geqrf") else func
                 for name, func in zip(names, real(names, arrays))]
 
+    def pivoted_qr(matrix):
+        out = real_qr(matrix)
+        stops.append(out[3])
+        return out
+
     monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", recording)
+    monkeypatch.setattr(modes, "_pivoted_qr", pivoted_qr)
     modeset = sm.decompose(weighted)
     null = int(np.count_nonzero(modeset.eigenvalues == 0))
     assert null > 400
-    assert [shape for name, shape in calls if name == "geqp3"] == [(604, 604)]
+    rank, settled, nb, _ = _settling(weighted.matrix)
+    assert rank == 604 - null
+    assert len(stops) == 1 and rank <= settled <= stops[0] <= settled + nb
+    assert stops[0] < 200  # of 604 columns
+    assert not any(name == "geqp3" for name, shape in calls)
     assert all(shape[1] < null for name, shape in calls if name == "geqrf")
     assert any(name == "geqrf" for name, shape in calls)
     w = rule.doubled_weights
@@ -349,11 +362,12 @@ def test_sort_order_equals_the_tuple_key_sort():
                               _tuple_key_order(values, vectors))
 
 
-def _scipy_qr_decompose(smat):
+def _scipy_qr_decompose(smat, eigenpairs=None):
     """decompose's post-processing spelled out with the tuple-key sort and
-    scipy.linalg.qr."""
+    scipy.linalg.qr, on the raw eigenpairs of eigenpairs (by default those
+    of modes._eigenpairs)."""
     w = smat.rule.doubled_weights
-    values, vectors = modes._eigenpairs(smat.matrix, w)
+    values, vectors = (eigenpairs or modes._eigenpairs)(smat.matrix, w)
 
     def phase_fix(v):
         pivots = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
@@ -630,6 +644,11 @@ def _full_rank_noise(n_q):
                                matrix=noise * (1.0 + 1j))
 
 
+#: the routines decompose calls through their SciPy capsules, by name
+_CAPSULES = {"trtrs": "_ZTRTRS", "tpqrt": "_ZTPQRT", "tpmqrt": "_ZTPMQRT",
+             "geev": "_ZGEEV"}
+
+
 @pytest.mark.parametrize("failing", ["geqp3", "orgqr", "trtrs", "tpqrt",
                                      "tpmqrt", "geev"])
 def test_a_failed_lapack_call_is_an_eigensolver_failure(
@@ -637,12 +656,17 @@ def test_a_failed_lapack_call_is_an_eigensolver_failure(
     """On N_q=110 trtrs, tpqrt and tpmqrt run on overlap's helper thread:
     their failure must reach the caller, and the thread must be gone.  A
     negative info is a bad argument; a positive one a numerical failure,
-    such as a geev that does not converge.  geev also solves the full-rank
-    matrix of noisy samples."""
+    such as a geev that does not converge.  trtrs, tpqrt, tpmqrt and geev
+    run through their capsules; geev also solves the full-rank matrix of
+    noisy samples.  On N_q=26 geqp3 runs itself; on N_q=110 the panel QR
+    runs in its place, and geqp3's workspace query, made with the workspace
+    cache empty, is its one geqp3 call."""
     real = scipy.linalg.get_lapack_funcs
     cases = [mie_modes_ka1[1], mie_eps3_110]
     if failing in ("geqp3", "geev"):
         cases.append(_full_rank_noise(26))
+    for smat in cases:  # a warm cache: the failure is in the call itself
+        sm.decompose(sm.apply_weights(smat))
     for info in (-1, 2):
         def with_failure(names, arrays):
             def fail(func):
@@ -652,14 +676,27 @@ def test_a_failed_lapack_call_is_an_eigensolver_failure(
             return [fail(func) if name == failing else func
                     for name, func in zip(names, real(names, arrays))]
 
-        monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", with_failure)
-        threads = threading.active_count()
-        for smat in cases:
-            with pytest.raises(EigensolverFailure) as excinfo:
-                sm.decompose(sm.apply_weights(smat))
-            assert f"LAPACK {failing} failed (info {info})" in str(
-                excinfo.value.__cause__)
-            assert threading.active_count() == threads
+        def failed(routine):
+            def call(*args):  # the last argument points to info
+                routine(*args)
+                ctypes.c_int.from_address(args[-1]).value = info
+            return call
+
+        with monkeypatch.context() as patched:
+            if failing in _CAPSULES:
+                name = _CAPSULES[failing]
+                patched.setattr(modes, name, failed(getattr(modes, name)))
+            else:
+                patched.setattr(scipy.linalg, "get_lapack_funcs", with_failure)
+            threads = threading.active_count()
+            for smat in cases:
+                if failing == "geqp3" and smat is mie_eps3_110:
+                    patched.setattr(modes, "_WORKSPACE", {})
+                with pytest.raises(EigensolverFailure) as excinfo:
+                    sm.decompose(sm.apply_weights(smat))
+                assert f"LAPACK {failing} failed (info {info})" in str(
+                    excinfo.value.__cause__)
+                assert threading.active_count() == threads
 
 
 @pytest.mark.xfail(strict=True, reason=(
@@ -794,7 +831,9 @@ def test_eigenpairs_equal_the_scipy_wrapper_path(magnetodielectric_matrices,
                                                  sphere_eps3, dda_pipeline):
     """Bare geqp3 and trtrs against scipy.linalg.qr and solve_triangular,
     bit for bit: every step of the 201-step sweep, rules with negative
-    weights, the dipole block, and ranks 1 to 12."""
+    weights, the dipole block, and ranks 1 to 12.  On 230 points the pivoted
+    QR stops once the rank has settled, so there the t = 0 basis and the
+    weak modes meet the full-QR oracle instead."""
     _, weighted = magnetodielectric_matrices
     cases = [(m.matrix, m.rule.doubled_weights) for m in weighted]
     for n_q in (6, 26, 74, 110, 230):
@@ -808,8 +847,152 @@ def test_eigenpairs_equal_the_scipy_wrapper_path(magnetodielectric_matrices,
     for rank in range(1, 13):
         u = rng.standard_normal((28, rank)) + 1j * rng.standard_normal((28, rank))
         cases.append((u @ u.conj().T * w[None, :], w))
+    stopped = 0
     for matrix, weights in cases:
         got, ref = modes._eigenpairs(matrix, weights), \
             _scipy_eigenpairs(matrix, weights)
-        assert np.array_equal(got[0], ref[0])
-        assert np.array_equal(got[1], ref[1])
+        if modes._pivoted_qr(matrix)[3] < len(matrix):
+            stopped += 1
+            _assert_meets_the_full_qr_oracle(weights, got, ref)
+        else:
+            assert np.array_equal(got[0], ref[0])
+            assert np.array_equal(got[1], ref[1])
+    assert stopped == 1
+
+
+#: every rule at three sizes: ka 2.3 keeps the pivoted QR of 146 to 194
+#: points running to the end, ka 0.7 and 1 stop it from 146 points on
+_EVERY_RULE = [(n_q, ka) for n_q in sm.quadrature.SUPPORTED_SIZES
+               for ka in (0.7, 1.0, 2.3)]
+
+
+@pytest.fixture(scope="module")
+def every_rule(sphere_eps3):
+    """The eps_r=3 sphere's weighted samples on every rule at each ka of
+    _EVERY_RULE, keyed by (n_q, ka)."""
+    return {(n_q, ka): sm.apply_weights(sm.MieBackend(sphere_eps3).sample(
+        sm.lebedev_rule(n_q), ka)) for n_q, ka in _EVERY_RULE}
+
+
+def _full_geqp3(matrix):
+    """qr, tau and 0-based pivots of scipy.linalg.qr's geqp3."""
+    (qr, tau), _, perm = scipy.linalg.qr(matrix, pivoting=True, mode="raw")
+    return qr, tau, perm
+
+
+def _settling(matrix):
+    """(rank, settled, nb, thr) of the full geqp3: |R_kk| > thr = n eps |R_00|
+    for the rank's k, |R_kk| <= thr / 2 for every k >= settled, and nb the
+    panel width geqp3's workspace query implies."""
+    n = len(matrix)
+    diag = np.abs(np.diag(_full_geqp3(matrix)[0]))
+    thr = n * np.finfo(float).eps * diag[0]
+    above = np.flatnonzero(diag > thr / 2)
+    *_, work, info = scipy.linalg.lapack.zgeqp3(matrix, lwork=-1)
+    assert info == 0
+    return (int(np.count_nonzero(diag > thr)), int(above[-1]) + 1,
+            int(work[0].real) // (n + 1), thr)
+
+
+def test_pivoted_qr_without_settling_is_geqp3(every_rule):
+    """Run to the end, the panel loop gives geqp3's R, tau and pivots bit
+    for bit: every rule at three ka, and full-rank noise."""
+    cases = [smat.matrix for smat in every_rule.values()]
+    cases += [sm.apply_weights(_full_rank_noise(n_q)).matrix
+              for n_q in (86, 110, 302)]
+    for matrix in cases:
+        qr, perm, tau, done = modes._pivoted_qr(matrix, settle=False)
+        ref_qr, ref_tau, ref_perm = _full_geqp3(matrix)
+        assert done == len(matrix)
+        assert _same_bits(qr, ref_qr) and _same_bits(tau, ref_tau)
+        assert _same_bits(perm, ref_perm)
+
+
+def test_settled_pivoted_qr_keeps_geqp3s_rank_and_leading_factor(every_rule):
+    """Stopped once the rank has settled, the pivoted QR keeps the full
+    geqp3's rank and, in its first `done` columns, the reflectors, R, tau
+    and the pivots; R's first `done` rows equal geqp3's up to the order of
+    the columns that later pivots would swap.  It stops at a panel end after
+    which every |R_kk| is at most thr / 2, within one panel (nb columns) of
+    the first column from which that holds.  It stops from 146 points on
+    at ka 0.7 and 1 and from 230 points on at ka 2.3."""
+    stopped = set()
+    for (n_q, ka), smat in every_rule.items():
+        matrix = smat.matrix
+        n = len(matrix)
+        qr, perm, tau, done = modes._pivoted_qr(matrix)
+        ref_qr, ref_tau, ref_perm = _full_geqp3(matrix)
+        rank, settled, nb, thr = _settling(matrix)
+        diag = np.abs(np.diag(qr))
+        assert np.count_nonzero(diag[:done] > n * np.finfo(float).eps
+                                * diag[0]) == rank
+        assert _same_bits(qr[:, :done], ref_qr[:, :done])
+        assert _same_bits(tau[:done], ref_tau[:done])
+        assert _same_bits(perm[:done], ref_perm[:done])
+        assert _same_bits(qr[:done, np.argsort(perm)],
+                          ref_qr[:done, np.argsort(ref_perm)])
+        if done < n:
+            stopped.add((n_q, ka))
+            assert rank <= settled <= done <= settled + nb
+            assert np.max(np.abs(np.diag(ref_qr))[done:]) <= thr / 2
+    assert stopped == {(n_q, ka) for n_q, ka in _EVERY_RULE
+                       if n_q >= 146 and (ka <= 1 or n_q >= 230)}
+
+
+def _assert_meets_the_full_qr_oracle(w, got, ref):
+    """Eigenpairs (values, vectors) against those of the full geqp3: the
+    eigenvalues and every mode with |t| > SIGNIFICANCE_FLOOR bit for bit,
+    and the t = 0 run and the weak modes each spanning the reference's
+    space, by their |w| projectors, within 1e-12."""
+    values, vectors = got
+    ref_values, ref_vectors = ref
+    assert _same_bits(values, ref_values)
+    significant = np.abs(values) > modes.SIGNIFICANCE_FLOOR
+    assert _same_bits(vectors[:, significant], ref_vectors[:, significant])
+    for span in (values == 0, ~significant & (values != 0)):
+        if np.any(span):
+            assert np.max(np.abs(_span_projector(vectors[:, span], w)
+                                 - _span_projector(ref_vectors[:, span], w))) \
+                <= 1e-12
+
+
+def test_decompose_meets_the_full_qr_oracle(every_rule):
+    """decompose against its post-processing on the full geqp3's eigenpairs
+    (_scipy_eigenpairs): bit for bit where the pivoted QR runs to the end;
+    where it stops, the oracle above, and residuals within 1e-10."""
+    for smat in every_rule.values():
+        got = sm.decompose(smat)
+        ref = _scipy_qr_decompose(smat, _scipy_eigenpairs)
+        if modes._pivoted_qr(smat.matrix)[3] == len(smat.matrix):
+            for g, r in zip((got.eigenvalues, got.eigenvectors,
+                             got.residuals), ref):
+                assert _same_bits(g, r)
+        else:
+            _assert_meets_the_full_qr_oracle(
+                smat.rule.doubled_weights,
+                (got.eigenvalues, got.eigenvectors), ref[:2])
+            assert np.max(got.residuals) <= 1e-10
+
+
+def test_geev_releases_the_gil():
+    """A Python loop on this thread keeps running while _geev runs on
+    another: with the GIL held, no tick would land inside the call, and
+    the longest gap between ticks would be the call itself."""
+    rng = np.random.default_rng(300)
+    a = rng.standard_normal((300, 300)) + 1j * rng.standard_normal((300, 300))
+    call, ticks = {}, []
+
+    def solve():
+        call["start"] = time.perf_counter()
+        modes._geev(a)
+        call["stop"] = time.perf_counter()
+
+    worker = threading.Thread(target=solve)
+    worker.start()
+    while worker.is_alive():
+        ticks.append(time.perf_counter())
+    worker.join(60)
+    assert not worker.is_alive()
+    start, stop = call["start"], call["stop"]
+    inside = [start, *(t for t in ticks if start < t < stop), stop]
+    assert np.max(np.diff(inside)) < (stop - start) / 4
