@@ -200,20 +200,25 @@ _CAPSULE_POINTER = ctypes.PYFUNCTYPE(
     ("PyCapsule_GetPointer", ctypes.pythonapi))
 
 
-def _native(module, name: str, restype, nargs: int):
+def _native(module, name: str, restype, nargs: int, release: bool = True):
     """A ctypes caller of the routine that SciPy's cython_blas or
     cython_lapack module exports as name, so of SciPy's own BLAS and LAPACK.
 
-    Every argument is a pointer, passed as an address (an int), and the GIL
-    is released while the routine runs, which the f2py wrappers of geev,
-    trtrs, tpqrt and tpmqrt do not do.
+    Every argument is a pointer, passed as an address (an int).  With
+    release the GIL is released while the routine runs, which the f2py
+    wrappers of geev, trtrs, tpqrt and tpmqrt do not do.
     """
     capsule = module.__pyx_capi__[name]
     address = _CAPSULE_POINTER(capsule, _CAPSULE_NAME(capsule))
-    return ctypes.CFUNCTYPE(restype, *[ctypes.c_void_p] * nargs)(address)
+    kind = ctypes.CFUNCTYPE if release else ctypes.PYFUNCTYPE
+    return kind(restype, *[ctypes.c_void_p] * nargs)(address)
 
 
 _ZGEEV = _native(cython_lapack, "zgeev", None, 14)
+#: zgeev holding the GIL, for calls with no helper thread beside them,
+#: where releasing it buys nothing: in 4 benchmark pairs (2 vCPUs) the
+#: 201-step N_q=38 sweep ran 4.5% faster with it held
+_ZGEEV_HELD = _native(cython_lapack, "zgeev", None, 14, release=False)
 _ZTRTRS = _native(cython_lapack, "ztrtrs", None, 10)
 _ZTPQRT = _native(cython_lapack, "ztpqrt", None, 12)
 _ZTPMQRT = _native(cython_lapack, "ztpmqrt", None, 17)
@@ -256,10 +261,11 @@ _GEEV_FLAGS = {"compute_vl": 0, "compute_vr": 1}
 _GEEV_INTS = ctypes.c_int * 4
 
 
-def _geev(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _geev(a: np.ndarray,
+          release: bool = True) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and right eigenvectors of a square complex128 matrix,
     which is left alone: scipy.linalg.eig(a), bit for bit, without its
-    wrapper and without holding the GIL.
+    wrapper and, with release, without holding the GIL.
 
     LAPACK zgeev runs through _native with the workspace eig takes from
     geev_lwork, cached as _lapack caches its queries; a nonzero info is a
@@ -287,8 +293,9 @@ def _geev(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     work = mat + 16 * nn
     # jobvl, jobvr, n, a, lda, w, vl (never read), ldvl, vr, ldvr, work,
     # lwork, rwork (2 n doubles), info
-    _ZGEEV(b"N", b"V", i, mat, i, vr + 16 * nn, i, i + 4, vr, i, work, i + 8,
-           work + 16 * lwork, i + 12)
+    (_ZGEEV if release else _ZGEEV_HELD)(
+        b"N", b"V", i, mat, i, vr + 16 * nn, i, i + 4, vr, i, work, i + 8,
+        work + 16 * lwork, i + 12)
     _check_lapack("geev", ints[3])
     return out[nn:], out[:nn].reshape(n, n).T
 
@@ -455,8 +462,10 @@ def _eigenpairs(matrix: np.ndarray,
     diag = np.abs(np.diag(qr))
     rank = int(np.count_nonzero(diag[:done]
                                 > n * np.finfo(float).eps * diag[0]))
+    # geev releases the GIL only where a helper thread may run beside it
+    release = n >= OVERLAP_MIN_SIZE
     if rank == n:
-        return _geev(matrix)
+        return _geev(matrix, release)
     if rank == 0:
         return (np.zeros(n, dtype=complex),
                 np.diag(1.0 / np.sqrt(np.abs(weights)) + 0j))
@@ -496,7 +505,7 @@ def _eigenpairs(matrix: np.ndarray,
     def significant():
         q, _, info = orgqr(qr[:, :rank], tau[:rank])
         _check_lapack("orgqr", info)
-        return q, *_geev(rmat[:, np.argsort(perm)] @ q)
+        return q, *_geev(rmat[:, np.argsort(perm)] @ q, release)
 
     (q_top, q_bottom), (q, t_sig, y) = overlap(null_basis, significant, n)
     values = np.zeros(n, dtype=complex)

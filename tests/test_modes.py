@@ -532,10 +532,13 @@ def _same_bits(got, ref):
 
 
 def _assert_is_scipy_eig(a):
-    values, vectors = modes._geev(a)
+    """_geev(a) is scipy.linalg.eig(a) bit for bit, releasing the GIL or
+    not."""
     ref_values, ref_vectors = scipy.linalg.eig(a)
-    assert _same_bits(values, ref_values)
-    assert _same_bits(vectors, ref_vectors)
+    for release in (True, False):
+        values, vectors = modes._geev(a, release)
+        assert _same_bits(values, ref_values)
+        assert _same_bits(vectors, ref_vectors)
 
 
 def test_geev_equals_scipy_eig():
@@ -561,9 +564,10 @@ def test_geev_equals_scipy_eig_on_every_sweep_block(magnetodielectric_matrices,
     _, weighted = magnetodielectric_matrices
     blocks, real = [], modes._geev
 
-    def recording(a):
+    def recording(a, release):
+        assert not release  # no helper thread runs at N_q=38
         blocks.append(a.copy())
-        return real(a)
+        return real(a, release)
 
     with monkeypatch.context() as patched:
         patched.setattr(modes, "_geev", recording)
@@ -645,8 +649,8 @@ def _full_rank_noise(n_q):
 
 
 #: the routines decompose calls through their SciPy capsules, by name
-_CAPSULES = {"trtrs": "_ZTRTRS", "tpqrt": "_ZTPQRT", "tpmqrt": "_ZTPMQRT",
-             "geev": "_ZGEEV"}
+_CAPSULES = {"trtrs": ["_ZTRTRS"], "tpqrt": ["_ZTPQRT"],
+             "tpmqrt": ["_ZTPMQRT"], "geev": ["_ZGEEV", "_ZGEEV_HELD"]}
 
 
 @pytest.mark.parametrize("failing", ["geqp3", "orgqr", "trtrs", "tpqrt",
@@ -684,8 +688,8 @@ def test_a_failed_lapack_call_is_an_eigensolver_failure(
 
         with monkeypatch.context() as patched:
             if failing in _CAPSULES:
-                name = _CAPSULES[failing]
-                patched.setattr(modes, name, failed(getattr(modes, name)))
+                for name in _CAPSULES[failing]:
+                    patched.setattr(modes, name, failed(getattr(modes, name)))
             else:
                 patched.setattr(scipy.linalg, "get_lapack_funcs", with_failure)
             threads = threading.active_count()
