@@ -200,25 +200,20 @@ _CAPSULE_POINTER = ctypes.PYFUNCTYPE(
     ("PyCapsule_GetPointer", ctypes.pythonapi))
 
 
-def _native(module, name: str, restype, nargs: int, release: bool = True):
+def _native(module, name: str, restype, nargs: int):
     """A ctypes caller of the routine that SciPy's cython_blas or
     cython_lapack module exports as name, so of SciPy's own BLAS and LAPACK.
 
-    Every argument is a pointer, passed as an address (an int).  With
-    release the GIL is released while the routine runs, which the f2py
-    wrappers of geev, trtrs, tpqrt and tpmqrt do not do.
+    Every argument is a pointer, passed as an address (an int).  The GIL is
+    released while the routine runs, which the f2py wrappers of geev,
+    trtrs, tpqrt and tpmqrt do not do.
     """
     capsule = module.__pyx_capi__[name]
     address = _CAPSULE_POINTER(capsule, _CAPSULE_NAME(capsule))
-    kind = ctypes.CFUNCTYPE if release else ctypes.PYFUNCTYPE
-    return kind(restype, *[ctypes.c_void_p] * nargs)(address)
+    return ctypes.CFUNCTYPE(restype, *[ctypes.c_void_p] * nargs)(address)
 
 
 _ZGEEV = _native(cython_lapack, "zgeev", None, 14)
-#: zgeev holding the GIL, for calls with no helper thread beside them,
-#: where releasing it buys nothing: in 4 benchmark pairs (2 vCPUs) the
-#: 201-step N_q=38 sweep ran 4.5% faster with it held
-_ZGEEV_HELD = _native(cython_lapack, "zgeev", None, 14, release=False)
 _ZTRTRS = _native(cython_lapack, "ztrtrs", None, 10)
 _ZTPQRT = _native(cython_lapack, "ztpqrt", None, 12)
 _ZTPMQRT = _native(cython_lapack, "ztpmqrt", None, 17)
@@ -257,22 +252,16 @@ def _call(func, name: str, *args) -> None:
 
 #: the flags of the one geev run decompose makes: right eigenvectors only
 _GEEV_FLAGS = {"compute_vl": 0, "compute_vr": 1}
-#: geev's integer arguments: n, ldvl = 1, lwork and info
-_GEEV_INTS = ctypes.c_int * 4
 
 
-def _geev(a: np.ndarray,
-          release: bool = True) -> tuple[np.ndarray, np.ndarray]:
+def _geev(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and right eigenvectors of a square complex128 matrix,
     which is left alone: scipy.linalg.eig(a), bit for bit, without its
-    wrapper and, with release, without holding the GIL.
+    wrapper and without holding the GIL.
 
-    LAPACK zgeev runs through _native with the workspace eig takes from
+    LAPACK zgeev runs through _call with the workspace eig takes from
     geev_lwork, cached as _lapack caches its queries; a nonzero info is a
-    LinAlgError.  It runs once per sweep step, so its arguments are packed
-    as f2py packs them: one buffer holds the outputs (the eigenvectors, then
-    the eigenvalues), another the Fortran-ordered copy of a and the
-    workspaces, and the integers share one array.
+    LinAlgError.
     """
     a = np.asarray_chkfinite(a)
     n = a.shape[0]
@@ -284,20 +273,15 @@ def _geev(a: np.ndarray,
         return work.real
 
     lwork = _workspace(("geev", *_signature((a,), _GEEV_FLAGS)), query)
-    nn = n * n
-    out = np.empty(nn + n, dtype=complex)
-    scratch = np.empty(nn + lwork + n, dtype=complex)  # a, work, rwork
-    scratch[:nn].reshape(n, n).T[...] = a
-    ints = _GEEV_INTS(n, 1, lwork, 0)
-    vr, mat, i = _address(out), _address(scratch), ctypes.addressof(ints)
-    work = mat + 16 * nn
-    # jobvl, jobvr, n, a, lda, w, vl (never read), ldvl, vr, ldvr, work,
-    # lwork, rwork (2 n doubles), info
-    (_ZGEEV if release else _ZGEEV_HELD)(
-        b"N", b"V", i, mat, i, vr + 16 * nn, i, i + 4, vr, i, work, i + 8,
-        work + 16 * lwork, i + 12)
-    _check_lapack("geev", ints[3])
-    return out[nn:], out[:nn].reshape(n, n).T
+    mat = np.array(a, order="F")
+    w = np.empty(n, dtype=complex)
+    vr = np.empty((n, n), dtype=complex, order="F")
+    work = np.empty(lwork, dtype=complex)
+    rwork = np.empty(2 * n)
+    # vl is never read (jobvl N): w stands in for it
+    _call(_ZGEEV, "geev", b"N", b"V", n, mat, n, w, w, 1, vr, n, work, lwork,
+          rwork)
+    return w, vr
 
 
 #: geqp3's crossover from blocked to unblocked code (LAPACK ilaenv's NX
@@ -305,7 +289,7 @@ def _geev(a: np.ndarray,
 _QP3_CROSSOVER = 128
 
 
-def _pivoted_qr(matrix: np.ndarray, settle: bool = True) -> tuple:
+def _pivoted_qr(matrix: np.ndarray) -> tuple:
     """S P = Q R by LAPACK geqp3, stopped once the rank has settled.
 
     Returns geqp3's packed (Fortran-ordered) qr, the 0-based pivots, tau and
@@ -313,11 +297,11 @@ def _pivoted_qr(matrix: np.ndarray, settle: bool = True) -> tuple:
     geqp3 blocks at most once and runs as it is (done = n).  Above that this
     is geqp3's own driver loop: dznrm2 column norms, zlaqps panels of up to
     nb columns (nb from geqp3's workspace query, lwork = (n + 1) nb), and
-    zlaqp2 for the last _QP3_CROSSOVER columns, so with settle=False it
-    gives geqp3's bits.  With settle, it stops after the first panel at
-    which every trailing column's 2-norm is at most thr/2, thr = n eps
-    |R_00| being _eigenpairs' rank cut: each later |R_kk| is at most the
-    largest trailing norm, so none can exceed thr.  The rank, rows
+    zlaqp2 for the last _QP3_CROSSOVER columns, so run to the end it gives
+    geqp3's bits.  It stops after the first panel at which every trailing
+    column's 2-norm is at most thr/2, thr = n eps |R_00| being
+    _eigenpairs' rank cut: each later |R_kk| is at most the largest
+    trailing norm, so none can exceed thr.  The rank, rows
     0..done-1 of qr (their trailing entries up to the column order of
     later pivots, which only swap columns), tau[:done] and perm[:done]
     are then geqp3's bits; the rest of qr is partly reduced and the rest of
@@ -365,12 +349,11 @@ def _pivoted_qr(matrix: np.ndarray, settle: bool = True) -> tuple:
                 tp + 16 * j, vp + 8 * j, vp + 8 * (n + j), wp,
                 wp + 16 * int(ints[3]), cols)
         j += int(ints[4])
-        if settle:
-            thr = cut * abs(a[0])
-            # the partial norms only decide when to take the exact ones
-            if vn[j:n].max() <= thr and max(norms(j)) <= thr / 2:
-                jpvt -= 1
-                return a.reshape(n, n).T, jpvt, tau, j
+        thr = cut * abs(a[0])
+        # the partial norms only decide when to take the exact ones
+        if vn[j:n].max() <= thr and max(norms(j)) <= thr / 2:
+            jpvt -= 1
+            return a.reshape(n, n).T, jpvt, tau, j
     ints[1:3] = n - j, j
     _ZLAQP2(m, cols, offset, ap + 16 * n * j, m, jp + 4 * j, tp + 16 * j,
             vp + 8 * j, vp + 8 * (n + j), wp)
@@ -462,10 +445,8 @@ def _eigenpairs(matrix: np.ndarray,
     diag = np.abs(np.diag(qr))
     rank = int(np.count_nonzero(diag[:done]
                                 > n * np.finfo(float).eps * diag[0]))
-    # geev releases the GIL only where a helper thread may run beside it
-    release = n >= OVERLAP_MIN_SIZE
     if rank == n:
-        return _geev(matrix, release)
+        return _geev(matrix)
     if rank == 0:
         return (np.zeros(n, dtype=complex),
                 np.diag(1.0 / np.sqrt(np.abs(weights)) + 0j))
@@ -505,7 +486,7 @@ def _eigenpairs(matrix: np.ndarray,
     def significant():
         q, _, info = orgqr(qr[:, :rank], tau[:rank])
         _check_lapack("orgqr", info)
-        return q, *_geev(rmat[:, np.argsort(perm)] @ q, release)
+        return q, *_geev(rmat[:, np.argsort(perm)] @ q)
 
     (q_top, q_bottom), (q, t_sig, y) = overlap(null_basis, significant, n)
     values = np.zeros(n, dtype=complex)

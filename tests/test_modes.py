@@ -532,13 +532,11 @@ def _same_bits(got, ref):
 
 
 def _assert_is_scipy_eig(a):
-    """_geev(a) is scipy.linalg.eig(a) bit for bit, releasing the GIL or
-    not."""
+    """_geev(a) is scipy.linalg.eig(a) bit for bit."""
     ref_values, ref_vectors = scipy.linalg.eig(a)
-    for release in (True, False):
-        values, vectors = modes._geev(a, release)
-        assert _same_bits(values, ref_values)
-        assert _same_bits(vectors, ref_vectors)
+    values, vectors = modes._geev(a)
+    assert _same_bits(values, ref_values)
+    assert _same_bits(vectors, ref_vectors)
 
 
 def test_geev_equals_scipy_eig():
@@ -564,10 +562,9 @@ def test_geev_equals_scipy_eig_on_every_sweep_block(magnetodielectric_matrices,
     _, weighted = magnetodielectric_matrices
     blocks, real = [], modes._geev
 
-    def recording(a, release):
-        assert not release  # no helper thread runs at N_q=38
+    def recording(a):
         blocks.append(a.copy())
-        return real(a, release)
+        return real(a)
 
     with monkeypatch.context() as patched:
         patched.setattr(modes, "_geev", recording)
@@ -649,8 +646,8 @@ def _full_rank_noise(n_q):
 
 
 #: the routines decompose calls through their SciPy capsules, by name
-_CAPSULES = {"trtrs": ["_ZTRTRS"], "tpqrt": ["_ZTPQRT"],
-             "tpmqrt": ["_ZTPMQRT"], "geev": ["_ZGEEV", "_ZGEEV_HELD"]}
+_CAPSULES = {"trtrs": "_ZTRTRS", "tpqrt": "_ZTPQRT", "tpmqrt": "_ZTPMQRT",
+             "geev": "_ZGEEV"}
 
 
 @pytest.mark.parametrize("failing", ["geqp3", "orgqr", "trtrs", "tpqrt",
@@ -688,8 +685,8 @@ def test_a_failed_lapack_call_is_an_eigensolver_failure(
 
         with monkeypatch.context() as patched:
             if failing in _CAPSULES:
-                for name in _CAPSULES[failing]:
-                    patched.setattr(modes, name, failed(getattr(modes, name)))
+                name = _CAPSULES[failing]
+                patched.setattr(modes, name, failed(getattr(modes, name)))
             else:
                 patched.setattr(scipy.linalg, "get_lapack_funcs", with_failure)
             threads = threading.active_count()
@@ -898,20 +895,6 @@ def _settling(matrix):
             int(work[0].real) // (n + 1), thr)
 
 
-def test_pivoted_qr_without_settling_is_geqp3(every_rule):
-    """Run to the end, the panel loop gives geqp3's R, tau and pivots bit
-    for bit: every rule at three ka, and full-rank noise."""
-    cases = [smat.matrix for smat in every_rule.values()]
-    cases += [sm.apply_weights(_full_rank_noise(n_q)).matrix
-              for n_q in (86, 110, 302)]
-    for matrix in cases:
-        qr, perm, tau, done = modes._pivoted_qr(matrix, settle=False)
-        ref_qr, ref_tau, ref_perm = _full_geqp3(matrix)
-        assert done == len(matrix)
-        assert _same_bits(qr, ref_qr) and _same_bits(tau, ref_tau)
-        assert _same_bits(perm, ref_perm)
-
-
 def test_settled_pivoted_qr_keeps_geqp3s_rank_and_leading_factor(every_rule):
     """Stopped once the rank has settled, the pivoted QR keeps the full
     geqp3's rank and, in its first `done` columns, the reflectors, R, tau
@@ -919,10 +902,15 @@ def test_settled_pivoted_qr_keeps_geqp3s_rank_and_leading_factor(every_rule):
     the columns that later pivots would swap.  It stops at a panel end after
     which every |R_kk| is at most thr / 2, within one panel (nb columns) of
     the first column from which that holds.  It stops from 146 points on
-    at ka 0.7 and 1 and from 230 points on at ka 2.3."""
+    at ka 0.7 and 1 and from 230 points on at ka 2.3.  Everywhere else it
+    runs to the end and so gives geqp3's R, tau and pivots bit for bit: at
+    146 to 194 points at ka 2.3 and on full-rank noise of 86 points and up
+    through the panel loop and its zlaqp2 tail."""
+    cases = {key: smat.matrix for key, smat in every_rule.items()}
+    cases.update({(n_q, "noise"): sm.apply_weights(
+        _full_rank_noise(n_q)).matrix for n_q in (26, 86, 110, 302)})
     stopped = set()
-    for (n_q, ka), smat in every_rule.items():
-        matrix = smat.matrix
+    for key, matrix in cases.items():
         n = len(matrix)
         qr, perm, tau, done = modes._pivoted_qr(matrix)
         ref_qr, ref_tau, ref_perm = _full_geqp3(matrix)
@@ -936,7 +924,7 @@ def test_settled_pivoted_qr_keeps_geqp3s_rank_and_leading_factor(every_rule):
         assert _same_bits(qr[:done, np.argsort(perm)],
                           ref_qr[:done, np.argsort(ref_perm)])
         if done < n:
-            stopped.add((n_q, ka))
+            stopped.add(key)
             assert rank <= settled <= done <= settled + nb
             assert np.max(np.abs(np.diag(ref_qr))[done:]) <= thr / 2
     assert stopped == {(n_q, ka) for n_q, ka in _EVERY_RULE
