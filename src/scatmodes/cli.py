@@ -140,6 +140,15 @@ def _check_keys(spec: dict, accepted: tuple, where: str) -> None:
                           f"{where}; it accepts {', '.join(accepted)}")
 
 
+def _check_exclusive(spec: dict, key: str, others: tuple, where: str) -> None:
+    """A ConfigError naming the keys of others that spec gives beside key,
+    which sets what they would: one of the two would be ignored."""
+    clash = [other for other in others if other in spec]
+    if key in spec and clash:
+        raise ConfigError(f"{', '.join(map(repr, clash))} and {key!r} in "
+                          f"{where} conflict: give one or the other")
+
+
 def _require_radius(radius: float, what: str, instead: str) -> None:
     """A ConfigError naming the zero radius unless radius is positive: what
     means k times it, and a single dipole sits at its block's center."""
@@ -156,6 +165,8 @@ def _grid_from_config(cfg: dict, radius: float) -> np.ndarray:
     if not isinstance(grid, dict):
         raise ConfigError(f"'frequencies' must be a JSON object, got {grid!r}")
     _check_keys(grid, ("ka", "start_hz", "stop_hz", "count"), "'frequencies'")
+    _check_exclusive(grid, "ka", ("start_hz", "stop_hz", "count"),
+                     "'frequencies'")
     if "ka" in grid:
         if not isinstance(grid["ka"], list):
             raise ConfigError(f"'ka' must be a list of numbers, got "
@@ -264,6 +275,7 @@ def _backend(spec: dict):
         for i, layer in enumerate(layers):
             _check_keys(layer, ("eps_r", "mu_r", "boundary_fraction"),
                         f"mie layer {i}")
+        _check_exclusive(spec, "layers", ("eps_r", "mu_r"), "the mie backend")
         try:
             sphere = LayeredSphere(radius, tuple(
                 Layer(_real(l["eps_r"], "layer 'eps_r'"),

@@ -28,7 +28,7 @@ from scipy.special._ufuncs import _spherical_jn, _spherical_yn
 
 from .errors import ScatmodesError
 from .quadrature import QuadratureRule
-from .swe import TransitionMatrix, vsh_matrix
+from .swe import TransitionMatrix, synthesize, vsh_matrix
 from .scattering import ScatteringBackend, ScatteringMatrix
 from .modes import ModeSet
 
@@ -233,7 +233,7 @@ class MieBackend(ScatteringBackend):
         """
         l_max = self.l_max if self.l_max is not None else default_l_max(rule)
         tmat = layered_tmatrix(self.sphere, k * self.radius, l_max)
-        a = vsh_matrix(l_max, rule)
-        return ScatteringMatrix(rule=rule, k=k,
-                                matrix=a @ tmat.entries @ a.conj().T,
-                                weighted=False)
+        return ScatteringMatrix(
+            rule=rule, k=k, matrix=synthesize(vsh_matrix(l_max, rule),
+                                              tmat.entries),
+            weighted=False)

@@ -103,18 +103,12 @@ def _phase_fix(vectors: np.ndarray) -> None:
 
 def _sort_order(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     """Indices ordering modes by |t| descending, then arg t in [0, 2 pi),
-    then the magnitude of each eigenvector's first nonzero entry.
-
-    One stable lexsort gives the order of a stable sort on the key tuples.
-    The magnitudes use the scalar abs: the vectorized np.abs differs from it
-    in the last ulp for a large share of inputs, which would reorder the
-    members of a multiplet.  The vectorized np.angle equals the scalar one.
-    """
+    then the magnitude of each eigenvector's first nonzero entry: one
+    stable lexsort, so the order of a stable sort on the key tuples."""
     firsts = vectors[np.argmax(vectors != 0, axis=0),
                      np.arange(vectors.shape[1])]
-    mag_t = np.fromiter(map(abs, values.tolist()), float, len(values))
-    mag_f = np.fromiter(map(abs, firsts.tolist()), float, len(firsts))
-    return np.lexsort((mag_f, np.angle(values) % (2 * math.pi), -mag_t))
+    return np.lexsort((np.abs(firsts), np.angle(values) % (2 * math.pi),
+                       -np.abs(values)))
 
 
 #: matrix size 2 N_q from which overlap runs f and g side by side; below
@@ -289,11 +283,13 @@ def _geev(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 _QP3_CROSSOVER = 128
 
 
-def _pivoted_qr(matrix: np.ndarray) -> tuple:
-    """S P = Q R by LAPACK geqp3, stopped once the rank has settled.
+def _pivoted_qr(matrix: np.ndarray, scale: np.ndarray | None) -> tuple:
+    """N P = Q R by LAPACK geqp3, for N = D matrix D^-1 with D = diag(scale),
+    or N = matrix where scale is None, stopped once the rank has settled.
 
-    Returns geqp3's packed (Fortran-ordered) qr, the 0-based pivots, tau and
-    the count `done` of columns factored.  Up to _QP3_CROSSOVER + nb columns
+    N is formed in the one Fortran-ordered copy that LAPACK factors in
+    place.  Returns geqp3's packed qr, the 0-based pivots, tau and the
+    count `done` of columns factored.  Up to _QP3_CROSSOVER + nb columns
     geqp3 blocks at most once and runs as it is (done = n).  Above that this
     is geqp3's own driver loop: dznrm2 column norms, zlaqps panels of up to
     nb columns (nb from geqp3's workspace query, lwork = (n + 1) nb), and
@@ -308,22 +304,26 @@ def _pivoted_qr(matrix: np.ndarray) -> tuple:
     perm holds the unpivoted columns.
     """
     n = matrix.shape[0]
-    (geqp3,) = scipy.linalg.get_lapack_funcs(("geqp3",), (matrix,))
+    a = np.empty((n, n), dtype=complex, order="F")
+    if scale is None:
+        a[...] = matrix
+    else:  # a real reciprocal: a complex division costs more than the copy
+        np.multiply(matrix, scale[:, None], out=a)
+        a *= 1.0 / scale
+    (geqp3,) = scipy.linalg.get_lapack_funcs(("geqp3",), (a,))
 
     def query():  # the one geqp3 call the panels make
-        *_, work, info = geqp3(matrix, lwork=-1)
+        *_, work, info = geqp3(a, lwork=-1)
         _check_lapack("geqp3", info)
         return work[0].real
 
-    lwork = _workspace(("geqp3", *_signature((matrix,), {})), query)
+    lwork = _workspace(("geqp3", *_signature((a,), {})), query)
     nb = lwork // (n + 1)
     if not 2 <= nb < n - _QP3_CROSSOVER:  # one panel at most: geqp3 itself
-        qr, perm, tau, _, info = geqp3(matrix, lwork=lwork)
+        qr, perm, tau, _, info = geqp3(a, lwork=lwork, overwrite_a=1)
         _check_lapack("geqp3", info)
         perm -= 1
         return qr, perm, tau, n
-    a = np.empty(n * n, dtype=complex)
-    a.reshape(n, n).T[...] = matrix  # Fortran order, column j at j n
     jpvt = np.arange(1, n + 1, dtype=np.intc)
     tau = np.zeros(n, dtype=complex)
     vn = np.empty(2 * n)  # partial column norms, then their reference
@@ -349,16 +349,16 @@ def _pivoted_qr(matrix: np.ndarray) -> tuple:
                 tp + 16 * j, vp + 8 * j, vp + 8 * (n + j), wp,
                 wp + 16 * int(ints[3]), cols)
         j += int(ints[4])
-        thr = cut * abs(a[0])
+        thr = cut * abs(a[0, 0])
         # the partial norms only decide when to take the exact ones
         if vn[j:n].max() <= thr and max(norms(j)) <= thr / 2:
             jpvt -= 1
-            return a.reshape(n, n).T, jpvt, tau, j
+            return a, jpvt, tau, j
     ints[1:3] = n - j, j
     _ZLAQP2(m, cols, offset, ap + 16 * n * j, m, jp + 4 * j, tp + 16 * j,
             vp + 8 * j, vp + 8 * (n + j), wp)
     jpvt -= 1
-    return a.reshape(n, n).T, jpvt, tau, n
+    return a, jpvt, tau, n
 
 
 def _economic_q(a: np.ndarray) -> np.ndarray:
@@ -407,57 +407,169 @@ def _orthonormalize_degenerate(values, vectors, weights) -> None:
         vectors[:, cols] = fixed
 
 
-def _eigenpairs(matrix: np.ndarray,
-                weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """All n eigenpairs of the weighted matrix S, unsorted, from an eig of
-    its significant subspace, with a |w|-orthonormal null basis.
+#: the normality defect ||M M^H - M^H M||_F / ||M||_F^2 up to which the
+#: r x r block takes the Hermitian route: lossless data reads 1e-16 to
+#: 5e-16, samples with noise of 1e-12 max|S| read 2.5e-13
+NORMALITY_TOL = 1e-14
 
-    Every eigenvector with t != 0 lies in range(S), whose rank r is bounded
-    by the radiating channel count, well below n = 2 N_q.  One column-pivoted
-    QR S P = Q R (_pivoted_qr, stopped once r has settled) gives r as the
-    count of |R_ii| > n eps |R_00| (the numpy.linalg.matrix_rank
-    convention).  The r x r matrix Q_r^H S Q_r,
+#: c of H + c K in the Hermitian route's first solve: irrational, so that
+#: two distinct eigenvalues t, t' share Re t + c Im t only by accident
+_MIX = math.sqrt(2.0) - 1.0
+
+
+def _is_normal(q: np.ndarray, m: np.ndarray, rows: np.ndarray,
+               cut: float) -> bool:
+    """Whether N is normal to rounding, from Q_r = q, M = m = Q_r^H N Q_r,
+    rows = R_r P^T = Q_r^H N and the rank cut n eps |R_00|.
+
+    The coupling Z = Q_r^H N Q_perp, by which range(N^H) leaves
+    range(Q_r), must be at most sqrt(n - r) cut in F-norm, and M's normality
+    defect at most NORMALITY_TOL.  A normal N meets the first bound:
+    ||Z|| <= ||N Q_perp|| = ||N^H Q_perp|| = ||R_22||, and the pivoting
+    keeps each of R_22's n - r columns below the cut.  Z^H is the part of
+    rows^H = N^H Q_r outside range(Q_r), rows^H - Q_r M^H, so Q_perp is not
+    needed to measure it.  The coupling is checked first: one n x r x r
+    product, where the defect takes two r x r x r ones, and noisy samples
+    of nearly full rank already fail it.
+    """
+    n, r = q.shape
+    mh = m.conj().T
+    return bool(np.linalg.norm(rows.conj().T - q @ mh)
+                <= math.sqrt(n - r) * cut
+                and np.linalg.norm(m @ mh - mh @ m)
+                <= NORMALITY_TOL * np.linalg.norm(m) ** 2)
+
+
+def _normal_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and orthonormal eigenvectors of a normal matrix m.
+
+    m = H + i K with H and K Hermitian, which commute because m is normal,
+    so eigh of H + c K (c = _MIX) gives vectors Y that diagonalize m,
+    except where two eigenvalues t != t' share Re t + c Im t or come close
+    to it: there B = Y^H m Y keeps off-diagonal mass.  Each sweep takes the
+    pairs of columns that B couples by more than 8 eps ||m||_F, and for
+    each run of columns from the first to the last of such a pair
+    triangularizes B on the run by a complex Schur form, which needs no
+    direction c, and rotates Y and B with it (a Jacobi-like simultaneous
+    diagonalization: Bunse-Gerstner, Byers and Mehrmann, SIAM J. Matrix
+    Anal. Appl. 14, 1993).  The sweeps stop once no pair is coupled, or
+    once a sweep no longer halves the largest coupling: what is left then
+    is rounding and m's own departure from normality.  The eigenvalues are
+    B's diagonal.
+    """
+    r = len(m)
+    g = (1.0 - 1j * _MIX) * m  # H + c K is the Hermitian part of (1 - i c) m
+    y = np.linalg.eigh((g + g.conj().T) / 2)[1]
+    b = y.conj().T @ (m @ y)
+    tol = 8 * np.finfo(float).eps * np.linalg.norm(m)
+    worst = math.inf
+    while True:
+        mass = np.abs(b)
+        mass = np.triu(np.maximum(mass, mass.T), 1)
+        top = mass.max(initial=0.0)
+        if top <= tol or top > worst / 2:
+            return np.diagonal(b).copy(), y
+        worst = top
+        first, last = np.nonzero(mass > tol)
+        cover = np.zeros(r + 1)  # columns k and k + 1 share a run where > 0
+        np.add.at(cover, first, 1)
+        np.add.at(cover, last, -1)
+        edges = np.diff(np.concatenate([[0], np.cumsum(cover) > 0])
+                        .astype(int))
+        for lo, hi in zip(np.flatnonzero(edges == 1),
+                          np.flatnonzero(edges == -1) + 1):
+            z = scipy.linalg.schur(b[lo:hi, lo:hi], output="complex")[1]
+            y[:, lo:hi] = y[:, lo:hi] @ z
+            b[:, lo:hi] = b[:, lo:hi] @ z
+            b[lo:hi] = z.conj().T @ b[lo:hi]
+
+
+def _eigenpairs(matrix: np.ndarray, weights: np.ndarray) -> tuple:
+    """All n eigenpairs of the weighted matrix S = S_0 W, unsorted, from an
+    eigensolve of its significant subspace, with a |w|-orthonormal null
+    basis, and whether the modes with t != 0 came out w-orthonormal.
+
+    On rules with positive weights the solve runs on the similar matrix
+    N = D S D^-1 = W^1/2 S_0 W^1/2, D = W^1/2, which is normal for a lossless
+    scatterer (I + 2N is unitary), and D^-1 maps its eigenvectors back to
+    S's.  With signed weights N would not be normal, and it is S itself
+    (D = I).  Every eigenvector with t != 0 lies in range(N), whose rank r
+    is bounded by the radiating channel count, well below n = 2 N_q.  One
+    column-pivoted QR N P = Q R (_pivoted_qr, stopped once r has settled)
+    gives r as the count of |R_ii| > n eps |R_00| (the
+    numpy.linalg.matrix_rank convention).  The r x r matrix M = Q_r^H N Q_r,
     formed as R_r P^T Q_r from only the r columns Q_r of Q, carries the
-    nonzero eigenvalues, with eigenvectors Q_r y.  The other n - r modes get
-    t = 0 and span the null space of the truncated R, P [-R11^-1 R12; I].
-    Their basis is |w|-orthonormal, so w-orthonormal on rules with positive
-    weights: sqrt|w|^-1 times the Q factor of sqrt|w| P [-R11^-1 R12; I],
-    from one triangular-pentagonal QR (LAPACK tpqrt, then tpmqrt to form
-    Q).  The scaled identity block is already triangular, so this costs
-    O(r (n - r)^2).  Where the QR stopped early the columns of R12 come in
-    another order than a full geqp3's, so the basis differs from its basis
-    of the same space.  At full rank, as on noisy solver data, this is
-    eig(S) itself.  Both eigensolves are _geev, so scipy.linalg.eig's bits.
-    The null basis and the r x r eig are independent and release the GIL:
-    overlap runs them side by side.
+    nonzero eigenvalues, with eigenvectors Q_r y; the other n - r modes get
+    t = 0.  At full rank, as on noisy solver data, this is eig(S) itself.
 
-    Below SIGNIFICANCE_FLOOR an eigenvector's component along the null space
-    is rounding amplified by 1/|t|: up to 1e-2 at |t| ~ 1e-14.  The modes of
-    a lossless scatterer are w-orthogonal to its null space, so on rules
-    with positive weights that component is projected out of every mode
-    with 0 < |t| <= SIGNIFICANCE_FLOOR, which moves S v - t v by about |t|
-    times its size.  On rules with negative weights w is not a norm and the
-    null basis is only |w|-orthonormal, so the modes are kept as they are.
+    Where all weights are positive and N is normal to rounding (_is_normal:
+    M is normal to NORMALITY_TOL and N couples range(Q_r)'s complement into
+    range(Q_r) by no more than a normal N can), M is solved by _normal_eig,
+    and N's eigenvectors are one orthonormal basis: Q_r Y, and for t = 0 the
+    rest Q_perp of the Q of the first r reflectors (LAPACK unmqr applied to
+    [0; I]), which spans range(Q_r)'s complement, the null space of a
+    normal N.  So the modes come out w-orthonormal.
+
+    Elsewhere, on rules with negative weights and on data that is not
+    normal, M goes to _geev, so scipy.linalg.eig's bits, and the t = 0 modes
+    span the null space of the truncated R, P [-R11^-1 R12; I], by an
+    |w|-orthonormal basis: |W|^-1/2 D times the Q factor of
+    |W|^1/2 D^-1 P [-R11^-1 R12; I] from one triangular-pentagonal QR
+    (LAPACK tpqrt, then tpmqrt to form Q).  The scaled identity block is
+    already triangular, so this costs O(r (n - r)^2).
+    The null basis and the r x r eig are independent and release the GIL:
+    overlap runs them side by side, and where the weights are signed, so
+    that the route is known, the orgqr that forms Q_r too.  Below
+    SIGNIFICANCE_FLOOR a geev eigenvector's component along that null space
+    is rounding amplified by 1/|t|: up to 1e-2 at |t| ~ 1e-14.  With
+    positive weights it is projected out of every mode with
+    0 < |t| <= SIGNIFICANCE_FLOOR, which moves S v - t v by about |t| times
+    its size.  With negative weights w is not a norm and the modes are kept
+    as they are.
     """
     n = matrix.shape[0]
     matrix = np.asarray_chkfinite(matrix)
-    qr, perm, tau, done = _pivoted_qr(matrix)
+    positive = bool(np.all(weights > 0))
+    scale = np.sqrt(weights) if positive else np.ones(n)  # D
+    qr, perm, tau, done = _pivoted_qr(matrix, scale if positive else None)
     diag = np.abs(np.diag(qr))
-    rank = int(np.count_nonzero(diag[:done]
-                                > n * np.finfo(float).eps * diag[0]))
+    cut = n * np.finfo(float).eps * diag[0]
+    rank = int(np.count_nonzero(diag[:done] > cut))
     if rank == n:
-        return _geev(matrix)
+        return *_geev(matrix), False
+    values = np.zeros(n, dtype=complex)
     if rank == 0:
-        return (np.zeros(n, dtype=complex),
-                np.diag(1.0 / np.sqrt(np.abs(weights)) + 0j))
-    (orgqr,) = scipy.linalg.get_lapack_funcs(("orgqr",), (matrix,))
+        return values, np.diag(1.0 / np.sqrt(np.abs(weights)) + 0j), True
+    orgqr, unmqr = scipy.linalg.get_lapack_funcs(("orgqr", "unmqr"), (qr,))
     rmat = np.triu(qr[:rank])  # the rows of R that the solve uses
+    rows = rmat[:, np.argsort(perm)]  # R_r P^T = Q_r^H N
+
+    def compress():  # Q_r and M
+        (q,) = _lapack(orgqr, "orgqr", qr[:, :rank], tau[:rank])
+        return q, rows @ q
+
+    known = compress() if positive else None
+    if known and _is_normal(*known, rows, cut):
+        q, block = known
+        values[:rank], y = _normal_eig(block)
+        vectors = np.zeros((n, n), dtype=complex, order="F")
+        vectors[:, :rank] = q @ y
+        np.fill_diagonal(vectors[rank:, rank:], 1.0)
+        # Q_perp = Q [0; I], in place: at N_q=302 unmqr takes a third of
+        # the time orgqr takes to form all n columns
+        (vectors[:, rank:],) = _lapack(unmqr, "unmqr", b"L", b"N",
+                                       qr[:, :rank], tau[:rank],
+                                       vectors[:, rank:], overwrite_c=1)
+        vectors *= (1.0 / scale)[:, None]
+        return values, vectors, True
+
     # rows in pivot order: the scaled identity is tpqrt's triangle on top,
-    # sqrt|w| X below it a full block (l = 0); 32 is the LAPACK block size.
-    # Every array LAPACK works on is made here, in Fortran order, so the
-    # helper thread allocates nothing large of its own: what a thread's
+    # |W|^1/2 D^-1 X below it a full block (l = 0); 32 is the LAPACK block
+    # size.  Every array LAPACK works on is made here, in Fortran order, so
+    # the helper thread allocates nothing large of its own: what a thread's
     # malloc arena frees it may keep, and peak memory with it.
-    sqrt_w = np.sqrt(np.abs(weights))[perm]
+    root = np.sqrt(np.abs(weights))[perm]  # |W|^1/2
+    sqrt_w = root / scale[perm]  # |W|^1/2 D^-1: 1 where D = W^1/2
     null = n - rank
     r11 = np.ascontiguousarray(rmat[:, :rank])  # r11.T: R11^T, Fortran order
     x = np.array(rmat[:, rank:], order="F")  # R12, then X, then reflectors
@@ -484,41 +596,40 @@ def _eigenpairs(matrix: np.ndarray,
         return top, bottom
 
     def significant():
-        q, _, info = orgqr(qr[:, :rank], tau[:rank])
-        _check_lapack("orgqr", info)
-        return q, *_geev(rmat[:, np.argsort(perm)] @ q)
+        q, block = known or compress()
+        return q, *_geev(block)
 
-    (q_top, q_bottom), (q, t_sig, y) = overlap(null_basis, significant, n)
-    values = np.zeros(n, dtype=complex)
+    (q_top, q_bottom), (q, values[:rank], y) = overlap(null_basis,
+                                                       significant, n)
     vectors = np.zeros((n, n), dtype=complex)
-    values[:rank] = t_sig
-    vectors[:, :rank] = q @ y
-    vectors[perm[rank:], rank:] = q_top / sqrt_w[rank:, None]
-    vectors[perm[:rank], rank:] = q_bottom / sqrt_w[:rank, None]
+    vectors[:, :rank] = q @ y * (1.0 / scale)[:, None]
+    vectors[perm[rank:], rank:] = q_top / root[rank:, None]
+    vectors[perm[:rank], rank:] = q_bottom / root[:rank, None]
 
     # the weak modes' null-space component is rounding (see above)
     weak = np.flatnonzero(np.abs(values[:rank]) <= SIGNIFICANCE_FLOOR)
-    if weak.size and not np.any(weights < 0):
+    if weak.size and positive:
         basis = vectors[:, rank:]
         sub = vectors[:, weak]
         sub -= basis @ (basis.conj().T @ (sub * weights[:, None]))
         vectors[:, weak] = sub
-    return values, vectors
+    return values, vectors, False
 
 
 def decompose(smat: ScatteringMatrix) -> ModeSet:
     """Eigendecomposition of the weighted matrix: all 2 N_q modes, the
     null space carrying t = 0 exactly (see _eigenpairs).
 
-    Each mode with t != 0 is scaled to unit radiated power and each
-    multiplet of them made w-orthonormal; the t = 0 run keeps the
-    |w|-orthonormal basis of _eigenpairs.  Every column is phase-fixed.
+    Each mode with t != 0 is scaled to unit radiated power and, unless the
+    Hermitian route of _eigenpairs gave them so, each multiplet of them
+    made w-orthonormal; the t = 0 run keeps the |w|-orthonormal basis of
+    _eigenpairs.  Every column is phase-fixed.
     """
     if not smat.weighted:
         raise ValueError("decompose expects a weighted scattering matrix")
     w = smat.rule.doubled_weights
     try:
-        values, vectors = _eigenpairs(smat.matrix, w)
+        values, vectors, orthonormal = _eigenpairs(smat.matrix, w)
     except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
         cond = np.linalg.cond(smat.matrix)
         raise EigensolverFailure(
@@ -531,7 +642,8 @@ def decompose(smat: ScatteringMatrix) -> ModeSet:
 
     order = _sort_order(values, vectors)
     values, vectors = values[order], vectors[:, order]
-    _orthonormalize_degenerate(values, vectors, w)
+    if not orthonormal:
+        _orthonormalize_degenerate(values, vectors, w)
 
     # S V in two row halves into one C-ordered buffer: the same bits as
     # S @ V (a column split or an F-ordered buffer gives other bits)

@@ -208,10 +208,18 @@ def t_from_s(smat, l_max: int) -> TransitionMatrix:
 def s_from_t(tmat: TransitionMatrix, rule: QuadratureRule, k: float | None = None):
     """Synthesize scattering-dyadic samples at the rule points from T."""
     require_capability(rule, 2 * tmat.l_max, "sample synthesis")
-    a = vsh_matrix(tmat.l_max, rule)
-    matrix = a @ tmat.entries @ a.conj().T
+    matrix = synthesize(vsh_matrix(tmat.l_max, rule), tmat.entries)
     return ScatteringMatrix(rule=rule, k=k if k is not None else tmat.k,
                             matrix=matrix, weighted=False)
+
+
+def synthesize(a: np.ndarray, entries: np.ndarray) -> np.ndarray:
+    """The samples A T A^H of the transition matrix T = entries, with A a
+    vsh_matrix; a diagonal T, as a sphere's is, as (A diag(T)) A^H."""
+    diag = np.diagonal(entries)
+    if np.count_nonzero(entries) == np.count_nonzero(diag):
+        return (a * diag) @ a.conj().T
+    return a @ entries @ a.conj().T
 
 
 def expand_farfield(samples: np.ndarray, rule: QuadratureRule, l_max: int):

@@ -82,7 +82,7 @@ def dda_pipeline(dipole_block):
 
 
 def _full_eig(matrix, weights):
-    return scipy.linalg.eig(matrix)
+    return *scipy.linalg.eig(matrix), False  # not w-orthonormal
 
 
 def _full_eig_decompose(weighted):
@@ -97,19 +97,31 @@ def full_eig_decompose():
     return _full_eig_decompose
 
 
-@pytest.fixture(scope="session")
-def magnetodielectric_matrices():
-    """Four-layer dielectric-magnetic sphere swept over a wide ka band:
-    the ka grid and the weighted N_q=38 matrix of every step."""
+def _layered_sweep_matrices(eps_r, mu_r):
+    """A four-layer sphere (boundaries at 0.25, 0.5, 0.75 and 1) swept over
+    ka 0.5 to 4.5 in 201 steps: the ka grid and the weighted N_q=38 matrix
+    of every step."""
     sphere = sm.LayeredSphere(1.0, tuple(
         sm.Layer(e, m, f) for e, m, f in
-        zip([1, 5, 1, 2], [3, 1, 8, 1], [0.25, 0.5, 0.75, 1.0])))
+        zip(eps_r, mu_r, [0.25, 0.5, 0.75, 1.0])))
     rule = sm.lebedev_rule(38)
     l_max = rule.order_capability // 2
     kas = np.arange(0.5, 4.5001, 0.02)
     return kas, [sm.apply_weights(
         sm.s_from_t(sm.layered_tmatrix(sphere, ka, l_max), rule, k=ka))
         for ka in kas]
+
+
+@pytest.fixture(scope="session")
+def magnetodielectric_matrices():
+    """The acceptance-6 dielectric-magnetic sphere's sweep matrices."""
+    return _layered_sweep_matrices([1, 5, 1, 2], [3, 1, 8, 1])
+
+
+@pytest.fixture(scope="session")
+def dielectric_matrices():
+    """The acceptance-6 all-dielectric sphere's sweep matrices."""
+    return _layered_sweep_matrices([3, 5, 8, 2], [1, 1, 1, 1])
 
 
 def _sweep(kas, modesets):
@@ -120,6 +132,12 @@ def _sweep(kas, modesets):
 @pytest.fixture(scope="session")
 def magnetodielectric_sweep(magnetodielectric_matrices):
     kas, weighted = magnetodielectric_matrices
+    return kas, _sweep(kas, map(sm.decompose, weighted))
+
+
+@pytest.fixture(scope="session")
+def dielectric_sweep(dielectric_matrices):
+    kas, weighted = dielectric_matrices
     return kas, _sweep(kas, map(sm.decompose, weighted))
 
 

@@ -43,23 +43,6 @@ def _orthonormal_farfields(rule, count, seed=0):
     return np.column_stack(cols)
 
 
-@pytest.fixture(scope="module")
-def dielectric_sweep():
-    """Four-layer all-dielectric sphere swept over the same wide ka band."""
-    sphere = sm.LayeredSphere(1.0, tuple(
-        sm.Layer(e, 1.0, f) for e, f in
-        zip([3, 5, 8, 2], [0.25, 0.5, 0.75, 1.0])))
-    rule = sm.lebedev_rule(38)
-    l_max = rule.order_capability // 2
-    kas = np.arange(0.5, 4.5001, 0.02)
-    modesets = tuple(
-        sm.decompose(sm.apply_weights(
-            sm.s_from_t(sm.layered_tmatrix(sphere, ka, l_max), rule, k=ka)))
-        for ka in kas)
-    freqs = np.array([sm.frequency(ka) for ka in kas])
-    return kas, sm.SweepResult(frequencies=freqs, modesets=modesets)
-
-
 def test_acceptance_1_sphere_pipeline_matches_analytic(sphere_eps3):
     worst_rel, worst_time, multiplicity_ok = 0.0, 0.0, True
     for ka in (0.5, 1.0, 2.0):

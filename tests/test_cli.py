@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import scatmodes as sm
 from scatmodes import cli, dataio
 from scatmodes.errors import DimensionMismatch, ParseError
 from scatmodes import build_block
@@ -762,6 +763,28 @@ def test_unknown_config_key_is_a_usage_error(tmp_path, monkeypatch, capsys,
     assert os.listdir(tmp_path) == ["config.json"]
 
 
+@pytest.mark.parametrize("cfg, where", [
+    (_with(["backend", "layers"], _LAYERS), "'eps_r' and 'layers' in the mie"),
+    ({**_with(["backend"], {"type": "mie", "mu_r": 2.0, "layers": _LAYERS})},
+     "'mu_r' and 'layers' in the mie"),
+    (_with(["frequencies", "start_hz"], 3e7), "'start_hz' and 'ka' in"),
+    (_with(["frequencies"], {"ka": [0.8], "stop_hz": 4e7, "count": 2}),
+     "'stop_hz', 'count' and 'ka' in"),
+], ids=["layers-eps_r", "layers-mu_r", "ka-start_hz", "ka-stop_hz-count"])
+def test_conflicting_config_keys_are_a_usage_error(tmp_path, monkeypatch,
+                                                   capsys, cfg, where):
+    """A mie spec's eps_r or mu_r beside its layers, and Hz fields beside a
+    ka grid, were ignored: the layers and the ka grid won silently.  Each is
+    one error naming the keys, with nothing written."""
+    monkeypatch.chdir(tmp_path)
+    _write_config(tmp_path, cfg)
+    assert main(["sweep", "--config", "config.json"]) == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert where in err[0] and err[0].endswith("give one or the other")
+    assert os.listdir(tmp_path) == ["config.json"]
+
+
 @pytest.mark.parametrize("command", [
     ["sweep"], ["precision-study", "--nq-list", "14", "--reference", "26"]])
 def test_unknown_backend_flag_key_is_a_usage_error(tmp_path, capsys, command):
@@ -811,11 +834,14 @@ def test_sweep_on_230_points_validates(tmp_path):
 _VALID_CONFIGS = st.fixed_dictionaries({
     "backend": st.one_of(
         st.fixed_dictionaries({"type": st.just("mie")}, optional={
-            "eps_r": st.just(3.0), "radius": st.sampled_from([0.5, 1.0]),
-            "l_max": st.sampled_from([1, 2, 3]),
-            "layers": st.just([{"eps_r": 2.0, "boundary_fraction": 0.5},
-                               {"eps_r": 3.0, "mu_r": 1.5,
-                                "boundary_fraction": 1.0}])}),
+            "eps_r": st.just(3.0), "mu_r": st.just(1.5),
+            "radius": st.sampled_from([0.5, 1.0]),
+            "l_max": st.sampled_from([1, 2, 3])}),
+        st.fixed_dictionaries({"type": st.just("mie"), "layers": st.just(
+            [{"eps_r": 2.0, "boundary_fraction": 0.5},
+             {"eps_r": 3.0, "mu_r": 1.5, "boundary_fraction": 1.0}])},
+            optional={"radius": st.sampled_from([0.5, 1.0]),
+                      "l_max": st.sampled_from([1, 2, 3])}),
         st.fixed_dictionaries({"type": st.just("dda"), "spacing": st.just(0.1),
                                "eps_r": st.just(3.0)},
                               optional={"extent": st.just([2, 1, 1])})),
@@ -832,8 +858,8 @@ _FIELDS = [("backend",), ("backend", "type"), ("backend", "eps_r"),
            ("backend", "mu_r"), ("backend", "radius"), ("backend", "l_max"),
            ("backend", "layers"), ("backend", "extent"),
            ("backend", "spacing"), ("frequencies",), ("frequencies", "ka"),
-           ("frequencies", "start_hz"), ("frequencies", "count"),
-           ("quadrature",), ("output",)]
+           ("frequencies", "start_hz"), ("frequencies", "stop_hz"),
+           ("frequencies", "count"), ("quadrature",), ("output",)]
 _MISSING = "<missing>"
 _JUNK = st.sampled_from([_MISSING, None, True, "x", "14", [], [1.0], [[1.0]],
                          {}, {"a": 1}, -1, 0, 2.5, 15, math.inf, 10**400])
@@ -853,12 +879,51 @@ def _mutate(cfg, mutations):
     return cfg
 
 
+#: the keys that conflict: a mie spec's eps_r or mu_r beside its layers,
+#: and the Hz fields beside a ka grid
+_CONFLICTS = st.sampled_from([
+    (("backend", "eps_r"), 2.0), (("backend", "mu_r"), 1.5),
+    (("backend", "layers"), [{"eps_r": 2.0, "boundary_fraction": 1.0}]),
+    (("frequencies", "ka"), [0.5]), (("frequencies", "start_hz"), 3e7),
+    (("frequencies", "stop_hz"), 4e7), (("frequencies", "count"), 2)])
+
+
+def _expected_sphere(spec):
+    """The sphere an accepted mie spec describes, read from the spec alone."""
+    radius = spec.get("radius", 1.0)
+    if "layers" not in spec:
+        return sm.LayeredSphere.homogeneous(radius, spec.get("eps_r", 3.0),
+                                            spec.get("mu_r", 1.0))
+    return sm.LayeredSphere(radius, tuple(
+        sm.Layer(l["eps_r"], l.get("mu_r", 1.0), l["boundary_fraction"])
+        for l in spec["layers"]))
+
+
+def _assert_top_modes_are_analytic(cfg, out):
+    """Each written mode table's modes with |t| > 1e-3 are among the
+    sphere's analytic channel eigenvalues, within 1e-8."""
+    spec = cfg["backend"]
+    assert "layers" not in spec or not {"eps_r", "mu_r"} & set(spec)
+    sphere = _expected_sphere(spec)
+    for entry in dataio.read_manifest(out)["entries"]:
+        with open(os.path.join(out, entry["modes"])) as fh:
+            rows = list(csv.DictReader(fh))
+        t = np.array([complex(float(r["re_t"]), float(r["im_t"]))
+                      for r in rows])
+        t = t[np.abs(t) > 1e-3]
+        ka = entry["wavenumber"] * sphere.outer_radius_a
+        analytic = sm.channel_eigenvalues(sphere, ka, 20).ravel()
+        assert t.size and all(np.min(np.abs(analytic - value)) <= 1e-8
+                              for value in t)
+
+
 @settings(max_examples=60)
 @given(cfg=_VALID_CONFIGS, mutations=st.lists(
-    st.tuples(st.sampled_from(_FIELDS), _JUNK), max_size=3))
+    st.tuples(st.sampled_from(_FIELDS), _JUNK) | _CONFLICTS, max_size=3))
 def test_fuzzed_sweep_configs_end_in_a_documented_exit_code(cfg,
                                                             mutations):
-    """No config ends in a traceback; a usage error writes nothing."""
+    """No config ends in a traceback; a usage error writes nothing; a mie
+    sweep that succeeds wrote the sphere's analytic eigenvalues."""
     with tempfile.TemporaryDirectory() as tmp:
         cfg["output"] = os.path.join(tmp, "out")
         _mutate(cfg, mutations)
@@ -870,6 +935,8 @@ def test_fuzzed_sweep_configs_end_in_a_documented_exit_code(cfg,
         assert code in (EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, EXIT_COMPUTE)
         if code == EXIT_USAGE:
             assert os.listdir(tmp) == ["config.json"]
+        if code == EXIT_OK and cfg["backend"]["type"] == "mie":
+            _assert_top_modes_are_analytic(cfg, cfg["output"])
 
 
 def test_output_that_is_a_file_is_a_usage_error(tmp_path, mie_config, capsys):

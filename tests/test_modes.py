@@ -6,11 +6,12 @@ import time
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scatmodes as sm
-from scatmodes import dataio, modes
+from scatmodes import cli, dataio, modes
 from scatmodes.errors import BelowSignificanceThreshold, EigensolverFailure
 from scatmodes.modes import characteristic_angle, degenerate_groups, metrics
 from scatmodes.swe import _tangential_components
@@ -105,7 +106,7 @@ def _reference_decompose(smat):
     then modified Gram-Schmidt inside each multiplet of nonzero values.
     The t = 0 run keeps the |w|-orthonormal basis of the solve."""
     w = smat.rule.doubled_weights
-    values, vectors = modes._eigenpairs(smat.matrix, w)
+    values, vectors, _ = modes._eigenpairs(smat.matrix, w)
 
     def phase_fix(vec):
         pivot = vec[int(np.argmax(np.abs(vec)))]
@@ -120,7 +121,7 @@ def _reference_decompose(smat):
     keys = []
     for n, t in enumerate(values):
         first = vectors[np.argmax(np.abs(vectors[:, n]) > 0), n]
-        keys.append((-abs(t), np.angle(t) % (2 * math.pi), abs(first)))
+        keys.append((-np.abs(t), np.angle(t) % (2 * math.pi), np.abs(first)))
     order = np.array(sorted(range(len(values)), key=lambda n: keys[n]))
     values, vectors = values[order], vectors[:, order]
 
@@ -238,9 +239,9 @@ def test_degenerate_groups_never_join_zero_with_nonzero():
 
 
 def test_decompose_sends_the_null_run_to_no_qr(sphere_eps3, monkeypatch):
-    """At N_q=302 the null run is 469 of 604 modes; the pivoted QR of S
-    stops once the rank has settled, and no other QR that decompose makes
-    may see the null run."""
+    """At N_q=302 the null run is 469 of 604 modes; the pivoted QR of N
+    stops once the rank has settled, and decompose makes no other QR: the
+    Hermitian route needs no Gram-Schmidt."""
     rule = sm.lebedev_rule(302)
     weighted = sm.apply_weights(sm.MieBackend(sphere_eps3).sample(rule, 0.97))
     calls, stops = [], []
@@ -256,8 +257,8 @@ def test_decompose_sends_the_null_run_to_no_qr(sphere_eps3, monkeypatch):
         return [record(name, func) if name in ("geqp3", "geqrf") else func
                 for name, func in zip(names, real(names, arrays))]
 
-    def pivoted_qr(matrix):
-        out = real_qr(matrix)
+    def pivoted_qr(matrix, scale):
+        out = real_qr(matrix, scale)
         stops.append(out[3])
         return out
 
@@ -266,14 +267,12 @@ def test_decompose_sends_the_null_run_to_no_qr(sphere_eps3, monkeypatch):
     modeset = sm.decompose(weighted)
     null = int(np.count_nonzero(modeset.eigenvalues == 0))
     assert null > 400
-    rank, settled, nb, _ = _settling(weighted.matrix)
+    w = rule.doubled_weights
+    rank, settled, nb, _ = _settling(_solved(weighted.matrix, w))
     assert rank == 604 - null
     assert len(stops) == 1 and rank <= settled <= stops[0] <= settled + nb
     assert stops[0] < 200  # of 604 columns
-    assert not any(name == "geqp3" for name, shape in calls)
-    assert all(shape[1] < null for name, shape in calls if name == "geqrf")
-    assert any(name == "geqrf" for name, shape in calls)
-    w = rule.doubled_weights
+    assert calls == []
     f = modeset.eigenvectors[:, -null:]
     assert np.max(np.abs(_gram(f, w) - np.eye(null))) <= 1e-12
     assert np.max(modeset.residuals[-null:]) <= 1e-12
@@ -319,11 +318,11 @@ def test_farfield_orthogonality_needs_rule():
 
 def _tuple_key_order(values, vectors):
     """The mode order as a stable sort on (-|t|, arg t mod 2 pi, |first|)
-    key tuples built with scalar abs and angle."""
+    key tuples."""
     firsts = vectors[np.argmax(vectors != 0, axis=0),
                      np.arange(vectors.shape[1])]
-    keys = [(-abs(t), np.angle(t) % (2 * math.pi), abs(f))
-            for t, f in zip(values, firsts)]
+    keys = list(zip(-np.abs(values), np.angle(values) % (2 * math.pi),
+                    np.abs(firsts)))
     return np.array(sorted(range(len(values)), key=keys.__getitem__))
 
 
@@ -343,8 +342,7 @@ def test_sort_order_equals_the_tuple_key_sort():
         values, vectors = draw(n), draw((6, n))
         assert np.array_equal(modes._sort_order(values, vectors),
                               _tuple_key_order(values, vectors))
-    # one multiplet whose first entries share a magnitude up to rounding,
-    # where the vectorized np.abs would reorder the members
+    # one multiplet, ordered by its first entries' magnitudes alone
     for _ in range(20):
         n = 12
         values = np.full(n, 0.25 - 0.4j)
@@ -362,12 +360,13 @@ def test_sort_order_equals_the_tuple_key_sort():
                               _tuple_key_order(values, vectors))
 
 
-def _scipy_qr_decompose(smat, eigenpairs=None):
-    """decompose's post-processing spelled out with the tuple-key sort and
-    scipy.linalg.qr, on the raw eigenpairs of eigenpairs (by default those
-    of modes._eigenpairs)."""
+def _reference_modes(smat):
+    """The oracle's reference, as (values, vectors, residuals):
+    scipy.linalg.eig after a full geqp3 (_scipy_eigenpairs), through
+    decompose's post-processing spelled out with the tuple-key sort and
+    Gram-Schmidt by scipy.linalg.qr inside every multiplet."""
     w = smat.rule.doubled_weights
-    values, vectors = (eigenpairs or modes._eigenpairs)(smat.matrix, w)
+    values, vectors = _scipy_eigenpairs(smat.matrix, w)
 
     def phase_fix(v):
         pivots = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
@@ -401,26 +400,40 @@ def _scipy_qr_decompose(smat, eigenpairs=None):
     return values, vectors, residuals
 
 
-def test_sweep_synthesis_and_decompose_equal_the_plain_reference(
-        magnetodielectric_sweep):
-    """Every step of the 201-step N_q=38 sweep, bit for bit: synthesis
-    against a freshly built VSH matrix, decompose against the tuple-key sort
-    and scipy.linalg.qr."""
-    kas, sweep = magnetodielectric_sweep
+def test_sweeps_meet_the_full_qr_oracle(dielectric_matrices, dielectric_sweep,
+                                        magnetodielectric_matrices,
+                                        magnetodielectric_sweep):
+    """Both acceptance-6 sweeps, 201 N_q=38 steps each: each step's modes
+    against the oracle, the traces against the
+    reference's, residuals over |t| > 1e-6 within 1e-13 and the far fields
+    w-orthonormal within 1e-10.  The synthesis is (A diag(T)) A^H, bit for
+    bit, with a freshly built VSH matrix A."""
+    kas, weighted = magnetodielectric_matrices
     sphere = sm.LayeredSphere(1.0, tuple(
         sm.Layer(e, m, f) for e, m, f in
         zip([1, 5, 1, 2], [3, 1, 8, 1], [0.25, 0.5, 0.75, 1.0])))
-    rule = sweep.modesets[0].rule
+    rule = weighted[0].rule
     a = np.vstack(_tangential_components(4, rule.theta, rule.phi))
     assert len(kas) == 201 and rule.n_points == 38
-    for ka, modeset in zip(kas, sweep.modesets):
+    for ka, smat in zip(kas, weighted):
         tmat = sm.layered_tmatrix(sphere, ka, 4)
-        smat = sm.s_from_t(tmat, rule, k=ka)
-        assert np.array_equal(smat.matrix, a @ tmat.entries @ a.conj().T)
-        values, vectors, residuals = _scipy_qr_decompose(sm.apply_weights(smat))
-        assert np.array_equal(modeset.eigenvalues, values)
-        assert np.array_equal(modeset.eigenvectors, vectors)
-        assert np.array_equal(modeset.residuals, residuals)
+        fresh = (a * np.diagonal(tmat.entries)) @ a.conj().T
+        assert _same_bits(sm.s_from_t(tmat, rule, k=ka).matrix, fresh)
+        assert _same_bits(smat.matrix, fresh * rule.doubled_weights)
+    for (_, weighted), (_, sweep) in ((dielectric_matrices, dielectric_sweep),
+                                      (magnetodielectric_matrices,
+                                       magnetodielectric_sweep)):
+        references = []
+        for smat, modeset in zip(weighted, sweep.modesets):
+            references.append(_reference_modes(smat))
+            _assert_meets_the_oracle(smat, modeset, references[-1])
+            significant = np.abs(modeset.eigenvalues) > 1e-6
+            assert np.max(modeset.residuals[significant]) <= 1e-13
+            assert np.max(np.abs(sm.farfield_orthogonality(modeset)
+                                 - np.eye(76))) <= 1e-10
+        _assert_same_traces(sweep, [sm.ModeSet(
+            k=ms.k, eigenvalues=v, eigenvectors=f, rule=ms.rule, residuals=r)
+            for ms, (v, f, r) in zip(sweep.modesets, references)])
 
 
 def _span_projector(f, w):
@@ -470,7 +483,7 @@ def _assert_matches_full_eig(weighted, modeset, reference):
     w = weighted.rule.doubled_weights
     _assert_same_modes(w, modeset.eigenvalues, modeset.eigenvectors,
                        reference.eigenvalues, reference.eigenvectors)
-    values, vectors = modes._eigenpairs(weighted.matrix, w)
+    values, vectors, _ = modes._eigenpairs(weighted.matrix, w)
     live = values != 0  # the null run comes |w|-orthonormal
     vectors[:, live] /= np.sqrt(np.abs(w @ np.abs(vectors[:, live]) ** 2))
     assert np.max(np.linalg.norm(weighted.matrix @ vectors - vectors * values,
@@ -519,7 +532,8 @@ def test_eigenpairs_match_full_eig_over_the_sweep(
 def test_eigenpairs_at_full_rank_are_the_full_eig():
     rng = np.random.default_rng(3)
     matrix = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
-    values, vectors = modes._eigenpairs(matrix, np.ones(12))
+    values, vectors, orthonormal = modes._eigenpairs(matrix, np.ones(12))
+    assert not orthonormal
     ref_values, ref_vectors = scipy.linalg.eig(matrix)
     assert np.array_equal(values, ref_values)
     assert np.array_equal(vectors, ref_vectors)
@@ -555,11 +569,22 @@ def test_geev_equals_scipy_eig():
     _assert_is_scipy_eig(np.zeros((9, 9), dtype=complex))
 
 
-def test_geev_equals_scipy_eig_on_every_sweep_block(magnetodielectric_matrices,
-                                                    monkeypatch):
-    """_geev is the one eigensolver _eigenpairs calls, once per step, and on
-    each r x r block of the 201-step sweep it gives eig's bits."""
-    _, weighted = magnetodielectric_matrices
+def test_geev_equals_scipy_eig_on_every_block_it_solves(
+        magnetodielectric_matrices, monkeypatch):
+    """The acceptance-6 sphere swept over the 74-point rule, which has
+    negative weights, and the sweep's samples with noise of 1e-12 max|S|,
+    which are not normal: _geev runs once per step, on the r x r block on
+    the 74-point rule and on the whole matrix of the noisy samples, which
+    have full rank, and gives eig's bits."""
+    kas, weighted = magnetodielectric_matrices
+    sphere = sm.LayeredSphere(1.0, tuple(
+        sm.Layer(e, m, f) for e, m, f in
+        zip([1, 5, 1, 2], [3, 1, 8, 1], [0.25, 0.5, 0.75, 1.0])))
+    rule = sm.lebedev_rule(74)
+    cases = [sm.apply_weights(sm.MieBackend(sphere).sample(rule, ka))
+             for ka in kas[::5]]
+    cases += [sm.apply_weights(_noisy(_unweighted(smat), 1e-12))
+              for smat in weighted[::5]]
     blocks, real = [], modes._geev
 
     def recording(a):
@@ -568,12 +593,19 @@ def test_geev_equals_scipy_eig_on_every_sweep_block(magnetodielectric_matrices,
 
     with monkeypatch.context() as patched:
         patched.setattr(modes, "_geev", recording)
-        for smat in weighted:
-            modes._eigenpairs(smat.matrix, smat.rule.doubled_weights)
-    assert len(blocks) == 201
-    assert all(a.shape == (48, 48) for a in blocks)
+        for smat in cases:
+            assert not modes._eigenpairs(smat.matrix,
+                                         smat.rule.doubled_weights)[2]
+    assert len(blocks) == len(cases) == 82
+    assert all(len(a) < 148 for a in blocks[:41])  # r x r, r < n
     for a in blocks:
         _assert_is_scipy_eig(a)
+
+
+def _unweighted(smat):
+    """The samples S_0 of a weighted matrix S = S_0 W."""
+    return sm.ScatteringMatrix(rule=smat.rule, k=smat.k,
+                               matrix=smat.matrix / smat.rule.doubled_weights)
 
 
 def _fresh_lwork(key):
@@ -586,8 +618,10 @@ def _fresh_lwork(key):
                                               dtype=np.dtype(char))
         work, info = query(n, **flags)
     else:
-        arrays = [np.zeros(shape, dtype=char) for char, shape in args]
-        func = scipy.linalg.get_lapack_funcs(name, arrays)
+        arrays = [np.zeros(arg[1], dtype=arg[0]) if isinstance(arg, tuple)
+                  else arg for arg in args]
+        func = scipy.linalg.get_lapack_funcs(
+            name, [a for a in arrays if isinstance(a, np.ndarray)])
         *_, work, info = func(*arrays, lwork=-1, **flags)
         work = work[0]
     assert info == 0
@@ -614,11 +648,13 @@ def test_decompose_is_the_same_with_a_cold_and_a_warm_workspace_cache(
     emptied first and with it filled; every cached lwork equals a fresh
     query, and each key names its routine, argument dtypes and shapes."""
     _, weighted = magnetodielectric_matrices
+    names = set()
     for smat in _workspace_cases(weighted, dda_pipeline):
         monkeypatch.setattr(modes, "_WORKSPACE", {})
         cold = sm.decompose(smat)
         filled = dict(modes._WORKSPACE)
-        assert {key[0] for key in filled} >= {"geqp3", "geev"}
+        assert {key[0] for key in filled} >= {"geqp3"}
+        names.update(key[0] for key in filled)
         warm = sm.decompose(smat)
         assert modes._WORKSPACE == filled
         for got, ref in ((warm.eigenvalues, cold.eigenvalues),
@@ -627,11 +663,12 @@ def test_decompose_is_the_same_with_a_cold_and_a_warm_workspace_cache(
             assert _same_bits(got, ref)
         for key, lwork in filled.items():
             assert lwork == _fresh_lwork(key), key
+    assert names == {"geqp3", "orgqr", "unmqr", "geev", "geqrf"}
 
 
 def test_eigenpairs_of_a_zero_matrix_are_a_null_basis():
     w = np.array([0.5, 2.0, -0.25, 1.0, 4.0, 0.125])
-    values, vectors = modes._eigenpairs(np.zeros((6, 6), dtype=complex), w)
+    values, vectors, _ = modes._eigenpairs(np.zeros((6, 6), dtype=complex), w)
     assert np.array_equal(values, np.zeros(6))
     assert np.allclose(_gram(vectors, np.abs(w)), np.eye(6),
                        rtol=0, atol=1e-15)
@@ -650,20 +687,27 @@ _CAPSULES = {"trtrs": "_ZTRTRS", "tpqrt": "_ZTPQRT", "tpmqrt": "_ZTPMQRT",
              "geev": "_ZGEEV"}
 
 
-@pytest.mark.parametrize("failing", ["geqp3", "orgqr", "trtrs", "tpqrt",
-                                     "tpmqrt", "geev"])
+@pytest.mark.parametrize("failing", ["geqp3", "orgqr", "unmqr", "trtrs",
+                                     "tpqrt", "tpmqrt", "geev"])
 def test_a_failed_lapack_call_is_an_eigensolver_failure(
-        failing, mie_modes_ka1, mie_eps3_110, monkeypatch):
-    """On N_q=110 trtrs, tpqrt and tpmqrt run on overlap's helper thread:
-    their failure must reach the caller, and the thread must be gone.  A
-    negative info is a bad argument; a positive one a numerical failure,
-    such as a geev that does not converge.  trtrs, tpqrt, tpmqrt and geev
-    run through their capsules; geev also solves the full-rank matrix of
-    noisy samples.  On N_q=26 geqp3 runs itself; on N_q=110 the panel QR
-    runs in its place, and geqp3's workspace query, made with the workspace
-    cache empty, is its one geqp3 call."""
+        failing, sphere_eps3, mie_modes_ka1, mie_eps3_110, monkeypatch):
+    """On N_q=230, which has negative weights, trtrs, tpqrt and tpmqrt run
+    on overlap's helper thread: their failure must reach the caller, and
+    the thread must be gone.  A negative info is a bad argument; a positive
+    one a numerical failure, such as a geev that does not converge.  trtrs,
+    tpqrt, tpmqrt and geev run through their capsules; geev also solves the
+    full-rank matrix of noisy samples.  orgqr runs on both routes, unmqr
+    only on the Hermitian route of N_q=26 and 110.  On N_q=26 geqp3 runs
+    itself; on N_q=110 the panel QR runs in its place, and geqp3's
+    workspace query, made with the workspace cache empty, is its one geqp3
+    call."""
     real = scipy.linalg.get_lapack_funcs
+    signed = sm.MieBackend(sphere_eps3).sample(sm.lebedev_rule(230), 1.0)
     cases = [mie_modes_ka1[1], mie_eps3_110]
+    if failing in _CAPSULES:
+        cases = [signed]
+    elif failing == "orgqr":
+        cases.append(signed)
     if failing in ("geqp3", "geev"):
         cases.append(_full_rank_noise(26))
     for smat in cases:  # a warm cache: the failure is in the call itself
@@ -790,11 +834,40 @@ def test_economic_q_equals_scipy_economic_qr(rows):
         assert np.array_equal(got, ref)
 
 
+def _scale(weights):
+    """D's diagonal in _eigenpairs: W^1/2 where the weights are positive,
+    ones where they are signed."""
+    return np.sqrt(weights) if np.all(weights > 0) else np.ones(len(weights))
+
+
+def _solved(matrix, weights):
+    """The matrix _eigenpairs factors, N = D S D^-1, formed as _pivoted_qr
+    forms it."""
+    scale = _scale(weights)
+    return matrix * scale[:, None] * (1.0 / scale)
+
+
+def _orgqr(a, tau):
+    """LAPACK orgqr with the workspace its own query asks for."""
+    (orgqr,) = scipy.linalg.get_lapack_funcs(("orgqr",), (a,))
+    lwork = int(orgqr(a, tau, lwork=-1)[1][0].real)
+    q, _, info = orgqr(a, tau, lwork=lwork)
+    assert info == 0
+    return q
+
+
 def _scipy_eigenpairs(matrix, weights):
-    """_eigenpairs through scipy.linalg.qr and solve_triangular."""
+    """The reference eigenpairs: _eigenpairs' geev route through
+    scipy.linalg on every input, normal or not.  A full geqp3 of the matrix
+    it solves (_solved, by scipy.linalg.qr), scipy.linalg.eig of the r x r
+    block, and the |w|-orthonormal null basis of the truncated R by
+    solve_triangular, tpqrt and tpmqrt; the weak modes' null-space
+    component projected out on rules with positive weights."""
     n = matrix.shape[0]
-    (qr, tau), rmat, perm = scipy.linalg.qr(matrix, pivoting=True,
-                                            mode="raw")
+    positive = np.all(weights > 0)
+    scale = _scale(weights)
+    (qr, tau), rmat, perm = scipy.linalg.qr(_solved(matrix, weights),
+                                            pivoting=True, mode="raw")
     diag = np.abs(np.diag(rmat))
     rank = int(np.count_nonzero(diag > n * np.finfo(float).eps * diag[0]))
     if rank == n:
@@ -802,14 +875,13 @@ def _scipy_eigenpairs(matrix, weights):
     if rank == 0:
         return (np.zeros(n, dtype=complex),
                 np.diag(1.0 / np.sqrt(np.abs(weights)) + 0j))
-    orgqr, tpqrt, tpmqrt = scipy.linalg.get_lapack_funcs(
-        ("orgqr", "tpqrt", "tpmqrt"), (qr,))
-    q, _, _ = orgqr(qr[:, :rank], tau[:rank])
+    tpqrt, tpmqrt = scipy.linalg.get_lapack_funcs(("tpqrt", "tpmqrt"), (qr,))
+    q = _orgqr(qr[:, :rank], tau[:rank])
     values = np.zeros(n, dtype=complex)
     vectors = np.zeros((n, n), dtype=complex)
     values[:rank], y = scipy.linalg.eig(rmat[:rank, np.argsort(perm)] @ q)
-    vectors[:, :rank] = q @ y
-    sqrt_w = np.sqrt(np.abs(weights))[perm]
+    vectors[:, :rank] = q @ y * (1.0 / scale)[:, None]
+    sqrt_w = (np.sqrt(np.abs(weights)) / scale)[perm]
     null = n - rank
     x = -scipy.linalg.solve_triangular(rmat[:rank, :rank], rmat[:rank, rank:])
     _, v, t, _ = tpqrt(0, min(null, 32), np.diag(sqrt_w[rank:] + 0j),
@@ -817,10 +889,11 @@ def _scipy_eigenpairs(matrix, weights):
     q_top, q_bottom, _ = tpmqrt(0, v, t, np.eye(null, dtype=complex),
                                 np.zeros((rank, null), dtype=complex),
                                 overwrite_a=1, overwrite_b=1)
-    vectors[perm[rank:], rank:] = q_top / sqrt_w[rank:, None]
-    vectors[perm[:rank], rank:] = q_bottom / sqrt_w[:rank, None]
+    root = np.sqrt(np.abs(weights))[perm]
+    vectors[perm[rank:], rank:] = q_top / root[rank:, None]
+    vectors[perm[:rank], rank:] = q_bottom / root[:rank, None]
     weak = np.flatnonzero(np.abs(values[:rank]) <= modes.SIGNIFICANCE_FLOOR)
-    if weak.size and not np.any(weights < 0):
+    if weak.size and positive:
         basis = vectors[:, rank:]
         sub = vectors[:, weak]
         sub -= basis @ (basis.conj().T @ (sub * weights[:, None]))
@@ -830,11 +903,15 @@ def _scipy_eigenpairs(matrix, weights):
 
 def test_eigenpairs_equal_the_scipy_wrapper_path(magnetodielectric_matrices,
                                                  sphere_eps3, dda_pipeline):
-    """Bare geqp3 and trtrs against scipy.linalg.qr and solve_triangular,
-    bit for bit: every step of the 201-step sweep, rules with negative
-    weights, the dipole block, and ranks 1 to 12.  On 230 points the pivoted
-    QR stops once the rank has settled, so there the t = 0 basis and the
-    weak modes meet the full-QR oracle instead."""
+    """Bare geqp3, orgqr and trtrs against scipy.linalg.qr, orgqr and
+    solve_triangular: every step of the 201-step sweep, rules with negative
+    weights, the dipole block, ranks 1 to 12 with positive and with signed
+    weights, and N = u v^H of ranks 1 to 3 on positive weights, which must
+    take the geev route: N is not normal, though a 1 x 1 block always is.
+    The geev route gives the reference's bits; on 230 points the pivoted QR
+    stops once the rank has settled, so there the t = 0 basis and the weak
+    modes meet the oracle instead, as the Hermitian route's modes do
+    everywhere."""
     _, weighted = magnetodielectric_matrices
     cases = [(m.matrix, m.rule.doubled_weights) for m in weighted]
     for n_q in (6, 26, 74, 110, 230):
@@ -845,20 +922,29 @@ def test_eigenpairs_equal_the_scipy_wrapper_path(magnetodielectric_matrices,
     cases.append((block.matrix, block.rule.doubled_weights))
     rng = np.random.default_rng(3)
     w = np.abs(rng.standard_normal(28)) + 0.1
-    for rank in range(1, 13):
-        u = rng.standard_normal((28, rank)) + 1j * rng.standard_normal((28, rank))
-        cases.append((u @ u.conj().T * w[None, :], w))
-    stopped = 0
+    for signs in (1, np.resize([1, -1], 28)):
+        for rank in range(1, 13):
+            u = rng.standard_normal((28, rank)) \
+                + 1j * rng.standard_normal((28, rank))
+            cases.append((u @ u.conj().T * (signs * w)[None, :], signs * w))
+    for rank in (1, 2, 3):  # N = u v^H: range(N^H) leaves range(N)
+        u, v = rng.standard_normal((2, 28, rank)) \
+            + 1j * rng.standard_normal((2, 28, rank))
+        cases.append((u @ v.conj().T / w, w))
+    routes = {"hermitian": 0, "geev": 0, "stopped": 0}
     for matrix, weights in cases:
-        got, ref = modes._eigenpairs(matrix, weights), \
-            _scipy_eigenpairs(matrix, weights)
-        if modes._pivoted_qr(matrix)[3] < len(matrix):
-            stopped += 1
-            _assert_meets_the_full_qr_oracle(weights, got, ref)
+        *got, hermitian = modes._eigenpairs(matrix, weights)
+        ref = _scipy_eigenpairs(matrix, weights)
+        full = modes._pivoted_qr(matrix, _scale(weights))[3] == len(matrix)
+        if hermitian or not full:
+            routes["hermitian" if hermitian else "stopped"] += 1
+            _assert_same_spectrum(weights, got, ref)
         else:
-            assert np.array_equal(got[0], ref[0])
-            assert np.array_equal(got[1], ref[1])
-    assert stopped == 1
+            routes["geev"] += 1
+            assert _same_bits(got[0], ref[0])
+            assert _same_bits(got[1], ref[1])
+    assert routes == {"hermitian": 201 + 3 + 1 + 12, "geev": 1 + 12 + 3,
+                      "stopped": 1}
 
 
 #: every rule at three sizes: ka 2.3 keeps the pivoted QR of 146 to 194
@@ -896,25 +982,29 @@ def _settling(matrix):
 
 
 def test_settled_pivoted_qr_keeps_geqp3s_rank_and_leading_factor(every_rule):
-    """Stopped once the rank has settled, the pivoted QR keeps the full
-    geqp3's rank and, in its first `done` columns, the reflectors, R, tau
-    and the pivots; R's first `done` rows equal geqp3's up to the order of
-    the columns that later pivots would swap.  It stops at a panel end after
-    which every |R_kk| is at most thr / 2, within one panel (nb columns) of
-    the first column from which that holds.  It stops from 146 points on
-    at ka 0.7 and 1 and from 230 points on at ka 2.3.  Everywhere else it
-    runs to the end and so gives geqp3's R, tau and pivots bit for bit: at
-    146 to 194 points at ka 2.3 and on full-rank noise of 86 points and up
-    through the panel loop and its zlaqp2 tail."""
-    cases = {key: smat.matrix for key, smat in every_rule.items()}
-    cases.update({(n_q, "noise"): sm.apply_weights(
-        _full_rank_noise(n_q)).matrix for n_q in (26, 86, 110, 302)})
+    """Stopped once the rank has settled, the pivoted QR of N = D S D^-1
+    keeps the full geqp3's rank and, in its first `done` columns, the
+    reflectors, R, tau and the pivots; R's first `done` rows equal geqp3's
+    up to the order of the columns that later pivots would swap.  It stops
+    at a panel end after which every |R_kk| is at most thr / 2, within one
+    panel (nb columns) of the first column from which that holds.  It
+    stops from 146 points on at ka 0.7 and 1 and from 230 points on at
+    ka 2.3.  Everywhere else it runs to the end and so gives geqp3's R, tau
+    and pivots bit for bit: at 146 to 194 points at ka 2.3 and on
+    full-rank noise of 86 points and up through the panel loop and its
+    zlaqp2 tail."""
+    cases = {key: (smat.matrix, smat.rule.doubled_weights)
+             for key, smat in every_rule.items()}
+    for n_q in (26, 86, 110, 302):
+        smat = sm.apply_weights(_full_rank_noise(n_q))
+        cases[(n_q, "noise")] = smat.matrix, smat.rule.doubled_weights
     stopped = set()
-    for key, matrix in cases.items():
+    for key, (matrix, weights) in cases.items():
         n = len(matrix)
-        qr, perm, tau, done = modes._pivoted_qr(matrix)
-        ref_qr, ref_tau, ref_perm = _full_geqp3(matrix)
-        rank, settled, nb, thr = _settling(matrix)
+        similar = _solved(matrix, weights)
+        qr, perm, tau, done = modes._pivoted_qr(matrix, _scale(weights))
+        ref_qr, ref_tau, ref_perm = _full_geqp3(similar)
+        rank, settled, nb, thr = _settling(similar)
         diag = np.abs(np.diag(qr))
         assert np.count_nonzero(diag[:done] > n * np.finfo(float).eps
                                 * diag[0]) == rank
@@ -931,39 +1021,218 @@ def test_settled_pivoted_qr_keeps_geqp3s_rank_and_leading_factor(every_rule):
                        if n_q >= 146 and (ka <= 1 or n_q >= 230)}
 
 
-def _assert_meets_the_full_qr_oracle(w, got, ref):
-    """Eigenpairs (values, vectors) against those of the full geqp3: the
-    eigenvalues and every mode with |t| > SIGNIFICANCE_FLOOR bit for bit,
-    and the t = 0 run and the weak modes each spanning the reference's
-    space, by their |w| projectors, within 1e-12."""
+def _assert_same_spectrum(w, got, ref):
+    """Eigenpairs (values, vectors) against the reference's, matched one to
+    one: the eigenvalues within 1e-13 |t_1|; the |w| projector onto each
+    reference multiplet or singlet above SIGNIFICANCE_FLOOR, and onto all
+    the modes at or below it, within 1e-9 of the matched modes' projector.
+    Below the floor the eigenvectors are conditioned by gaps of order |t|,
+    and the rank may differ by a few weak modes, so those modes are
+    compared as one span."""
     values, vectors = got
-    ref_values, ref_vectors = ref
-    assert _same_bits(values, ref_values)
-    significant = np.abs(values) > modes.SIGNIFICANCE_FLOOR
-    assert _same_bits(vectors[:, significant], ref_vectors[:, significant])
-    for span in (values == 0, ~significant & (values != 0)):
-        if np.any(span):
-            assert np.max(np.abs(_span_projector(vectors[:, span], w)
-                                 - _span_projector(ref_vectors[:, span], w))) \
-                <= 1e-12
+    order = np.argsort(-np.abs(ref[0]), kind="stable")
+    ref_values, ref_vectors = ref[0][order], ref[1][:, order]
+    _, match = scipy.optimize.linear_sum_assignment(
+        np.abs(ref_values[:, None] - values[None, :]))
+    assert np.max(np.abs(ref_values - values[match])) \
+        <= 1e-13 * abs(ref_values[0])
+    n = len(values)
+    cut = int(np.count_nonzero(np.abs(ref_values) > modes.SIGNIFICANCE_FLOOR))
+    weak = np.flatnonzero(np.abs(values) <= modes.SIGNIFICANCE_FLOOR)
+    assert weak.size == n - cut
+    spans = [np.arange(grp.start, grp.stop)
+             for grp in degenerate_groups(ref_values[:cut])]
+    grouped = np.zeros(cut, dtype=bool)
+    for span in spans:
+        grouped[span] = True
+    spans += [np.array([i]) for i in np.flatnonzero(~grouped)]
+    pairs = [(span, match[span]) for span in spans]
+    if cut < n:
+        pairs.append((np.arange(cut, n), weak))
+    for ref_span, span in pairs:
+        assert np.max(np.abs(_span_projector(vectors[:, span], w)
+                             - _span_projector(ref_vectors[:, ref_span], w))) \
+            <= 1e-9
+
+
+def _assert_meets_the_oracle(smat, modeset, ref=None):
+    """The oracle: decompose's modes of smat against the reference modes ref
+    (_reference_modes(smat) unless given) have the same spectrum
+    (_assert_same_spectrum) and get the same validate verdicts on the
+    lossless circle and on the eigenpair residuals."""
+    values, vectors, residuals = ref or _reference_modes(smat)
+    _assert_same_spectrum(smat.rule.doubled_weights,
+                          (modeset.eigenvalues, modeset.eigenvectors),
+                          (values, vectors))
+    tol = cli.DEFAULT_TOLERANCES
+    top = modes.LOSSLESS_TOP
+    assert (sm.max_lossless_residual(modeset) < tol["lossless"],
+            np.max(modeset.residuals) < tol["eigenpair"]) == \
+        (np.max(np.abs(np.abs(2 * values[:top] + 1) - 1)) < tol["lossless"],
+         np.max(residuals) < tol["eigenpair"])
+
+
+def _assert_same_traces(sweep, reference):
+    """The traces of sweep and of the reference mode sets at its steps: the
+    same trace ids, start steps and mode indices, with eigenvalues within
+    1e-12 and correlations within 1e-9."""
+    traces = sm.track(sweep).traces
+    expected = sm.track(sm.SweepResult(frequencies=sweep.frequencies,
+                                       modesets=tuple(reference))).traces
+    assert [(t.trace_id, t.start_step, t.mode_indices) for t in traces] == \
+        [(t.trace_id, t.start_step, t.mode_indices) for t in expected]
+    for got, ref in zip(traces, expected):
+        assert np.max(np.abs(np.subtract(got.eigenvalues, ref.eigenvalues))) \
+            <= 1e-12
+        assert np.max(np.abs(np.subtract(got.correlations, ref.correlations)),
+                      initial=0.0) <= 1e-9
 
 
 def test_decompose_meets_the_full_qr_oracle(every_rule):
-    """decompose against its post-processing on the full geqp3's eigenpairs
-    (_scipy_eigenpairs): bit for bit where the pivoted QR runs to the end;
-    where it stops, the oracle above, and residuals within 1e-10."""
+    """All 14 rules at ka 0.7, 1 and 2.3 meet the oracle: the Hermitian
+    route on the 11 rules with positive weights, geev on the 74, 230 and
+    266 points with negative ones.  Every residual is within 1e-10, and on
+    the rules with positive weights those of the modes with |t| > 1e-6 are
+    within 1e-13."""
     for smat in every_rule.values():
-        got = sm.decompose(smat)
-        ref = _scipy_qr_decompose(smat, _scipy_eigenpairs)
-        if modes._pivoted_qr(smat.matrix)[3] == len(smat.matrix):
-            for g, r in zip((got.eigenvalues, got.eigenvectors,
-                             got.residuals), ref):
-                assert _same_bits(g, r)
-        else:
-            _assert_meets_the_full_qr_oracle(
-                smat.rule.doubled_weights,
-                (got.eigenvalues, got.eigenvectors), ref[:2])
-            assert np.max(got.residuals) <= 1e-10
+        modeset = sm.decompose(smat)
+        _assert_meets_the_oracle(smat, modeset)
+        assert np.max(modeset.residuals) <= 1e-10
+        if np.all(smat.rule.doubled_weights > 0):
+            live = np.abs(modeset.eigenvalues) > 1e-6
+            assert np.max(modeset.residuals[live]) <= 1e-13
+
+
+def _noisy(smat, nu):
+    """Samples with seeded complex Gaussian noise of nu max|S|, as a
+    full-wave solver gives them."""
+    noise = np.random.default_rng(0).standard_normal((2, *smat.matrix.shape))
+    scale = nu * np.max(np.abs(smat.matrix))
+    return sm.ScatteringMatrix(
+        rule=smat.rule, k=smat.k,
+        matrix=smat.matrix + scale * (noise[0] + 1j * noise[1]))
+
+
+def test_dipole_block_and_solver_noise_meet_the_full_qr_oracle(
+        dda_pipeline, mie_eps3_110):
+    """The dipole block (Hermitian route) and the N_q=110 sphere with noise
+    of 1e-12 to 1e-4 max|S|, which stays on geev, meet the oracle."""
+    cases = [sm.apply_weights(dda_pipeline[4])]
+    cases += [sm.apply_weights(_noisy(mie_eps3_110, nu))
+              for nu in (1e-12, 1e-10, 1e-8, 1e-6, 1e-4)]
+    routes = []
+    for smat in cases:
+        routes.append(modes._eigenpairs(smat.matrix,
+                                        smat.rule.doubled_weights)[2])
+        _assert_meets_the_oracle(smat, sm.decompose(smat))
+    assert routes == [True] + [False] * 5
+
+
+def _normality_defect(m):
+    mh = m.conj().T
+    return np.linalg.norm(m @ mh - mh @ m) / np.linalg.norm(m) ** 2
+
+
+def _recorded_blocks(monkeypatch):
+    """The r x r blocks _eigenpairs checks for normality, recorded."""
+    blocks, real = [], modes._is_normal
+
+    def recording(q, m, *rest):
+        blocks.append(m.copy())
+        return real(q, m, *rest)
+
+    monkeypatch.setattr(modes, "_is_normal", recording)
+    return blocks
+
+
+def test_clean_data_takes_the_hermitian_route(every_rule, dda_pipeline,
+                                              magnetodielectric_matrices,
+                                              monkeypatch):
+    """Lossless samples on every rule with positive weights at three ka,
+    the 201 sweep steps and the dipole block: each r x r block is normal
+    well inside NORMALITY_TOL, and decompose solves it with no geev and no
+    Gram-Schmidt, the modes w-orthonormal."""
+    cases = [smat for (n_q, _), smat in every_rule.items()
+             if n_q not in (74, 230, 266)]
+    cases += [*magnetodielectric_matrices[1],
+              sm.apply_weights(dda_pipeline[4])]
+    blocks = _recorded_blocks(monkeypatch)
+
+    def never(*args):
+        raise AssertionError("the Hermitian route ran a geev route step")
+
+    monkeypatch.setattr(modes, "_geev", never)
+    monkeypatch.setattr(modes, "_orthonormalize_degenerate", never)
+    for smat in cases:
+        modeset = sm.decompose(smat)
+        gram = sm.farfield_orthogonality(modeset)
+        assert np.max(np.abs(gram - np.eye(modeset.n_modes))) <= 1e-10
+    assert len(blocks) == len(cases) == 33 + 201 + 1
+    assert max(map(_normality_defect, blocks)) <= modes.NORMALITY_TOL / 10
+
+
+def test_negative_weights_and_noise_keep_scipy_eigs_bits(sphere_eps3,
+                                                         mie_modes_ka1,
+                                                         monkeypatch):
+    """The 74, 230 and 266 points, whose weights are signed, and samples
+    with noise of 1e-10 max|S|: the r x r block is far from normal, or the
+    matrix has full rank, and geev solves it with scipy.linalg.eig's
+    bits."""
+    cases = [sm.apply_weights(sm.MieBackend(sphere_eps3).sample(
+        sm.lebedev_rule(n_q), 1.0)) for n_q in (74, 230, 266)]
+    cases.append(sm.apply_weights(_noisy(mie_modes_ka1[1], 1e-10)))
+    solved, real = [], modes._geev
+
+    def recording(a):
+        solved.append((a.copy(), real(a)))
+        return solved[-1][1]
+
+    monkeypatch.setattr(modes, "_geev", recording)
+    for smat in cases:
+        assert not modes._eigenpairs(smat.matrix,
+                                     smat.rule.doubled_weights)[2]
+    assert [len(a) for a, _ in solved][3] == 52  # the noisy samples, whole
+    assert all(len(a) < len(smat.matrix) for (a, _), smat in
+               zip(solved[:3], cases))
+    for a, (values, vectors) in solved:
+        assert _normality_defect(a) > 1e-3
+        ref_values, ref_vectors = scipy.linalg.eig(a)
+        assert _same_bits(values, ref_values)
+        assert _same_bits(vectors, ref_vectors)
+
+
+def test_borderline_noise_meets_the_full_qr_oracle(sphere_eps3, monkeypatch):
+    """N_q=302 samples with noise of 1e-12 max|S|: rank 600 of 604, whose
+    coupling (_is_normal) is about 24 times its bound and whose block's
+    normality defect, near 2.5e-13, is above NORMALITY_TOL, so geev solves
+    it; the modes meet the oracle."""
+    smat = sm.apply_weights(_noisy(sm.MieBackend(sphere_eps3).sample(
+        sm.lebedev_rule(302), 1.0), 1e-12))
+    blocks = _recorded_blocks(monkeypatch)
+    modeset = sm.decompose(smat)
+    assert [len(b) for b in blocks] == [600]
+    assert modes.NORMALITY_TOL < _normality_defect(blocks[0]) < 1e-12
+    assert np.count_nonzero(modeset.eigenvalues == 0) == 4
+    _assert_meets_the_oracle(smat, modeset)
+
+
+def test_normal_eig_separates_eigenvalues_the_first_solve_merges():
+    """Eigenvalues t and t + 0.3 (i - c) share Re t + c Im t, so eigh of
+    H + c K mixes their eigenvectors; the refinement separates them, and
+    keeps a multiplet whole, to rounding."""
+    c = modes._MIX
+    t = np.array([-0.5 + 0.5j, -0.5 + 0.5j + 0.3 * (1j - c), 0.2 - 0.1j,
+                  0.2 - 0.1j, 0.2 - 0.1j, -0.9 - 0.2j, 0.05j,
+                  0.05j + 0.02 * (1j - c), 0.0])
+    real, imag = (np.random.default_rng(seed).standard_normal((9, 9))
+                  for seed in (5, 6))
+    q, _ = np.linalg.qr(real + 1j * imag)
+    m = q @ np.diag(t) @ q.conj().T
+    values, y = modes._normal_eig(m)
+    assert np.max(np.abs(np.sort_complex(values) - np.sort_complex(t))) \
+        <= 1e-14
+    assert np.max(np.abs(y.conj().T @ y - np.eye(9))) <= 1e-14
+    assert np.max(np.abs(m @ y - y * values)) <= 1e-14
 
 
 def test_geev_releases_the_gil():
