@@ -198,19 +198,16 @@ def _native(module, name: str, restype, nargs: int):
     """A ctypes caller of the routine that SciPy's cython_blas or
     cython_lapack module exports as name, so of SciPy's own BLAS and LAPACK.
 
-    Every argument is a pointer, passed as an address (an int).  The GIL is
-    released while the routine runs, which the f2py wrappers of geev,
-    trtrs, tpqrt and tpmqrt do not do.
+    Every argument is a pointer, passed as an address (an int).  Only
+    _pivoted_qr calls these: SciPy's f2py wrappers do not export zlaqps and
+    zlaqp2, the panels of geqp3's own loop, and dznrm2 runs the same way,
+    on columns in place.
     """
     capsule = module.__pyx_capi__[name]
     address = _CAPSULE_POINTER(capsule, _CAPSULE_NAME(capsule))
     return ctypes.CFUNCTYPE(restype, *[ctypes.c_void_p] * nargs)(address)
 
 
-_ZGEEV = _native(cython_lapack, "zgeev", None, 14)
-_ZTRTRS = _native(cython_lapack, "ztrtrs", None, 10)
-_ZTPQRT = _native(cython_lapack, "ztpqrt", None, 12)
-_ZTPMQRT = _native(cython_lapack, "ztpmqrt", None, 17)
 _ZLAQPS = _native(cython_lapack, "zlaqps", None, 14)
 _ZLAQP2 = _native(cython_lapack, "zlaqp2", None, 10)
 _DZNRM2 = _native(cython_blas, "dznrm2", ctypes.c_double, 3)
@@ -221,61 +218,6 @@ def _address(array: np.ndarray) -> int:
     and contiguous, or 2-D in Fortran order, as LAPACK takes a matrix;
     any other array is a TypeError."""
     return ctypes.addressof(ctypes.c_char.from_buffer(array.T))
-
-
-def _call(func, name: str, *args) -> None:
-    """The _native routine func on args and a trailing info, as LAPACK
-    takes them: an int by a pointer to a copy, an array by its address
-    (see _address), a bytes as it is.  Each array must be of the routine's
-    type, which every caller builds its arrays to be.  A nonzero info is a
-    LinAlgError."""
-    count = len(args)
-    ints = (ctypes.c_int * (count + 1))()
-    base = ctypes.addressof(ints)
-    pointers = list(args)
-    for k, arg in enumerate(args):
-        kind = type(arg)
-        if kind is int:
-            ints[k] = arg
-            pointers[k] = base + 4 * k
-        elif kind is np.ndarray:
-            pointers[k] = _address(arg)
-    func(*pointers, base + 4 * count)
-    _check_lapack(name, ints[count])
-
-
-#: the flags of the one geev run decompose makes: right eigenvectors only
-_GEEV_FLAGS = {"compute_vl": 0, "compute_vr": 1}
-
-
-def _geev(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and right eigenvectors of a square complex128 matrix,
-    which is left alone: scipy.linalg.eig(a), bit for bit, without its
-    wrapper and without holding the GIL.
-
-    LAPACK zgeev runs through _call with the workspace eig takes from
-    geev_lwork, cached as _lapack caches its queries; a nonzero info is a
-    LinAlgError.
-    """
-    a = np.asarray_chkfinite(a)
-    n = a.shape[0]
-
-    def query():
-        (geev_lwork,) = scipy.linalg.get_lapack_funcs(("geev_lwork",), (a,))
-        work, info = geev_lwork(n, **_GEEV_FLAGS)
-        _check_lapack("geev_lwork", info)
-        return work.real
-
-    lwork = _workspace(("geev", *_signature((a,), _GEEV_FLAGS)), query)
-    mat = np.array(a, order="F")
-    w = np.empty(n, dtype=complex)
-    vr = np.empty((n, n), dtype=complex, order="F")
-    work = np.empty(lwork, dtype=complex)
-    rwork = np.empty(2 * n)
-    # vl is never read (jobvl N): w stands in for it
-    _call(_ZGEEV, "geev", b"N", b"V", n, mat, n, w, w, 1, vr, n, work, lwork,
-          rwork)
-    return w, vr
 
 
 #: geqp3's crossover from blocked to unblocked code (LAPACK ilaenv's NX
@@ -506,21 +448,20 @@ def _eigenpairs(matrix: np.ndarray, weights: np.ndarray) -> tuple:
     M is normal to NORMALITY_TOL and N couples range(Q_r)'s complement into
     range(Q_r) by no more than a normal N can), M is solved by _normal_eig,
     and N's eigenvectors are one orthonormal basis: Q_r Y, and for t = 0 the
-    rest Q_perp of the Q of the first r reflectors (LAPACK unmqr applied to
-    [0; I]), which spans range(Q_r)'s complement, the null space of a
-    normal N.  So the modes come out w-orthonormal.
+    rest Q_perp of the Q of the first r reflectors, which spans range(Q_r)'s
+    complement, the null space of a normal N.  So the modes come out
+    w-orthonormal.
 
     Elsewhere, on rules with negative weights and on data that is not
-    normal, M goes to _geev, so scipy.linalg.eig's bits, and the t = 0 modes
-    span the null space of the truncated R, P [-R11^-1 R12; I], by an
-    |w|-orthonormal basis: |W|^-1/2 D times the Q factor of
-    |W|^1/2 D^-1 P [-R11^-1 R12; I] from one triangular-pentagonal QR
-    (LAPACK tpqrt, then tpmqrt to form Q).  The scaled identity block is
-    already triangular, so this costs O(r (n - r)^2).
-    The null basis and the r x r eig are independent and release the GIL:
-    overlap runs them side by side, and where the weights are signed, so
-    that the route is known, the orgqr that forms Q_r too.  Below
-    SIGNIFICANCE_FLOOR a geev eigenvector's component along that null space
+    normal, M goes to scipy.linalg.eig, and the t = 0 modes span the null
+    space of the truncated N, that of R_r P^T.  In the coordinates
+    |W|^1/2 v, where the |w| product is the plain one, it is the complement
+    of the range of the n x r matrix (R_r P^T D |W|^-1/2)^H, and the Q of
+    that matrix's QR (LAPACK geqrf) spans it by its last n - r columns,
+    which |W|^-1/2 maps back.  With positive weights the matrix is N^H Q_r,
+    whose range is range(Q_r) only where N is normal.  On both routes those
+    columns come from LAPACK unmqr applied to [0; I].  Below
+    SIGNIFICANCE_FLOOR an eig eigenvector's component along that null space
     is rounding amplified by 1/|t|: up to 1e-2 at |t| ~ 1e-14.  With
     positive weights it is projected out of every mode with
     0 < |t| <= SIGNIFICANCE_FLOOR, which moves S v - t v by about |t| times
@@ -536,84 +477,43 @@ def _eigenpairs(matrix: np.ndarray, weights: np.ndarray) -> tuple:
     cut = n * np.finfo(float).eps * diag[0]
     rank = int(np.count_nonzero(diag[:done] > cut))
     if rank == n:
-        return *_geev(matrix), False
+        return *scipy.linalg.eig(matrix, check_finite=False), False
+    root = np.sqrt(np.abs(weights))  # |W|^1/2, equal to D where D = W^1/2
     values = np.zeros(n, dtype=complex)
     if rank == 0:
-        return values, np.diag(1.0 / np.sqrt(np.abs(weights)) + 0j), True
-    orgqr, unmqr = scipy.linalg.get_lapack_funcs(("orgqr", "unmqr"), (qr,))
-    rmat = np.triu(qr[:rank])  # the rows of R that the solve uses
-    rows = rmat[:, np.argsort(perm)]  # R_r P^T = Q_r^H N
-
-    def compress():  # Q_r and M
-        (q,) = _lapack(orgqr, "orgqr", qr[:, :rank], tau[:rank])
-        return q, rows @ q
-
-    known = compress() if positive else None
-    if known and _is_normal(*known, rows, cut):
-        q, block = known
+        return values, np.diag(1.0 / root + 0j), True
+    geqrf, orgqr, unmqr = scipy.linalg.get_lapack_funcs(
+        ("geqrf", "orgqr", "unmqr"), (qr,))
+    rows = np.triu(qr[:rank])[:, np.argsort(perm)]  # R_r P^T = Q_r^H N
+    (q,) = _lapack(orgqr, "orgqr", qr[:, :rank], tau[:rank])
+    block = rows @ q  # M
+    hermitian = positive and _is_normal(q, block, rows, cut)
+    if hermitian:
         values[:rank], y = _normal_eig(block)
-        vectors = np.zeros((n, n), dtype=complex, order="F")
-        vectors[:, :rank] = q @ y
-        np.fill_diagonal(vectors[rank:, rank:], 1.0)
-        # Q_perp = Q [0; I], in place: at N_q=302 unmqr takes a third of
-        # the time orgqr takes to form all n columns
-        (vectors[:, rank:],) = _lapack(unmqr, "unmqr", b"L", b"N",
-                                       qr[:, :rank], tau[:rank],
-                                       vectors[:, rank:], overwrite_c=1)
-        vectors *= (1.0 / scale)[:, None]
-        return values, vectors, True
-
-    # rows in pivot order: the scaled identity is tpqrt's triangle on top,
-    # |W|^1/2 D^-1 X below it a full block (l = 0); 32 is the LAPACK block
-    # size.  Every array LAPACK works on is made here, in Fortran order, so
-    # the helper thread allocates nothing large of its own: what a thread's
-    # malloc arena frees it may keep, and peak memory with it.
-    root = np.sqrt(np.abs(weights))[perm]  # |W|^1/2
-    sqrt_w = root / scale[perm]  # |W|^1/2 D^-1: 1 where D = W^1/2
-    null = n - rank
-    r11 = np.ascontiguousarray(rmat[:, :rank])  # r11.T: R11^T, Fortran order
-    x = np.array(rmat[:, rank:], order="F")  # R12, then X, then reflectors
-    top = np.zeros((null, null), dtype=complex, order="F")
-    np.fill_diagonal(top, sqrt_w[rank:])
-    bottom = np.zeros((rank, null), dtype=complex, order="F")
-    nb = min(null, 32)
-    t = np.empty((nb, null), dtype=complex, order="F")
-    work = np.empty(nb * null, dtype=complex)
-
-    def null_basis():  # LAPACK through _call, which releases the GIL
-        # R11 X = R12, posed on the transpose of the row-major slice R11, as
-        # scipy.linalg.solve_triangular poses it
-        _call(_ZTRTRS, "trtrs", b"L", b"T", b"N", rank, null, r11.T, rank, x,
-              rank)
-        np.negative(x, out=x)
-        np.multiply(x, sqrt_w[:rank, None], out=x)
-        _call(_ZTPQRT, "tpqrt", rank, null, 0, nb, top, null, x, rank, t, nb,
-              work)
-        top[...] = 0  # tpmqrt applies Q to [I; 0]
-        np.fill_diagonal(top, 1.0)
-        _call(_ZTPMQRT, "tpmqrt", b"L", b"N", rank, null, null, 0, nb, x, rank,
-              t, nb, top, null, bottom, rank, work)
-        return top, bottom
-
-    def significant():
-        q, block = known or compress()
-        return q, *_geev(block)
-
-    (q_top, q_bottom), (q, values[:rank], y) = overlap(null_basis,
-                                                       significant, n)
-    vectors = np.zeros((n, n), dtype=complex)
-    vectors[:, :rank] = q @ y * (1.0 / scale)[:, None]
-    vectors[perm[rank:], rank:] = q_top / root[rank:, None]
-    vectors[perm[:rank], rank:] = q_bottom / root[:rank, None]
+        reflectors = qr[:, :rank], tau[:rank]
+    else:
+        values[:rank], y = scipy.linalg.eig(block, overwrite_a=True,
+                                            check_finite=False)
+        reflectors = _lapack(geqrf, "geqrf",
+                             (rows * (scale / root)).conj().T, overwrite_a=1)
+    vectors = np.zeros((n, n), dtype=complex, order="F")
+    vectors[:, :rank] = q @ y
+    np.fill_diagonal(vectors[rank:, rank:], 1.0)
+    # the last n - r columns of Q, in place: at N_q=302 unmqr takes a third
+    # of the time orgqr takes to form all n columns
+    (vectors[:, rank:],) = _lapack(unmqr, "unmqr", b"L", b"N", *reflectors,
+                                   vectors[:, rank:], overwrite_c=1)
+    vectors[:, :rank] *= (1.0 / scale)[:, None]
+    vectors[:, rank:] *= (1.0 / root)[:, None]
 
     # the weak modes' null-space component is rounding (see above)
     weak = np.flatnonzero(np.abs(values[:rank]) <= SIGNIFICANCE_FLOOR)
-    if weak.size and positive:
+    if weak.size and positive and not hermitian:
         basis = vectors[:, rank:]
         sub = vectors[:, weak]
         sub -= basis @ (basis.conj().T @ (sub * weights[:, None]))
         vectors[:, weak] = sub
-    return values, vectors, False
+    return values, vectors, hermitian
 
 
 def decompose(smat: ScatteringMatrix) -> ModeSet:
@@ -623,7 +523,8 @@ def decompose(smat: ScatteringMatrix) -> ModeSet:
     Each mode with t != 0 is scaled to unit radiated power and, unless the
     Hermitian route of _eigenpairs gave them so, each multiplet of them
     made w-orthonormal; the t = 0 run keeps the |w|-orthonormal basis of
-    _eigenpairs.  Every column is phase-fixed.
+    _eigenpairs.  Every column is phase-fixed.  The residuals come from
+    S V in two row halves, which overlap runs side by side.
     """
     if not smat.weighted:
         raise ValueError("decompose expects a weighted scattering matrix")

@@ -1,7 +1,6 @@
-import ctypes
 import math
+import sys
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -545,37 +544,28 @@ def _same_bits(got, ref):
             and got.tobytes() == ref.tobytes())
 
 
-def _assert_is_scipy_eig(a):
-    """_geev(a) is scipy.linalg.eig(a) bit for bit."""
-    ref_values, ref_vectors = scipy.linalg.eig(a)
-    values, vectors = modes._geev(a)
-    assert _same_bits(values, ref_values)
-    assert _same_bits(vectors, ref_vectors)
+def _recorded_eigs(monkeypatch):
+    """The blocks _eigenpairs hands scipy.linalg.eig, each recorded before
+    the call with what the call returned."""
+    solved, real = [], scipy.linalg.eig
 
+    def recording(a, **kwargs):
+        solved.append((a.copy(), real(a, **kwargs)))
+        return solved[-1][1]
 
-def test_geev_equals_scipy_eig():
-    """Sizes 1 to 80, and past 75, where geev's Hessenberg QR takes the
-    multishift path whose deflation window follows lwork, up to the
-    r = 143 of the 110-point rule and beyond; plus a multiplet, a
-    diagonal and a zero matrix."""
-    rng = np.random.default_rng(80)
-    for n in [*range(1, 81), 96, 143, 200]:
-        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        _assert_is_scipy_eig(a)
-    q, _ = np.linalg.qr(a)
-    _assert_is_scipy_eig(q @ np.diag(np.repeat([2.0, -1j, 0.5], [5, 7, 188]))
-                         @ q.conj().T)
-    _assert_is_scipy_eig(np.diag(np.arange(12.0) + 0j))
-    _assert_is_scipy_eig(np.zeros((9, 9), dtype=complex))
+    monkeypatch.setattr(scipy.linalg, "eig", recording)
+    return solved, real
 
 
 def test_geev_equals_scipy_eig_on_every_block_it_solves(
         magnetodielectric_matrices, monkeypatch):
     """The acceptance-6 sphere swept over the 74-point rule, which has
     negative weights, and the sweep's samples with noise of 1e-12 max|S|,
-    which are not normal: _geev runs once per step, on the r x r block on
+    which are not normal: eig runs once per step, on the r x r block on
     the 74-point rule and on the whole matrix of the noisy samples, which
-    have full rank, and gives eig's bits."""
+    have full rank.  The eigenvalues _eigenpairs returns are those of
+    scipy.linalg.eig of that matrix, as a plain call gives them, bit for
+    bit."""
     kas, weighted = magnetodielectric_matrices
     sphere = sm.LayeredSphere(1.0, tuple(
         sm.Layer(e, m, f) for e, m, f in
@@ -585,21 +575,21 @@ def test_geev_equals_scipy_eig_on_every_block_it_solves(
              for ka in kas[::5]]
     cases += [sm.apply_weights(_noisy(_unweighted(smat), 1e-12))
               for smat in weighted[::5]]
-    blocks, real = [], modes._geev
-
-    def recording(a):
-        blocks.append(a.copy())
-        return real(a)
-
+    got = []
     with monkeypatch.context() as patched:
-        patched.setattr(modes, "_geev", recording)
+        solved, real = _recorded_eigs(patched)
         for smat in cases:
-            assert not modes._eigenpairs(smat.matrix,
-                                         smat.rule.doubled_weights)[2]
-    assert len(blocks) == len(cases) == 82
-    assert all(len(a) < 148 for a in blocks[:41])  # r x r, r < n
-    for a in blocks:
-        _assert_is_scipy_eig(a)
+            values, _, hermitian = modes._eigenpairs(
+                smat.matrix, smat.rule.doubled_weights)
+            assert not hermitian
+            got.append(values)
+    assert len(solved) == len(cases) == 82
+    assert all(len(a) < 148 for a, _ in solved[:41])  # r x r, r < n
+    for values, (a, (eig_values, eig_vectors)) in zip(got, solved):
+        ref_values, ref_vectors = real(a)
+        assert _same_bits(eig_values, ref_values)
+        assert _same_bits(eig_vectors, ref_vectors)
+        assert _same_bits(values[:len(a)], ref_values)
 
 
 def _unweighted(smat):
@@ -611,21 +601,13 @@ def _unweighted(smat):
 def _fresh_lwork(key):
     """The workspace a new query gives for a _WORKSPACE key."""
     name, args, flags = key
-    flags = dict(flags)
-    if name == "geev":
-        ((char, (n, _)),) = args
-        query = scipy.linalg.get_lapack_funcs("geev_lwork",
-                                              dtype=np.dtype(char))
-        work, info = query(n, **flags)
-    else:
-        arrays = [np.zeros(arg[1], dtype=arg[0]) if isinstance(arg, tuple)
-                  else arg for arg in args]
-        func = scipy.linalg.get_lapack_funcs(
-            name, [a for a in arrays if isinstance(a, np.ndarray)])
-        *_, work, info = func(*arrays, lwork=-1, **flags)
-        work = work[0]
+    arrays = [np.zeros(arg[1], dtype=arg[0]) if isinstance(arg, tuple)
+              else arg for arg in args]
+    func = scipy.linalg.get_lapack_funcs(
+        name, [a for a in arrays if isinstance(a, np.ndarray)])
+    *_, work, info = func(*arrays, lwork=-1, **dict(flags))
     assert info == 0
-    return int(work.real)
+    return int(work[0].real)
 
 
 def _workspace_cases(weighted, dda_pipeline):
@@ -663,7 +645,7 @@ def test_decompose_is_the_same_with_a_cold_and_a_warm_workspace_cache(
             assert _same_bits(got, ref)
         for key, lwork in filled.items():
             assert lwork == _fresh_lwork(key), key
-    assert names == {"geqp3", "orgqr", "unmqr", "geev", "geqrf"}
+    assert names == {"geqp3", "orgqr", "unmqr", "geqrf"}
 
 
 def test_eigenpairs_of_a_zero_matrix_are_a_null_basis():
@@ -682,65 +664,55 @@ def _full_rank_noise(n_q):
                                matrix=noise * (1.0 + 1j))
 
 
-#: the routines decompose calls through their SciPy capsules, by name
-_CAPSULES = {"trtrs": "_ZTRTRS", "tpqrt": "_ZTPQRT", "tpmqrt": "_ZTPMQRT",
-             "geev": "_ZGEEV"}
-
-
-@pytest.mark.parametrize("failing", ["geqp3", "orgqr", "unmqr", "trtrs",
-                                     "tpqrt", "tpmqrt", "geev"])
+@pytest.mark.parametrize("failing", ["geqp3", "orgqr", "unmqr", "geqrf",
+                                     "geev"])
 def test_a_failed_lapack_call_is_an_eigensolver_failure(
         failing, sphere_eps3, mie_modes_ka1, mie_eps3_110, monkeypatch):
-    """On N_q=230, which has negative weights, trtrs, tpqrt and tpmqrt run
-    on overlap's helper thread: their failure must reach the caller, and
-    the thread must be gone.  A negative info is a bad argument; a positive
-    one a numerical failure, such as a geev that does not converge.  trtrs,
-    tpqrt, tpmqrt and geev run through their capsules; geev also solves the
-    full-rank matrix of noisy samples.  orgqr runs on both routes, unmqr
-    only on the Hermitian route of N_q=26 and 110.  On N_q=26 geqp3 runs
-    itself; on N_q=110 the panel QR runs in its place, and geqp3's
-    workspace query, made with the workspace cache empty, is its one geqp3
-    call."""
+    """A negative info is a bad argument; a positive one a numerical
+    failure, such as a geev that does not converge.  orgqr and unmqr run on
+    both routes: on the Hermitian route of N_q=26 and 110, and on the geev
+    route of N_q=230, which has negative weights, where geqrf forms the
+    null basis.  geev solves N_q=230's r x r block and the full-rank matrix
+    of noisy samples inside scipy.linalg.eig, which makes a LinAlgError of
+    a positive info only (a negative one is its ValueError).  On N_q=26
+    geqp3 runs itself; on N_q=110 the panel QR runs in its place, and
+    geqp3's workspace query, made with the workspace cache empty, is its
+    one geqp3 call."""
     real = scipy.linalg.get_lapack_funcs
     signed = sm.MieBackend(sphere_eps3).sample(sm.lebedev_rule(230), 1.0)
     cases = [mie_modes_ka1[1], mie_eps3_110]
-    if failing in _CAPSULES:
+    if failing in ("geqrf", "geev"):
         cases = [signed]
-    elif failing == "orgqr":
+    elif failing in ("orgqr", "unmqr"):
         cases.append(signed)
     if failing in ("geqp3", "geev"):
         cases.append(_full_rank_noise(26))
     for smat in cases:  # a warm cache: the failure is in the call itself
         sm.decompose(sm.apply_weights(smat))
-    for info in (-1, 2):
+    for info in (2,) if failing == "geev" else (-1, 2):
         def with_failure(names, arrays):
             def fail(func):
                 def call(*args, **kwargs):
                     return (*func(*args, **kwargs)[:-1], info)
+                call.typecode = func.typecode  # eig reads it
                 return call
             return [fail(func) if name == failing else func
                     for name, func in zip(names, real(names, arrays))]
 
-        def failed(routine):
-            def call(*args):  # the last argument points to info
-                routine(*args)
-                ctypes.c_int.from_address(args[-1]).value = info
-            return call
-
+        message = ("eig algorithm (geev) did not converge" if failing == "geev"
+                   else f"LAPACK {failing} failed (info {info})")
         with monkeypatch.context() as patched:
-            if failing in _CAPSULES:
-                name = _CAPSULES[failing]
-                patched.setattr(modes, name, failed(getattr(modes, name)))
-            else:
-                patched.setattr(scipy.linalg, "get_lapack_funcs", with_failure)
+            patched.setattr(scipy.linalg, "get_lapack_funcs", with_failure)
+            # where scipy.linalg.eig looks its routines up
+            patched.setattr(sys.modules[scipy.linalg.eig.__module__],
+                            "get_lapack_funcs", with_failure)
             threads = threading.active_count()
             for smat in cases:
                 if failing == "geqp3" and smat is mie_eps3_110:
                     patched.setattr(modes, "_WORKSPACE", {})
                 with pytest.raises(EigensolverFailure) as excinfo:
                     sm.decompose(sm.apply_weights(smat))
-                assert f"LAPACK {failing} failed (info {info})" in str(
-                    excinfo.value.__cause__)
+                assert message in str(excinfo.value.__cause__)
                 assert threading.active_count() == threads
 
 
@@ -860,7 +832,8 @@ def _scipy_eigenpairs(matrix, weights):
     """The reference eigenpairs: _eigenpairs' geev route through
     scipy.linalg on every input, normal or not.  A full geqp3 of the matrix
     it solves (_solved, by scipy.linalg.qr), scipy.linalg.eig of the r x r
-    block, and the |w|-orthonormal null basis of the truncated R by
+    block, and, another way than _eigenpairs builds it, a |w|-orthonormal
+    basis of the null space of the truncated R, P [-R11^-1 R12; I], by
     solve_triangular, tpqrt and tpmqrt; the weak modes' null-space
     component projected out on rules with positive weights."""
     n = matrix.shape[0]
@@ -903,15 +876,16 @@ def _scipy_eigenpairs(matrix, weights):
 
 def test_eigenpairs_equal_the_scipy_wrapper_path(magnetodielectric_matrices,
                                                  sphere_eps3, dda_pipeline):
-    """Bare geqp3, orgqr and trtrs against scipy.linalg.qr, orgqr and
-    solve_triangular: every step of the 201-step sweep, rules with negative
-    weights, the dipole block, ranks 1 to 12 with positive and with signed
-    weights, and N = u v^H of ranks 1 to 3 on positive weights, which must
-    take the geev route: N is not normal, though a 1 x 1 block always is.
-    The geev route gives the reference's bits; on 230 points the pivoted QR
-    stops once the rank has settled, so there the t = 0 basis and the weak
-    modes meet the oracle instead, as the Hermitian route's modes do
-    everywhere."""
+    """Bare geqp3 and orgqr against scipy.linalg.qr and orgqr: every step
+    of the 201-step sweep, rules with negative weights, the dipole block,
+    ranks 1 to 12 with positive and with signed weights, and N = u v^H of
+    ranks 1 to 3 on positive weights, which must take the geev route: N is
+    not normal, though a 1 x 1 block always is.  The geev route gives the
+    reference's eigenvalues and its modes with |t| > 1e-6 bit for bit; its
+    t = 0 basis, built another way, and the weak modes projected against
+    it meet the oracle.  On 230 points the pivoted QR stops once the rank
+    has settled, so there all the modes meet the oracle instead, as the
+    Hermitian route's modes do everywhere."""
     _, weighted = magnetodielectric_matrices
     cases = [(m.matrix, m.rule.doubled_weights) for m in weighted]
     for n_q in (6, 26, 74, 110, 230):
@@ -941,8 +915,10 @@ def test_eigenpairs_equal_the_scipy_wrapper_path(magnetodielectric_matrices,
             _assert_same_spectrum(weights, got, ref)
         else:
             routes["geev"] += 1
+            live = np.abs(ref[0]) > modes.SIGNIFICANCE_FLOOR
             assert _same_bits(got[0], ref[0])
-            assert _same_bits(got[1], ref[1])
+            assert _same_bits(got[1][:, live], ref[1][:, live])
+            _assert_same_spectrum(weights, got, ref)
     assert routes == {"hermitian": 201 + 3 + 1 + 12, "geev": 1 + 12 + 3,
                       "stopped": 1}
 
@@ -1161,7 +1137,7 @@ def test_clean_data_takes_the_hermitian_route(every_rule, dda_pipeline,
     def never(*args):
         raise AssertionError("the Hermitian route ran a geev route step")
 
-    monkeypatch.setattr(modes, "_geev", never)
+    monkeypatch.setattr(scipy.linalg, "eig", never)
     monkeypatch.setattr(modes, "_orthonormalize_degenerate", never)
     for smat in cases:
         modeset = sm.decompose(smat)
@@ -1176,29 +1152,27 @@ def test_negative_weights_and_noise_keep_scipy_eigs_bits(sphere_eps3,
                                                          monkeypatch):
     """The 74, 230 and 266 points, whose weights are signed, and samples
     with noise of 1e-10 max|S|: the r x r block is far from normal, or the
-    matrix has full rank, and geev solves it with scipy.linalg.eig's
-    bits."""
+    matrix has full rank, and _eigenpairs returns the eigenvalues of
+    scipy.linalg.eig of it, as a plain call gives them, bit for bit."""
     cases = [sm.apply_weights(sm.MieBackend(sphere_eps3).sample(
         sm.lebedev_rule(n_q), 1.0)) for n_q in (74, 230, 266)]
     cases.append(sm.apply_weights(_noisy(mie_modes_ka1[1], 1e-10)))
-    solved, real = [], modes._geev
-
-    def recording(a):
-        solved.append((a.copy(), real(a)))
-        return solved[-1][1]
-
-    monkeypatch.setattr(modes, "_geev", recording)
+    solved, real = _recorded_eigs(monkeypatch)
+    got = []
     for smat in cases:
-        assert not modes._eigenpairs(smat.matrix,
-                                     smat.rule.doubled_weights)[2]
+        values, _, hermitian = modes._eigenpairs(smat.matrix,
+                                                 smat.rule.doubled_weights)
+        assert not hermitian
+        got.append(values)
     assert [len(a) for a, _ in solved][3] == 52  # the noisy samples, whole
     assert all(len(a) < len(smat.matrix) for (a, _), smat in
                zip(solved[:3], cases))
-    for a, (values, vectors) in solved:
+    for values, (a, (eig_values, eig_vectors)) in zip(got, solved):
         assert _normality_defect(a) > 1e-3
-        ref_values, ref_vectors = scipy.linalg.eig(a)
-        assert _same_bits(values, ref_values)
-        assert _same_bits(vectors, ref_vectors)
+        ref_values, ref_vectors = real(a)
+        assert _same_bits(eig_values, ref_values)
+        assert _same_bits(eig_vectors, ref_vectors)
+        assert _same_bits(values[:len(a)], ref_values)
 
 
 def test_borderline_noise_meets_the_full_qr_oracle(sphere_eps3, monkeypatch):
@@ -1214,6 +1188,45 @@ def test_borderline_noise_meets_the_full_qr_oracle(sphere_eps3, monkeypatch):
     assert modes.NORMALITY_TOL < _normality_defect(blocks[0]) < 1e-12
     assert np.count_nonzero(modeset.eigenvalues == 0) == 4
     _assert_meets_the_oracle(smat, modeset)
+
+
+def test_geev_route_null_basis_is_w_orthonormal_and_null(every_rule,
+                                                         sphere_eps3):
+    """The t = 0 modes V_0 of the geev route are |w|-orthonormal, their Gram
+    matrix within 1e-14 of I, and S V_0 is within the rank cut:
+    max|S V_0| <= n eps |R_00| max|w|^-1/2, with n eps |R_00| the cut of the
+    pivoted QR of N (|R_00| is N's largest column norm) and |w|^-1/2 what
+    takes a unit vector of the |w|-scaled coordinates back to S's.  The
+    signed rules at ka 1 and 2.3; N = u v^H of ranks 1 to 3 on positive
+    weights, whose null space is not the complement of range(N); N_q=302
+    samples with a non-normal term; and N_q=302 samples with borderline
+    noise of 1e-12 max|S|."""
+    cases = [(smat.matrix, smat.rule.doubled_weights) for smat in
+             (every_rule[(n_q, ka)] for n_q in (74, 230, 266)
+              for ka in (1.0, 2.3))]
+    rng = np.random.default_rng(3)
+    w = np.abs(rng.standard_normal(28)) + 0.1
+    for rank in (1, 2, 3):
+        u, v = rng.standard_normal((2, 28, rank)) \
+            + 1j * rng.standard_normal((2, 28, rank))
+        cases.append((u @ v.conj().T / w, w))
+    smat = sm.MieBackend(sphere_eps3).sample(sm.lebedev_rule(302), 1.0)
+    weighted = sm.apply_weights(smat).matrix
+    weights = smat.rule.doubled_weights
+    r = rng.standard_normal((2, *weighted.shape))
+    cases.append((weighted + 0.3 * weighted @ (r[0] + 1j * r[1]) @ weighted
+                  / np.linalg.norm(weighted, 2), weights))
+    cases.append((sm.apply_weights(_noisy(smat, 1e-12)).matrix, weights))
+    for matrix, weights in cases:
+        values, vectors, hermitian = modes._eigenpairs(matrix, weights)
+        assert not hermitian
+        null = vectors[:, values == 0]
+        assert null.shape[1] > 0
+        assert np.max(np.abs(_gram(null, np.abs(weights))
+                             - np.eye(null.shape[1]))) <= 1e-14
+        r00 = np.max(np.linalg.norm(_solved(matrix, weights), axis=0))
+        assert np.max(np.abs(matrix @ null)) <= len(matrix) \
+            * np.finfo(float).eps * r00 / np.sqrt(np.min(np.abs(weights)))
 
 
 def test_normal_eig_separates_eigenvalues_the_first_solve_merges():
@@ -1233,27 +1246,3 @@ def test_normal_eig_separates_eigenvalues_the_first_solve_merges():
         <= 1e-14
     assert np.max(np.abs(y.conj().T @ y - np.eye(9))) <= 1e-14
     assert np.max(np.abs(m @ y - y * values)) <= 1e-14
-
-
-def test_geev_releases_the_gil():
-    """A Python loop on this thread keeps running while _geev runs on
-    another: with the GIL held, no tick would land inside the call, and
-    the longest gap between ticks would be the call itself."""
-    rng = np.random.default_rng(300)
-    a = rng.standard_normal((300, 300)) + 1j * rng.standard_normal((300, 300))
-    call, ticks = {}, []
-
-    def solve():
-        call["start"] = time.perf_counter()
-        modes._geev(a)
-        call["stop"] = time.perf_counter()
-
-    worker = threading.Thread(target=solve)
-    worker.start()
-    while worker.is_alive():
-        ticks.append(time.perf_counter())
-    worker.join(60)
-    assert not worker.is_alive()
-    start, stop = call["start"], call["stop"]
-    inside = [start, *(t for t in ticks if start < t < stop), stop]
-    assert np.max(np.diff(inside)) < (stop - start) / 4

@@ -27,9 +27,10 @@ def _bits(array):
 @pytest.mark.parametrize("n_q", OVERLAPPED_SIZES)
 def test_overlapped_outputs_equal_the_inline_ones_bit_for_bit(
         n_q, sphere_eps3, monkeypatch):
-    """Rank-deficient Mie samples on every rule, which overlap both the
-    null basis and the residual product; full-rank noise (one eig, and the
-    residual product) on the smallest and the largest rule."""
+    """Rank-deficient Mie samples on every rule, and full-rank noise on the
+    smallest and the largest rule: decompose overlaps the two halves of its
+    residual product, and validation_report the reciprocity check with
+    decompose."""
     rule = sm.lebedev_rule(n_q)
     cases = [sm.MieBackend(sphere_eps3).sample(rule, 1.0)]
     if n_q in (OVERLAPPED_SIZES[0], OVERLAPPED_SIZES[-1]):
