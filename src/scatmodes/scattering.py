@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import AlreadyWeighted, ScatmodesError
+from .errors import AlreadyWeighted, RuleNotInversionSymmetric, ScatmodesError
 from .quadrature import QuadratureRule
 
 POLARIZATIONS = ("theta", "phi")
@@ -104,90 +104,46 @@ def apply_weights(smat: ScatteringMatrix) -> ScatteringMatrix:
     return replace(smat, matrix=smat.matrix * w[None, :], weighted=True)
 
 
-#: bytes of dyad that reciprocity_residual builds at once: all nine
-#: components while they fit (N_q <= 74), else one transpose pair, which
-#: from N_q = 86 on is also the faster (measured)
-RECIPROCITY_BLOCK_BYTES = 2**20
-
-
-def _dyad_blocks(n: int) -> list[tuple[tuple, tuple]]:
-    """(rows, cols) of the dyad blocks reciprocity_residual builds.
-
-    Each block, together with its transpose (cols, rows), is closed under
-    (i, j) -> (j, i), so that it can be checked on its own.
-    """
-    if 9 * n * n * 16 <= RECIPROCITY_BLOCK_BYTES:
-        return [((0, 1, 2), (0, 1, 2))]
-    return [((i,), (j,)) for i in range(3) for j in range(i, 3)]
-
-
-def _dyads(smat: ScatteringMatrix, rows, cols) -> np.ndarray:
-    """Components (i, j), i in rows and j in cols, of the 3x3 dyad at
-    every sample pair, (len(rows), len(cols), N_q, N_q).
-
-    dyad[i, j, p, q] sums S[(a, p), (b, q)] frame_a(p)_i frame_b(q)_j over
-    the polarizations (a, b).  Complex-cast frames and the four terms added
-    into zeros in (a, b) order reproduce the naive four-operand
-    einsum("pqab,pai,qbj->pqij"), transposed, bit for bit, at under half its
-    cost.  The sample pair is the inner index, so that each broadcast runs
-    over N_q entries at a time.  The frames, cast and indexed for the
-    block, depend only on the rule and are kept with it.
-    """
-    rule = smat.rule
-    n = rule.n_points
-
-    def build():
-        frames = (rule.theta_hats.T.astype(complex),
-                  rule.phi_hats.T.astype(complex))  # (3, N_q) each
-        blocks = ([f[list(rows), :, None] for f in frames],
-                  [f[None, list(cols), None, :] for f in frames])
-        for arr in blocks[0] + blocks[1]:
-            arr.setflags(write=False)
-        return blocks
-
-    left_frames, right_frames = rule.cached(
-        ("dyad frames", tuple(rows), tuple(cols)), build)
-    s4 = smat.matrix.reshape(2, n, 2, n)  # (a, p, b, q)
-    dyad = np.zeros((len(rows), len(cols), n, n), dtype=complex)
-    for a in range(2):
-        for b in range(2):
-            left = s4[a, None, :, b, :] * left_frames[a]
-            dyad += left[:, None] * right_frames[b]
-    return dyad
-
-
 def reciprocity_residual(smat: ScatteringMatrix) -> float:
     """Max-norm violation of S(r, r') = S^T(-r', -r) over all sample pairs.
 
-    The check is done on the full tangential dyadic, which makes it immune
-    to the polarization-frame sign bookkeeping under direction inversion
-    (including the canonicalized pole frames).  The dyad is built a block
-    of components at a time (see _dyad_blocks): at N_q = 302 the check
-    holds under 8 MB at once, where the whole dyad takes 13 MB.
+    The residual is max |S[(a,p),(b,q)] - sigma_a(p) sigma_b(q)
+    S[(b,inv q),(a,inv p)]| over both polarizations: one gather of S^T
+    through index[a N_q + p] = a N_q + inv[p], and a sign per row and
+    column.  sigma_a(p) is the diagonal of F_p^T F_inv(p), for the rule's
+    theta/phi frames F_p = [theta_hat, phi_hat] (3x2).  The tangent planes
+    at r and -r coincide, so F_p^T F_inv(p) is orthogonal; unless it is
+    also a signed diagonal, within 1e-12, RuleNotInversionSymmetric is
+    raised.  The 3x3 Cartesian dyad difference of each sample pair is
+    F_p Delta_pq F_q^T of this 2x2 difference Delta_pq: it has the same
+    Frobenius norm, and its max-norm lies between a third of this residual
+    and twice it.  Only the unweighted samples are reciprocal.
     """
-    rule, n = smat.rule, smat.n_points
-    inv = rule.inversion_permutation()
+    if smat.weighted:
+        raise ValueError("reciprocity_residual expects the unweighted "
+                         "samples, not the output of apply_weights")
+    rule = smat.rule
 
-    def build():  # inv[q] n + inv[p] at p n + q: one gather, kept with the rule
-        pairs = (inv[None, :] * n + inv[:, None]).ravel()
-        pairs.setflags(write=False)
-        return pairs
+    def build():  # the gather and the signs, kept with the rule
+        inv = rule.inversion_permutation()
+        frames = np.stack([rule.theta_hats, rule.phi_hats], axis=2)
+        cross = frames.transpose(0, 2, 1) @ frames[inv]  # (N_q, 2, 2)
+        signs = np.sign(np.diagonal(cross, axis1=1, axis2=2))  # (N_q, 2)
+        if np.max(np.abs(cross - signs[:, :, None] * np.eye(2))) > 1e-12:
+            raise RuleNotInversionSymmetric(
+                f"the polarization frames of rule {rule.name or rule.n_points}"
+                f" at r and -r differ by more than a sign")
+        index = np.concatenate([inv, rule.n_points + inv])
+        # S.take(pairs) is S.T[index][:, index], flattened
+        pairs = (index[None, :] * len(index) + index[:, None]).ravel()
+        sigma = signs.T.ravel()  # the theta block, then the phi block
+        for arr in (pairs, sigma):
+            arr.setflags(write=False)
+        return pairs, sigma
 
-    pairs = rule.cached("inverted pairs", build)
-
-    def violation(dyad, mirror):
-        # swapped[i, j, p, q] = mirror[j, i, inv[q], inv[p]]
-        rows, cols = mirror.shape[:2]
-        swapped = (mirror.reshape(rows, cols, n * n).take(pairs, axis=2)
-                   .reshape(rows, cols, n, n).transpose(1, 0, 2, 3))
-        return np.max(np.abs(dyad - swapped))
-
-    worst = []
-    for rows, cols in _dyad_blocks(smat.n_points):
-        dyad = _dyads(smat, rows, cols)
-        if rows == cols:
-            worst.append(violation(dyad, dyad))
-        else:
-            mirror = _dyads(smat, cols, rows)
-            worst += [violation(dyad, mirror), violation(mirror, dyad)]
-    return float(np.max(worst))
+    pairs, sigma = rule.cached("inversion signs", build)
+    mirror = smat.matrix.take(pairs).reshape(smat.matrix.shape)
+    mirror *= sigma[:, None]
+    mirror *= sigma[None, :]
+    np.subtract(smat.matrix, mirror, out=mirror)
+    return float(np.max(np.abs(mirror)))

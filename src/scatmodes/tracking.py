@@ -71,62 +71,64 @@ class TrackedTraces:
     traces: tuple
 
 
-def _weighted(modeset: ModeSet) -> np.ndarray:
-    return modeset.eigenvectors * modeset.rule.doubled_weights[:, None]
+def _correlations(prev: ModeSet, cur: ModeSet, rows: list,
+                  candidates: list) -> np.ndarray:
+    """|F_m^H diag(w) F_n| for prev's modes m in rows and cur's candidates n,
+    (len(rows), len(candidates)), after each multiplet of cur that holds a
+    candidate is rotated toward prev's eigenvectors.
 
-
-def _align_degenerate(prev: ModeSet, cur: ModeSet,
-                      candidates: list) -> np.ndarray:
-    """Rotate each degenerate eigenspace of cur toward prev's eigenvectors.
-
-    Works on a copy; within a multiplet any unitary mixing is still an
-    eigenbasis, so the orthogonal-Procrustes rotation of the weighted Gram
-    block is physically free.  Multiplets with no member among candidates,
-    the mode indices tracking may match, are left as they are.  Multiplets
-    of one size are solved as one stack, each with the same floating-point
-    operations as on its own.
+    Within a multiplet any unitary mixing is still an eigenbasis, so the
+    orthogonal-Procrustes rotation Q of the weighted overlap block is
+    physically free; prev^H W (F Q) = (prev^H W F) Q, so one overlap
+    product over the columns needed, rotated in place, serves for both.
+    Each block is paired against the rows of prev it overlaps most.  All
+    blocks are solved in one stacked SVD, each padded to the largest with
+    the identity: the polar factor of diag(M, I) is diag(polar(M), I).
     """
-    vecs = cur.eigenvectors.copy()
-    overlap = prev.eigenvectors.conj().T @ _weighted(cur)  # (n_prev, n_cur)
-    matchable = set(candidates)
-    starts = {}  # multiplet size -> first mode of each multiplet
-    for grp in degenerate_groups(cur.eigenvalues):
-        size = grp.stop - grp.start
-        if (size <= overlap.shape[0]
-                and not matchable.isdisjoint(range(grp.start, grp.stop))):
-            starts.setdefault(size, []).append(grp.start)
-    for size, first in starts.items():
-        cols = np.add.outer(first, np.arange(size))  # (multiplets, size)
-        blocks = overlap[:, cols]  # (n_prev, multiplets, size)
-        # pair each multiplet against its strongest predecessors, then
-        # solve the square unitary Procrustes problem M Q ~ I
-        norms = np.linalg.norm(blocks.reshape(-1, size), axis=1)
-        top = np.argsort(-norms.reshape(-1, len(first)), axis=0)[:size]
-        u, _, vh = np.linalg.svd(
-            blocks[np.sort(top, axis=0), np.arange(len(first))]
-            .transpose(1, 0, 2))
-        q = vh.conj().transpose(0, 2, 1) @ u.conj().transpose(0, 2, 1)
-        vecs[:, cols] = (vecs[:, cols].transpose(1, 0, 2) @ q) \
-            .transpose(1, 0, 2)
-    return vecs
-
-
-def correlation_matrix(prev: ModeSet, cur: ModeSet,
-                       cur_vectors: np.ndarray | None = None) -> np.ndarray:
-    """|F_m^H diag(w) F_n| between the modes of two steps."""
-    vecs = cur.eigenvectors if cur_vectors is None else cur_vectors
-    w = prev.rule.doubled_weights
-    c = np.abs(prev.eigenvectors.conj().T @ (vecs * w[:, None]))
-    return np.minimum(c, 1.0 + 1e-12)
+    n_prev = prev.n_modes
+    wanted = np.zeros(cur.n_modes, dtype=bool)
+    wanted[candidates] = True
+    groups = [grp for grp in degenerate_groups(cur.eigenvalues)
+              if grp.stop - grp.start <= n_prev and wanted[grp].any()]
+    for grp in groups:
+        wanted[grp] = True
+    cols = np.flatnonzero(wanted)
+    overlap = prev.eigenvectors.conj().T @ (
+        cur.eigenvectors[:, cols] * cur.rule.doubled_weights[:, None])
+    if groups:
+        sizes = np.array([grp.stop - grp.start for grp in groups])
+        size = sizes.max()
+        inside = np.arange(size) < sizes[:, None]  # (multiplets, size)
+        # each multiplet's columns of overlap, padded with column 0
+        at = np.where(inside, np.searchsorted(
+            cols, [grp.start for grp in groups])[:, None] + np.arange(size), 0)
+        # rows of prev by their norm on each multiplet's columns; the
+        # strongest of them, as many as the multiplet has, in row order,
+        # with the padding sorted last and then pointed at row 0
+        blocks = np.where(inside, overlap[:, at], 0.0)  # (n_prev, ., size)
+        rank = np.argsort(-np.linalg.norm(blocks, axis=2), axis=0)[:size].T
+        top = np.sort(np.where(inside, rank, n_prev), axis=1)
+        top[~inside] = 0
+        pad = inside[:, :, None] & inside[:, None, :]
+        stack = np.where(pad, overlap[top[:, :, None], at[:, None, :]],
+                         np.eye(size))
+        u, _, vh = np.linalg.svd(stack)
+        rotations = np.where(pad, vh.conj().transpose(0, 2, 1)
+                             @ u.conj().transpose(0, 2, 1), 0.0)
+        rotated = blocks.transpose(1, 0, 2) @ rotations
+        overlap[:, at[inside]] = rotated.transpose(1, 0, 2)[:, inside]
+    picked = overlap[np.ix_(rows, np.searchsorted(cols, candidates))]
+    return np.minimum(np.abs(picked), 1.0 + 1e-12)
 
 
 def _greedy_match(corr: np.ndarray, rows, cols, min_correlation: float):
     """Assign rows to columns in descending correlation; injective by skip.
 
-    The walk stops at the first entry below min_correlation.  NaN entries
-    sort last, so they are reached only when no entry is below it.
+    corr[i, j] is the correlation of rows[i] with cols[j].  The walk stops
+    at the first entry below min_correlation.  NaN entries sort last, so
+    they are reached only when no entry is below it.
     """
-    flat = corr[np.ix_(rows, cols)].ravel()
+    flat = corr.ravel()
     kept = (np.flatnonzero(flat >= min_correlation)
             if np.any(flat < min_correlation) else np.arange(flat.size))
     # descending correlation; a stable sort keeps ties in row-major order
@@ -168,9 +170,9 @@ def track(sweep: SweepResult,
         prev, cur = sweep.modesets[step - 1], sweep.modesets[step]
         values = cur.eigenvalues.astype(complex).tolist()
         candidates = significant(values)
-        aligned = _align_degenerate(prev, cur, candidates)
-        corr = correlation_matrix(prev, cur, aligned)
-        match = _greedy_match(corr, list(active), candidates, min_correlation)
+        rows = list(active)
+        corr = _correlations(prev, cur, rows, candidates)
+        match = _greedy_match(corr, rows, candidates, min_correlation)
         next_active = {}
         for m, trace in active.items():
             if m in match:

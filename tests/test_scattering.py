@@ -1,11 +1,9 @@
-import math
-
 import numpy as np
 import pytest
 import scipy.linalg
 
 import scatmodes as sm
-from scatmodes import modes, scattering
+from scatmodes import modes
 from scatmodes.errors import AlreadyWeighted
 from scatmodes.scattering import POLARIZATIONS
 
@@ -141,41 +139,66 @@ def _einsum_dyads(smat):
     return np.einsum("pqab,pai,qbj->pqij", s4, frames, frames)
 
 
+def _frames(rule):
+    """F_p = [theta_hat, phi_hat] at every rule point, (N_q, 3, 2)."""
+    return np.stack([rule.theta_hats, rule.phi_hats], axis=2)
+
+
 @pytest.mark.parametrize("n_q", [6, 38, 110, 302])
-def test_reciprocity_dyads_equal_the_einsum_reference(n_q, dda_pipeline,
-                                                      monkeypatch):
-    """Every dyad block, and its transpose block, equals the reference's
-    block, and the blocks cover all nine components; both blockings, one
-    block and one transpose pair per block, are checked at every size."""
+def test_reciprocity_residual_equals_the_projected_dyads(n_q, dda_pipeline):
+    """The 3x3 Cartesian dyad difference D_pq = dyad(p, q) -
+    dyad(inv q, inv p)^T of every sample pair lies in the tangent planes:
+    projected onto the frames, Delta_pq = F_p^T D_pq F_q keeps its
+    Frobenius norm, and reciprocity_residual is max |Delta|, both within
+    1e-12 of the largest sample.  The max-norms obey max|D| <= 2 max|Delta|
+    <= 6 max|D|.  On clean Mie samples, seeded noise and a rule turned about
+    z, and on the dipole block."""
     rule = sm.lebedev_rule(n_q)
     sphere = sm.LayeredSphere(1.0, (sm.Layer(5.0, 3.0, 0.5),
                                     sm.Layer(2.0, 1.0, 1.0)))
-    smat = sm.MieBackend(sphere).sample(rule, 1.3)
     rng = np.random.default_rng(n_q)
-    noise = rng.standard_normal(smat.matrix.shape) * (1.0 + 1j)
-    cases = [smat, sm.ScatteringMatrix(rule=rule, k=1.3, matrix=noise)]
+    noise = rng.standard_normal((2 * n_q, 2 * n_q)) * (1.0 + 1j)
+    cases = []
+    for case_rule in (rule, _rotated(rule, 0.7)):
+        cases += [sm.MieBackend(sphere).sample(case_rule, 1.3),
+                  sm.ScatteringMatrix(rule=case_rule, k=1.3, matrix=noise)]
     if n_q == 38:
         cases.append(dda_pipeline[4])  # the dipole block on its 50-point rule
-    for budget in (0, math.inf):
-        monkeypatch.setattr(scattering, "RECIPROCITY_BLOCK_BYTES", budget)
-        for case in cases:
-            ref = _einsum_dyads(case)  # (p, q, i, j)
-            covered = []
-            for rows, cols in scattering._dyad_blocks(case.n_points):
-                for r, c in ((rows, cols), (cols, rows)):
-                    got = np.ascontiguousarray(
-                        scattering._dyads(case, r, c).transpose(2, 3, 0, 1))
-                    want = np.ascontiguousarray(ref[:, :, r][:, :, :, c])
-                    # bit for bit, signed zeros included
-                    assert np.array_equal(got.view(np.uint64),
-                                          want.view(np.uint64))
-                    covered += [(i, j) for i in r for j in c]
-            assert sorted(set(covered)) == [(i, j) for i in range(3)
-                                            for j in range(3)]
-            inv = case.rule.inversion_permutation()
-            swapped = ref[np.ix_(inv, inv)].transpose(1, 0, 3, 2)
-            assert sm.reciprocity_residual(case) == float(
-                np.max(np.abs(ref - swapped)))
+    for case in cases:
+        ref = _einsum_dyads(case)  # (p, q, i, j)
+        inv = case.rule.inversion_permutation()
+        diff = ref - ref[np.ix_(inv, inv)].transpose(1, 0, 3, 2)
+        frames = _frames(case.rule)
+        delta = np.einsum("pia,pqij,qjb->pqab", frames, diff, frames)
+        tol = 1e-12 * np.max(np.abs(case.matrix))
+        assert np.max(np.abs(np.linalg.norm(diff, axis=(2, 3))
+                             - np.linalg.norm(delta, axis=(2, 3)))) <= tol
+        got = sm.reciprocity_residual(case)
+        assert abs(got - np.max(np.abs(delta))) <= tol
+        assert np.max(np.abs(diff)) <= 2.0 * got + tol
+        assert got <= 3.0 * np.max(np.abs(diff)) + tol
+
+
+def test_reciprocity_residual_rejects_weighted_samples(sphere_eps3):
+    """Weighted samples are not reciprocal: the spread of the weights would
+    read as a violation (9.5e-3 here, against 4e-17 unweighted)."""
+    smat = sm.MieBackend(sphere_eps3).sample(sm.lebedev_rule(38), 1.0)
+    assert sm.reciprocity_residual(smat) < 1e-15
+    with pytest.raises(ValueError, match="apply_weights"):
+        sm.reciprocity_residual(sm.apply_weights(smat))
+
+
+def test_reciprocity_residual_rejects_frames_not_equal_up_to_sign():
+    """Two antipodes next to the poles, within the inversion pairing's
+    tolerance, whose phi differ by pi/2 rather than pi: their frames are
+    turned by a quarter, not mirrored, so the signs do not exist."""
+    rule = sm.QuadratureRule(theta=[1e-12, np.pi - 1e-12],
+                             phi=[0.0, np.pi / 2], weights=[2 * np.pi] * 2,
+                             order_capability=1)
+    smat = sm.ScatteringMatrix(rule=rule, k=1.0,
+                               matrix=np.eye(4, dtype=complex))
+    with pytest.raises(sm.RuleNotInversionSymmetric, match="sign"):
+        sm.reciprocity_residual(smat)
 
 
 @pytest.mark.parametrize("n_q", [6, 38, 110])

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import scatmodes as sm
 from scatmodes import tracking
 from scatmodes.errors import RuleMismatch
 from scatmodes.modes import degenerate_groups
-from scatmodes.tracking import TRACE_COLUMNS, correlation_matrix
+from scatmodes.tracking import TRACE_COLUMNS
 
 
 def _orthonormal_farfields(rule, count, seed=0):
@@ -127,10 +128,14 @@ def test_low_correlation_starts_new_trace():
 
 
 def test_correlation_symmetry(magnetodielectric_sweep):
+    """With no multiplet to rotate, the correlation of two steps is the same
+    both ways round, and no entry passes 1 + 1e-12."""
     _, sweep = magnetodielectric_sweep
-    prev, cur = sweep.modesets[10], sweep.modesets[11]
-    forward = correlation_matrix(prev, cur)
-    backward = correlation_matrix(cur, prev)
+    prev, cur = (replace(ms, eigenvalues=np.arange(ms.n_modes, dtype=complex))
+                 for ms in sweep.modesets[10:12])
+    every = list(range(cur.n_modes))
+    forward = tracking._correlations(prev, cur, every, every)
+    backward = tracking._correlations(cur, prev, every, every)
     assert np.max(np.abs(forward - backward.T)) < 1e-12
     assert forward.max() <= 1.0 + 1e-12
 
@@ -165,35 +170,42 @@ def test_trace_export_empty_sweep():
     assert sm.trace_export(sm.track(sweep)) == []
 
 
-def _trace_tuples(tracked):
-    return [(tr.trace_id, tr.start_step, tr.mode_indices, tr.eigenvalues,
-             tr.correlations) for tr in tracked.traces]
+def _assert_same_traces(traces, reference, tol):
+    """The same traces, start steps and mode indices, with eigenvalues and
+    correlations within tol."""
+    assert len(traces) == len(reference)
+    for tr, ref in zip(traces, reference):
+        assert (tr.trace_id, tr.start_step, tr.mode_indices) == \
+            (ref.trace_id, ref.start_step, ref.mode_indices)
+        assert np.max(np.abs(np.subtract(tr.eigenvalues, ref.eigenvalues))) \
+            <= tol
+        assert np.max(np.abs(np.subtract(tr.correlations, ref.correlations)),
+                      initial=0.0) <= tol
 
 
 def test_track_equals_aligning_every_multiplet(magnetodielectric_sweep,
                                                monkeypatch):
-    """Leaving the insignificant multiplets unaligned changes no trace."""
+    """Leaving the insignificant multiplets out of the overlap product, and
+    so unaligned, changes no trace."""
     _, sweep = magnetodielectric_sweep
     tracked = sm.track(sweep)
-    # the skip is real: weak multiplets stay as decompose returned them
+    # the skip is real: aligning the weak multiplets changes their columns
     prev, cur = sweep.modesets[0], sweep.modesets[1]
     weak = [grp for grp in degenerate_groups(cur.eigenvalues)
             if np.all(np.abs(cur.eigenvalues[grp]) < 1e-3)]
     assert weak
     every = list(range(cur.n_modes))
-    significant = [n for n in every if abs(cur.eigenvalues[n]) >= 1e-3]
-    skipped = tracking._align_degenerate(prev, cur, significant)
-    aligned = tracking._align_degenerate(prev, cur, every)
-    for grp in weak:
-        assert np.array_equal(skipped[:, grp], cur.eigenvectors[:, grp])
-    assert any(not np.array_equal(aligned[:, grp], cur.eigenvectors[:, grp])
+    aligned = tracking._correlations(prev, cur, every, every)
+    weighted = cur.eigenvectors * cur.rule.doubled_weights[:, None]
+    unaligned = np.abs(prev.eigenvectors.conj().T @ weighted)
+    assert any(np.max(np.abs(aligned[:, grp] - unaligned[:, grp])) > 1e-3
                for grp in weak)
 
-    align_all = tracking._align_degenerate
-    monkeypatch.setattr(tracking, "_align_degenerate",
-                        lambda prev, cur, candidates: align_all(
-                            prev, cur, list(range(cur.n_modes))))
-    assert _trace_tuples(sm.track(sweep)) == _trace_tuples(tracked)
+    correlations = tracking._correlations
+    monkeypatch.setattr(
+        tracking, "_correlations", lambda prev, cur, rows, candidates:
+        correlations(prev, cur, rows, every)[:, candidates])
+    _assert_same_traces(sm.track(sweep).traces, tracked.traces, 1e-13)
 
 
 def test_tracks_equal_the_full_eig_tracks(magnetodielectric_sweep,
@@ -203,18 +215,15 @@ def test_tracks_equal_the_full_eig_tracks(magnetodielectric_sweep,
     indices, with eigenvalues and correlations equal to rounding."""
     traces = sm.track(magnetodielectric_sweep[1]).traces
     reference = sm.track(full_eig_magnetodielectric_sweep[1]).traces
-    assert len(traces) == len(reference) > 40
-    for tr, ref in zip(traces, reference):
-        assert (tr.trace_id, tr.start_step, tr.mode_indices) == \
-            (ref.trace_id, ref.start_step, ref.mode_indices)
-        assert np.max(np.abs(np.subtract(tr.eigenvalues, ref.eigenvalues))) \
-            <= 1e-12
-        assert np.max(np.abs(np.subtract(tr.correlations, ref.correlations)),
-                      initial=0.0) <= 1e-12
+    assert len(reference) > 40
+    _assert_same_traces(traces, reference, 1e-12)
 
 
 def _per_multiplet_alignment(prev, cur, candidates):
-    """_align_degenerate one multiplet at a time."""
+    """cur's eigenvectors with each multiplet that holds a candidate rotated
+    toward prev's eigenvectors, one multiplet at a time: the orthogonal
+    Procrustes rotation of the weighted overlap block on the rows of prev
+    it overlaps most."""
     vecs = cur.eigenvectors.copy()
     overlap = prev.eigenvectors.conj().T @ (
         cur.eigenvectors * cur.rule.doubled_weights[:, None])
@@ -232,17 +241,24 @@ def _per_multiplet_alignment(prev, cur, candidates):
 
 
 def test_stacked_alignment_equals_the_per_multiplet_one(
-        magnetodielectric_sweep):
-    """Every step of the 201-step sweep, bit for bit, with the significant
-    modes and with every mode as candidates."""
-    sets = magnetodielectric_sweep[1].modesets
-    for prev, cur in zip(sets, sets[1:]):
-        every = list(range(cur.n_modes))
-        significant = [n for n in every if abs(cur.eigenvalues[n]) >= 1e-3]
-        for candidates in (significant, every):
-            assert np.array_equal(
-                tracking._align_degenerate(prev, cur, candidates),
-                _per_multiplet_alignment(prev, cur, candidates))
+        dielectric_sweep, magnetodielectric_sweep):
+    """At every step of both 201-step sweeps, with the significant modes and
+    with every mode as candidates: the correlation of the active rows with
+    the candidates is |prev^H W (aligned)| within 1e-13."""
+    for _, sweep in (dielectric_sweep, magnetodielectric_sweep):
+        sets = sweep.modesets
+        for prev, cur in zip(sets, sets[1:]):
+            for strong in (lambda ms: np.abs(ms.eigenvalues) >= 1e-3,
+                           lambda ms: np.ones(ms.n_modes, dtype=bool)):
+                rows = np.flatnonzero(strong(prev)).tolist()
+                candidates = np.flatnonzero(strong(cur)).tolist()
+                aligned = _per_multiplet_alignment(prev, cur, candidates)
+                want = np.abs(prev.eigenvectors.conj().T @ (
+                    aligned * cur.rule.doubled_weights[:, None]))
+                got = tracking._correlations(prev, cur, rows, candidates)
+                assert got.shape == (len(rows), len(candidates))
+                assert np.max(np.abs(got - want[np.ix_(rows, candidates)]),
+                              initial=0.0) <= 1e-13
 
 
 def _walk_greedy_match(corr, rows, cols, min_correlation):
@@ -269,7 +285,8 @@ _CORRELATIONS = st.sampled_from([0.0, 0.3, 0.7, math.nextafter(0.7, 0.0),
 
 
 def _check_greedy_match(corr, rows, cols, min_correlation):
-    got = tracking._greedy_match(corr, rows, cols, min_correlation)
+    got = tracking._greedy_match(corr[np.ix_(rows, cols)], rows, cols,
+                                 min_correlation)
     ref = _walk_greedy_match(corr, rows, cols, min_correlation)
     assert list(got) == list(ref)
     for r, (c, val) in ref.items():
