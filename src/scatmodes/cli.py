@@ -405,6 +405,8 @@ def cmd_precision_study(config: RunConfig, nq_list: list, reference: int) -> int
     # fixed truncation across all rules so only quadrature aliasing varies
     backend = config.backend if config.backend.l_max else MieBackend(
         config.backend.sphere, default_l_max(ref_rule))
+    kas = config.wavenumbers * backend.radius
+    bounds = [quadrature_bound(ka) for ka in kas]  # before any output
 
     _make_output(config.output)
     out_path = os.path.join(config.output, "precision_study.csv")
@@ -412,9 +414,7 @@ def cmd_precision_study(config: RunConfig, nq_list: list, reference: int) -> int
         writer = csv.writer(fh)
         writer.writerow(["ka", "n_q", "bound_estimate", "magnitude_error",
                          "phase_error", "note"])
-        for k in config.wavenumbers:
-            ka = k * backend.radius
-            bound = quadrature_bound(ka)
+        for k, ka, bound in zip(config.wavenumbers, kas, bounds):
             ref_modes = decompose(apply_weights(backend.sample(ref_rule, k)))
             ref_alpha = _angles(ref_modes, LOSSLESS_TOP)
             for n_q, rule in zip(nq_list, rules):

@@ -47,8 +47,10 @@ class DipoleModel:
 
     @property
     def circumscribing_radius(self) -> float:
-        """Largest dipole distance from the origin, meters."""
-        return float(np.max(np.linalg.norm(self.positions, axis=1)))
+        """Largest dipole distance from the origin, meters; inf where it
+        overflows, as for a block of spacing 1e300."""
+        with np.errstate(over="ignore"):
+            return float(np.max(np.linalg.norm(self.positions, axis=1)))
 
     @property
     def static_polarizability(self) -> float:

@@ -152,36 +152,12 @@ def _check_lapack(name: str, info: int) -> None:
         raise scipy.linalg.LinAlgError(f"LAPACK {name} failed (info {info})")
 
 
-#: LAPACK workspace sizes by (routine, argument signature, flags), filled
-#: by _workspace.  A query's answer depends on nothing else, so an entry
-#: never goes stale.  Safe from any thread: a key is looked up and stored
-#: by single dict operations, and two threads that miss the same key store
-#: the same value.
-_WORKSPACE: dict = {}
-
-
-def _signature(args, flags: dict) -> tuple:
-    """What a workspace query answers from: the dtype and shape of each
-    array argument, the value of any other, and the flags, sorted."""
-    return (tuple([(a.dtype.char, a.shape) if isinstance(a, np.ndarray)
-                   else a for a in args]), tuple(sorted(flags.items())))
-
-
-def _workspace(key: tuple, query) -> int:
-    """The lwork cached under key, from int(query()) on first use."""
-    lwork = _WORKSPACE.get(key)
-    if lwork is None:
-        lwork = _WORKSPACE.setdefault(key, int(query()))
-    return lwork
-
-
 def _lapack(func, name: str, *args, **kwargs) -> list:
     """Outputs of a LAPACK routine run with the workspace its own query
     (lwork=-1) asks for, as scipy.linalg's wrappers run it: blocking, and
-    with it the rounding, depends on lwork.  The query runs once per
-    routine, argument dtypes and shapes, and flags (see _WORKSPACE)."""
-    lwork = _workspace((name, *_signature(args, kwargs)),
-                       lambda: func(*args, lwork=-1, **kwargs)[-2][0].real)
+    with it the rounding, depends on lwork.  The query takes the call's
+    flags, so an overwrite flag spares it the copy too."""
+    lwork = int(func(*args, lwork=-1, **kwargs)[-2][0].real)
     *out, _, info = func(*args, lwork=lwork, **kwargs)
     _check_lapack(name, info)
     return out
@@ -225,9 +201,9 @@ def _address(array: np.ndarray) -> int:
 _QP3_CROSSOVER = 128
 
 
-def _pivoted_qr(matrix: np.ndarray, scale: np.ndarray | None) -> tuple:
+def _pivoted_qr(matrix: np.ndarray, scale: np.ndarray) -> tuple:
     """N P = Q R by LAPACK geqp3, for N = D matrix D^-1 with D = diag(scale),
-    or N = matrix where scale is None, stopped once the rank has settled.
+    stopped once the rank has settled.
 
     N is formed in the one Fortran-ordered copy that LAPACK factors in
     place.  Returns geqp3's packed qr, the 0-based pivots, tau and the
@@ -247,19 +223,14 @@ def _pivoted_qr(matrix: np.ndarray, scale: np.ndarray | None) -> tuple:
     """
     n = matrix.shape[0]
     a = np.empty((n, n), dtype=complex, order="F")
-    if scale is None:
-        a[...] = matrix
-    else:  # a real reciprocal: a complex division costs more than the copy
-        np.multiply(matrix, scale[:, None], out=a)
-        a *= 1.0 / scale
+    # by a real reciprocal: a complex division costs more
+    np.multiply(matrix, scale[:, None], out=a)
+    a *= 1.0 / scale
     (geqp3,) = scipy.linalg.get_lapack_funcs(("geqp3",), (a,))
-
-    def query():  # the one geqp3 call the panels make
-        *_, work, info = geqp3(a, lwork=-1)
-        _check_lapack("geqp3", info)
-        return work[0].real
-
-    lwork = _workspace(("geqp3", *_signature((a,), {})), query)
+    # the one geqp3 call the panels make; overwrite_a spares it a copy of a
+    *_, work, info = geqp3(a, lwork=-1, overwrite_a=1)
+    _check_lapack("geqp3", info)
+    lwork = int(work[0].real)
     nb = lwork // (n + 1)
     if not 2 <= nb < n - _QP3_CROSSOVER:  # one panel at most: geqp3 itself
         qr, perm, tau, _, info = geqp3(a, lwork=lwork, overwrite_a=1)
@@ -303,15 +274,6 @@ def _pivoted_qr(matrix: np.ndarray, scale: np.ndarray | None) -> tuple:
     return a, jpvt, tau, n
 
 
-def _economic_q(a: np.ndarray) -> np.ndarray:
-    """Q of the economic QR of a tall matrix, which may be overwritten: the
-    Q of scipy.linalg.qr(a, mode="economic"), bit for bit, without its
-    wrapper."""
-    geqrf, orgqr = scipy.linalg.get_lapack_funcs(("geqrf", "orgqr"), (a,))
-    qr, tau = _lapack(geqrf, "geqrf", a, overwrite_a=1)
-    return _lapack(orgqr, "orgqr", qr, tau, overwrite_a=1)[0]
-
-
 def _orthonormalize_degenerate(values, vectors, weights) -> None:
     """Weighted orthonormal basis, in place, inside each multiplet of
     nonzero eigenvalues.
@@ -331,7 +293,8 @@ def _orthonormalize_degenerate(values, vectors, weights) -> None:
     for grp in degenerate_groups(values):
         if values[grp.start] == 0:
             continue
-        q = _economic_q(vectors[:, grp] * sqrt_w)
+        q = scipy.linalg.qr(vectors[:, grp] * sqrt_w, mode="economic",
+                            overwrite_a=True, check_finite=False)[0]
         q /= sqrt_w
         if signed:
             try:
@@ -472,7 +435,7 @@ def _eigenpairs(matrix: np.ndarray, weights: np.ndarray) -> tuple:
     matrix = np.asarray_chkfinite(matrix)
     positive = bool(np.all(weights > 0))
     scale = np.sqrt(weights) if positive else np.ones(n)  # D
-    qr, perm, tau, done = _pivoted_qr(matrix, scale if positive else None)
+    qr, perm, tau, done = _pivoted_qr(matrix, scale)
     diag = np.abs(np.diag(qr))
     cut = n * np.finfo(float).eps * diag[0]
     rank = int(np.count_nonzero(diag[:done] > cut))

@@ -311,10 +311,19 @@ def lebedev_rule(n_points: int) -> QuadratureRule:
 
 
 def quadrature_bound(ka: float) -> float:
-    """Plane-wave count estimate for electrical size ka."""
+    """Plane-wave count estimate for electrical size ka; a ValueError where
+    ka is not positive or the estimate is not finite."""
     if ka <= 0:
         raise ValueError(f"ka must be positive, got {ka}")
-    return (4.0 / 3.0) * (ka + 2.0 * ka ** (1.0 / 3.0) + 1.0) ** 2
+    ka = float(ka)  # the same pow as a NumPy scalar's, but it raises, not warns
+    try:
+        bound = (4.0 / 3.0) * (ka + 2.0 * ka ** (1.0 / 3.0) + 1.0) ** 2
+    except OverflowError:
+        bound = math.inf
+    if not math.isfinite(bound):
+        raise ValueError(f"ka = {ka:g} is too large: its plane-wave count "
+                         f"estimate is not finite")
+    return bound
 
 
 def minimum_points(ka: float) -> int:

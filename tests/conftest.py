@@ -18,6 +18,7 @@ from hypothesis import settings
 
 import scatmodes as sm
 from scatmodes import dataio, modes
+from scatmodes.mie import default_l_max
 
 # property tests draw the same examples on every run and stay short
 settings.register_profile("tier1", derandomize=True, database=None,
@@ -106,7 +107,7 @@ def _layered_sweep_matrices(eps_r, mu_r):
         sm.Layer(e, m, f) for e, m, f in
         zip(eps_r, mu_r, [0.25, 0.5, 0.75, 1.0])))
     rule = sm.lebedev_rule(38)
-    l_max = rule.order_capability // 2
+    l_max = default_l_max(rule)
     kas = np.arange(0.5, 4.5001, 0.02)
     return kas, [sm.apply_weights(
         sm.s_from_t(sm.layered_tmatrix(sphere, ka, l_max), rule, k=ka))

@@ -16,6 +16,7 @@ import pytest
 
 import scatmodes as sm
 from scatmodes import dataio
+from scatmodes.mie import default_l_max
 from scatmodes.modes import C0, characteristic_angle
 from scatmodes.swe import expand_farfield, vsh_matrix
 
@@ -52,7 +53,7 @@ def test_acceptance_1_sphere_pipeline_matches_analytic(sphere_eps3):
         modeset = sm.decompose(sm.apply_weights(smat))
         worst_time = max(worst_time, time.perf_counter() - start)
 
-        l_max = max(1, rule.order_capability // 2)
+        l_max = default_l_max(rule)
         channels = sm.channel_eigenvalues(sphere_eps3, ka, l_max)
         significant = modeset.eigenvalues[np.abs(modeset.eigenvalues) > 1e-8]
         for t in significant:
@@ -160,7 +161,7 @@ def test_acceptance_5_closed_loop_excitation(sphere_eps3, mie_modes_ka1,
     # sphere: expand the pipeline eigenvector in harmonics, push it through
     # the analytic transition matrix, and compare with t_n times itself
     rule, _, modeset = mie_modes_ka1
-    l_max = max(1, rule.order_capability // 2)
+    l_max = default_l_max(rule)
     f_n, t_n = modeset.eigenvectors[:, 0], modeset.eigenvalues[0]
     coeff, _ = expand_farfield(f_n, rule, l_max)
     tmat = sm.layered_tmatrix(sphere_eps3, 1.0, l_max)

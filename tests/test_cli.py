@@ -437,6 +437,33 @@ def test_single_dipole_sweep_on_an_explicit_rule_runs(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+_HUGE_MIE = {"type": "mie", "radius": 1e300}
+_HUGE_DDA = {"type": "dda", "spacing": 1e300, "eps_r": 3}
+
+
+@pytest.mark.parametrize("backend, command", [
+    (_HUGE_MIE, ["sweep"]),
+    (_HUGE_MIE, ["sweep", "--nq", "38"]),
+    (_HUGE_MIE, ["precision-study", "--nq-list", "26", "--reference", "38"]),
+    (_HUGE_DDA, ["sweep"]),
+    (_HUGE_DDA, ["sweep", "--nq", "38"]),
+], ids=["mie-auto", "mie-explicit-rule", "mie-precision-study", "dda-auto",
+        "dda-explicit-rule"])
+def test_scatterer_too_large_for_the_estimate_is_a_usage_error(
+        tmp_path, capsys, backend, command):
+    # ka past 1e154 overflows the point-count estimate to inf; rounding it
+    # up for the message once raised OverflowError with a traceback
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([*command, "--backend", json.dumps(backend),
+                     "--freq-start", "1e8", "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ka = ")
+    assert "too large" in err[0]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("frequencies, quadrature, what", [
     ({"ka": [0.5]}, "auto", "a 'ka' grid"),
     ({"ka": [0.5]}, 14, "a 'ka' grid"),

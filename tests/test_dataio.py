@@ -111,16 +111,51 @@ def test_v1_and_v2_copies_read_back_identical(tmp_path, mie_modes_ka1,
     assert dataio.validation_report(v1) == dataio.validation_report(v2)
 
 
+def _frequency_line(frequency_hz: str, wavenumber: str) -> str:
+    """A version 1 header line on the 6-point rule whose frequency_hz and
+    wavenumber fields are the given JSON texts."""
+    rule = sm.lebedev_rule(6)
+    rows = json.dumps(np.column_stack([rule.theta, rule.phi,
+                                       rule.weights]).tolist())
+    return (f'{{"format_version": 1, "frequency_hz": {frequency_hz}, '
+            f'"wavenumber": {wavenumber}, "rule": {rows}}}')
+
+
+#: the frequency of k = 2 and the wavenumber of 1 Hz, as JSON texts
+_F2 = repr(2.0 * C0 / (2.0 * math.pi))
+_K1 = repr(2.0 * math.pi / C0)
+
+
 @pytest.mark.parametrize("line, match", [
     ("3", "not a JSON object"),
     ("[1, 2]", "not a JSON object"),
     ('{"format_version": 1, "frequency_hz": null, "wavenumber": 1.0, '
      '"rule": []}', "frequency is not a number"),
+    pytest.param(_frequency_line(_F2, '"1e400"'), "frequency is not a number",
+                 id="string-inf"),
+    pytest.param(_frequency_line(_F2, "1e400"),
+                 "wavenumber must be finite and positive", id="literal-inf"),
+    pytest.param(_frequency_line(_F2, "NaN"),
+                 "wavenumber must be finite and positive", id="nan"),
+    pytest.param(_frequency_line(_F2, "1" + "0" * 400),
+                 "wavenumber must be finite and positive",
+                 id="integer-past-float-range"),
+    pytest.param(_frequency_line("0", "0"),
+                 "wavenumber must be finite and positive", id="zero"),
+    pytest.param(_frequency_line("-" + _F2, "-2.0"),
+                 "wavenumber must be finite and positive", id="negative"),
+    pytest.param(_frequency_line("true", _K1), "frequency is not a number",
+                 id="true"),
+    pytest.param(_frequency_line(f'"{_F2}"', '"2.0"'),
+                 "frequency is not a number", id="strings"),
 ])
 def test_malformed_header_is_a_parse_error(tmp_path, line, match):
-    path = _write(tmp_path, "bad.csv", line + "\n")
-    with pytest.raises(ParseError, match=match):
+    # a valid body follows, so that only the header can make the read fail
+    path = _write(tmp_path, "bad.csv",
+                  line + "\n" + _body(np.zeros((12, 12), dtype=complex)))
+    with pytest.raises(ParseError, match=match) as excinfo:
         dataio.read_dataset(path)
+    assert excinfo.value.line == 1
 
 
 def test_inconsistent_frequency_rejected(tmp_path):

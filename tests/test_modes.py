@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import scatmodes as sm
 from scatmodes import cli, dataio, modes
 from scatmodes.errors import BelowSignificanceThreshold, EigensolverFailure
+from scatmodes.mie import default_l_max
 from scatmodes.modes import characteristic_angle, degenerate_groups, metrics
 from scatmodes.swe import _tangential_components
 
@@ -152,7 +153,7 @@ def _layered_sphere_38(ka, rule=None):
         sm.Layer(e, m, f) for e, m, f in
         zip([1, 5, 1, 2], [3, 1, 8, 1], [0.25, 0.5, 0.75, 1.0])))
     rule = rule or sm.lebedev_rule(38)
-    tmat = sm.layered_tmatrix(sphere, ka, rule.order_capability // 2)
+    tmat = sm.layered_tmatrix(sphere, ka, default_l_max(rule))
     return sm.apply_weights(sm.s_from_t(tmat, rule, k=ka))
 
 
@@ -200,7 +201,7 @@ def test_decompose_on_rules_with_negative_weights(n_q, ka, sphere_eps3):
     # smallest one with |t| ~ 1e-9 too, gets the reference's w-orthonormal
     # Gram-Schmidt basis
     rule = sm.lebedev_rule(n_q)
-    tmat = sm.layered_tmatrix(sphere_eps3, ka, rule.order_capability // 2)
+    tmat = sm.layered_tmatrix(sphere_eps3, ka, default_l_max(rule))
     weighted = sm.apply_weights(sm.s_from_t(tmat, rule, k=ka))
     modeset = sm.decompose(weighted)
     values, vectors = _reference_decompose(weighted)
@@ -353,7 +354,7 @@ def test_sort_order_equals_the_tuple_key_sort():
         rule = sm.lebedev_rule(n_q)
         smat = sm.s_from_t(sm.layered_tmatrix(
             sm.LayeredSphere.homogeneous(1.0, 3.0), ka,
-            rule.order_capability // 2), rule, k=ka)
+            default_l_max(rule)), rule, k=ka)
         values, vectors = scipy.linalg.eig(sm.apply_weights(smat).matrix)
         assert np.array_equal(modes._sort_order(values, vectors),
                               _tuple_key_order(values, vectors))
@@ -499,7 +500,7 @@ def _assert_matches_full_eig(weighted, modeset, reference):
                                      (230, 2.0), (302, 1.0)])
 def test_eigenpairs_match_full_eig(n_q, ka, sphere_eps3, full_eig_decompose):
     rule = sm.lebedev_rule(n_q)
-    l_max = rule.order_capability // 2
+    l_max = default_l_max(rule)
     tmat = sm.layered_tmatrix(sphere_eps3, ka, l_max)
     weighted = sm.apply_weights(sm.s_from_t(tmat, rule, k=ka))
     modeset = sm.decompose(weighted)
@@ -598,56 +599,6 @@ def _unweighted(smat):
                                matrix=smat.matrix / smat.rule.doubled_weights)
 
 
-def _fresh_lwork(key):
-    """The workspace a new query gives for a _WORKSPACE key."""
-    name, args, flags = key
-    arrays = [np.zeros(arg[1], dtype=arg[0]) if isinstance(arg, tuple)
-              else arg for arg in args]
-    func = scipy.linalg.get_lapack_funcs(
-        name, [a for a in arrays if isinstance(a, np.ndarray)])
-    *_, work, info = func(*arrays, lwork=-1, **dict(flags))
-    assert info == 0
-    return int(work[0].real)
-
-
-def _workspace_cases(weighted, dda_pipeline):
-    """Matrices that reach every LAPACK call decompose makes: sweep steps,
-    a rule with negative weights, the dipole block, a matrix large enough
-    for the helper thread, and full-rank noise."""
-    sphere = sm.LayeredSphere.homogeneous(1.0, 3.0)
-    cases = [weighted[0], weighted[100], weighted[200],
-             sm.apply_weights(dda_pipeline[4]),
-             sm.apply_weights(_full_rank_noise(38))]
-    for n_q, ka in ((74, 1.0), (110, 1.0)):
-        smat = sm.MieBackend(sphere).sample(sm.lebedev_rule(n_q), ka)
-        cases.append(sm.apply_weights(smat))
-    return cases
-
-
-def test_decompose_is_the_same_with_a_cold_and_a_warm_workspace_cache(
-        magnetodielectric_matrices, dda_pipeline, monkeypatch):
-    """Each case decomposes to the same bits with the workspace cache
-    emptied first and with it filled; every cached lwork equals a fresh
-    query, and each key names its routine, argument dtypes and shapes."""
-    _, weighted = magnetodielectric_matrices
-    names = set()
-    for smat in _workspace_cases(weighted, dda_pipeline):
-        monkeypatch.setattr(modes, "_WORKSPACE", {})
-        cold = sm.decompose(smat)
-        filled = dict(modes._WORKSPACE)
-        assert {key[0] for key in filled} >= {"geqp3"}
-        names.update(key[0] for key in filled)
-        warm = sm.decompose(smat)
-        assert modes._WORKSPACE == filled
-        for got, ref in ((warm.eigenvalues, cold.eigenvalues),
-                         (warm.eigenvectors, cold.eigenvectors),
-                         (warm.residuals, cold.residuals)):
-            assert _same_bits(got, ref)
-        for key, lwork in filled.items():
-            assert lwork == _fresh_lwork(key), key
-    assert names == {"geqp3", "orgqr", "unmqr", "geqrf"}
-
-
 def test_eigenpairs_of_a_zero_matrix_are_a_null_basis():
     w = np.array([0.5, 2.0, -0.25, 1.0, 4.0, 0.125])
     values, vectors, _ = modes._eigenpairs(np.zeros((6, 6), dtype=complex), w)
@@ -676,8 +627,7 @@ def test_a_failed_lapack_call_is_an_eigensolver_failure(
     of noisy samples inside scipy.linalg.eig, which makes a LinAlgError of
     a positive info only (a negative one is its ValueError).  On N_q=26
     geqp3 runs itself; on N_q=110 the panel QR runs in its place, and
-    geqp3's workspace query, made with the workspace cache empty, is its
-    one geqp3 call."""
+    geqp3's workspace query is its one geqp3 call."""
     real = scipy.linalg.get_lapack_funcs
     signed = sm.MieBackend(sphere_eps3).sample(sm.lebedev_rule(230), 1.0)
     cases = [mie_modes_ka1[1], mie_eps3_110]
@@ -687,8 +637,6 @@ def test_a_failed_lapack_call_is_an_eigensolver_failure(
         cases.append(signed)
     if failing in ("geqp3", "geev"):
         cases.append(_full_rank_noise(26))
-    for smat in cases:  # a warm cache: the failure is in the call itself
-        sm.decompose(sm.apply_weights(smat))
     for info in (2,) if failing == "geev" else (-1, 2):
         def with_failure(names, arrays):
             def fail(func):
@@ -708,8 +656,6 @@ def test_a_failed_lapack_call_is_an_eigensolver_failure(
                             "get_lapack_funcs", with_failure)
             threads = threading.active_count()
             for smat in cases:
-                if failing == "geqp3" and smat is mie_eps3_110:
-                    patched.setattr(modes, "_WORKSPACE", {})
                 with pytest.raises(EigensolverFailure) as excinfo:
                     sm.decompose(sm.apply_weights(smat))
                 assert message in str(excinfo.value.__cause__)
@@ -791,19 +737,6 @@ def test_degenerate_groups_equal_the_scalar_scan_over_the_sweep(
     for modeset in sweep.modesets:
         assert degenerate_groups(modeset.eigenvalues) == \
             _scalar_degenerate_groups(modeset.eigenvalues)
-
-
-@pytest.mark.parametrize("rows", [40, 76, 80])
-def test_economic_q_equals_scipy_economic_qr(rows):
-    """1 to 40 columns: past 32, LAPACK blocks by the queried workspace."""
-    rng = np.random.default_rng(rows)
-    for cols in range(1, min(rows, 40) + 1):
-        a = rng.standard_normal((rows, cols)) \
-            + 1j * rng.standard_normal((rows, cols))
-        ref, _ = scipy.linalg.qr(a, mode="economic")
-        got = modes._economic_q(a.copy())
-        assert got.shape == ref.shape
-        assert np.array_equal(got, ref)
 
 
 def _scale(weights):
@@ -921,6 +854,28 @@ def test_eigenpairs_equal_the_scipy_wrapper_path(magnetodielectric_matrices,
             _assert_same_spectrum(weights, got, ref)
     assert routes == {"hermitian": 201 + 3 + 1 + 12, "geev": 1 + 12 + 3,
                       "stopped": 1}
+
+
+def test_lapack_runs_each_routine_with_the_lwork_its_query_gives():
+    """_lapack's geqrf, orgqr and unmqr give the bits of scipy.linalg's
+    wrappers, which query lwork too, on 160 columns: past LAPACK's
+    crossover of 128, where a smaller workspace runs the unblocked code and
+    rounds otherwise."""
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((300, 160)) + 1j * rng.standard_normal((300, 160))
+    c = rng.standard_normal((160, 40)) + 1j * rng.standard_normal((160, 40))
+    geqrf, orgqr, unmqr = scipy.linalg.get_lapack_funcs(
+        ("geqrf", "orgqr", "unmqr"), (a,))
+    qr, tau = modes._lapack(geqrf, "geqrf", np.asfortranarray(a))
+    (ref_qr, ref_tau), _ = scipy.linalg.qr(a, mode="raw")
+    assert _same_bits(qr, ref_qr) and _same_bits(tau, ref_tau)
+    (q,) = modes._lapack(orgqr, "orgqr", qr, tau)
+    assert _same_bits(q, scipy.linalg.qr(a, mode="economic")[0])
+    padded = np.zeros((300, 40), dtype=complex, order="F")
+    padded[:160] = c
+    (product,) = modes._lapack(unmqr, "unmqr", b"L", b"N", qr, tau, padded,
+                               overwrite_c=1)
+    assert _same_bits(product, scipy.linalg.qr_multiply(a, c, mode="left")[0])
 
 
 #: every rule at three sizes: ka 2.3 keeps the pivoted QR of 146 to 194

@@ -1,8 +1,8 @@
 """The helper thread of large decompositions: the same bits as inline, and
 nothing left behind for a failure or a fork to trip over.
 
-CI reruns this file with OPENBLAS_NUM_THREADS=2, the default of a user's
-multithreaded BLAS.
+CI also runs these tests with OPENBLAS_NUM_THREADS=2, the default of a
+user's multithreaded BLAS.
 """
 
 import multiprocessing
@@ -29,8 +29,8 @@ def test_overlapped_outputs_equal_the_inline_ones_bit_for_bit(
         n_q, sphere_eps3, monkeypatch):
     """Rank-deficient Mie samples on every rule, and full-rank noise on the
     smallest and the largest rule: decompose overlaps the two halves of its
-    residual product, and validation_report the reciprocity check with
-    decompose."""
+    residual product, and validation_report, which runs decompose and then
+    the reciprocity check, gives the same report either way."""
     rule = sm.lebedev_rule(n_q)
     cases = [sm.MieBackend(sphere_eps3).sample(rule, 1.0)]
     if n_q in (OVERLAPPED_SIZES[0], OVERLAPPED_SIZES[-1]):
@@ -65,17 +65,14 @@ def test_overlapped_outputs_equal_the_inline_ones_bit_for_bit(
     assert threads  # the default path did run on the helper thread
 
 
-def test_workspace_cache_filled_from_many_threads(sphere_eps3, monkeypatch):
-    """More threads than cores decompose at once from an empty workspace
-    cache, with a short switch interval (N_q=110 also starts the helper
-    thread): every result has the bits of a lone decompose, and the cache
-    ends as a lone run fills it, one lwork per key."""
+def test_many_threads_decompose_at_once_with_the_bits_of_a_lone_call(
+        sphere_eps3):
+    """More threads than cores decompose at once, with a short switch
+    interval (N_q=110 also starts the helper thread): every result has the
+    bits of a lone decompose."""
     cases = [sm.apply_weights(sm.MieBackend(sphere_eps3).sample(
         sm.lebedev_rule(n_q), 1.0)) for n_q in (26, 38, 110)]
-    monkeypatch.setattr(modes, "_WORKSPACE", {})
     want = [sm.decompose(smat) for smat in cases]
-    lone = dict(modes._WORKSPACE)
-    monkeypatch.setattr(modes, "_WORKSPACE", {})
     results = {}
 
     def work(i):
@@ -98,7 +95,6 @@ def test_workspace_cache_filled_from_many_threads(sphere_eps3, monkeypatch):
         for name in ("eigenvalues", "eigenvectors", "residuals"):
             assert np.array_equal(_bits(getattr(got, name)),
                                   _bits(getattr(ref, name)))
-    assert modes._WORKSPACE == lone
 
 
 def _decompose_in_child(smat, conn):
