@@ -24,7 +24,8 @@ from .errors import (InsufficientQuadrature, ParseError, ScatmodesError,
 from .mie import LayeredSphere, Layer, MieBackend, default_l_max
 from .modes import (LOSSLESS_TOP, characteristic_angle, decompose, frequency,
                     lossless_residual, wavenumber)
-from .quadrature import lebedev_rule, minimum_points, quadrature_bound
+from .quadrature import (format_estimate, lebedev_rule, minimum_points,
+                         quadrature_bound)
 from .scattering import apply_weights
 from .swe import require_capability
 
@@ -126,7 +127,7 @@ class RunConfig:
             raise ConfigError(str(exc)) from exc
         # a single dipole has ka = 0, where any rule meets the estimate
         if ka > 0 and rule.n_points < (bound := quadrature_bound(ka)):
-            print(f"warning: {rule.name} is below the {math.ceil(bound)}-point "
+            print(f"warning: {rule.name} is below the {format_estimate(bound)}-point "
                   f"estimate at the largest ka={ka:g}", file=sys.stderr)
         return rule
 
@@ -350,7 +351,11 @@ def _validate_one(path: str, tolerances: dict) -> bool:
     except ValueError as exc:  # ParseError, DimensionMismatch, bad samples
         print(f"{path}: {exc} -> FAIL")
         return False
-    report = dataio.validation_report(smat)
+    try:
+        report = dataio.validation_report(smat)
+    except ScatmodesError as exc:  # a rule without antipodes, a failed eig
+        print(f"{path}: {exc} -> FAIL")
+        return False
     ok = (report["reciprocity_residual"] < tolerances["reciprocity"]
           and report["lossless_residual_max"] < tolerances["lossless"]
           and report["eigenpair_residual_max"] < tolerances["eigenpair"])
@@ -367,8 +372,8 @@ def cmd_validate(path: str, tolerances: dict) -> int:
 
     Each problem prints one "... -> FAIL" line: a manifest that is missing
     or does not parse, a sweep marked incomplete, a dataset that cannot be
-    read or parsed, or one that misses a tolerance.  The other datasets are
-    still checked, and any FAIL exits EXIT_VALIDATION.
+    read, parsed or checked, or one that misses a tolerance.  The other
+    datasets are still checked, and any FAIL exits EXIT_VALIDATION.
     """
     ok = True
     if os.path.isdir(path):
@@ -418,7 +423,7 @@ def cmd_precision_study(config: RunConfig, nq_list: list, reference: int) -> int
             ref_modes = decompose(apply_weights(backend.sample(ref_rule, k)))
             ref_alpha = _angles(ref_modes, LOSSLESS_TOP)
             for n_q, rule in zip(nq_list, rules):
-                note = (f"below the {math.ceil(bound)}-point estimate"
+                note = (f"below the {format_estimate(bound)}-point estimate"
                         if n_q < bound else "")
                 modes = decompose(apply_weights(backend.sample(rule, k)))
                 n = min(LOSSLESS_TOP, modes.n_modes, len(ref_alpha))

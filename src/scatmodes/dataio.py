@@ -321,7 +321,7 @@ def write_manifest(directory: str, entries: list, complete: bool) -> str:
 
 def read_manifest(directory: str) -> dict:
     """The sweep manifest; ParseError unless it is a JSON object whose
-    "entries" list names a "dataset" in every item."""
+    "entries" list names a "dataset" file (a string) in every item."""
     path = os.path.join(directory, "manifest.json")
     try:
         with open(path) as fh:
@@ -330,7 +330,8 @@ def read_manifest(directory: str) -> dict:
         raise ParseError(f"manifest is not valid JSON: {exc}") from exc
     entries = manifest.get("entries") if isinstance(manifest, dict) else None
     if not (isinstance(entries, list) and all(
-            isinstance(e, dict) and "dataset" in e for e in entries)):
+            isinstance(e, dict) and isinstance(e.get("dataset"), str)
+            for e in entries)):
         raise ParseError("manifest needs an \"entries\" list whose items "
-                         "name a \"dataset\"")
+                         "name a \"dataset\" file")
     return manifest

@@ -54,14 +54,22 @@ class DipoleModel:
 
     @property
     def static_polarizability(self) -> float:
-        """Clausius-Mossotti polarizability of one lattice cell, F m^2."""
+        """Clausius-Mossotti polarizability of one lattice cell, F m^2;
+        infinite at its pole eps_r = -2."""
         er = self.relative_permittivity
+        if er == -2.0:
+            return math.inf
         return 3.0 * EPS0 * self.spacing ** 3 * (er - 1.0) / (er + 2.0)
+
+    def inverse_polarizability(self, k: float) -> complex:
+        """1 / polarizability(k), finite at the Clausius-Mossotti pole."""
+        er = self.relative_permittivity
+        return ((er + 2.0) / (3.0 * EPS0 * self.spacing ** 3 * (er - 1.0))
+                + 1j * k ** 3 / (6.0 * math.pi * EPS0))
 
     def polarizability(self, k: float) -> complex:
         """Radiation-corrected polarizability at wavenumber k."""
-        inv = 1.0 / self.static_polarizability + 1j * k ** 3 / (6.0 * math.pi * EPS0)
-        return 1.0 / inv
+        return 1.0 / self.inverse_polarizability(k)
 
 
 def build_block(extent, spacing: float, eps_r: float) -> DipoleModel:
@@ -116,7 +124,7 @@ class ImpedanceSystem:
         omega = C0 * self.k
         blocks = -(self.k ** 2 / EPS0) * _green_blocks(self.model.positions, self.k)
         idx = np.arange(n)
-        blocks[idx, idx] = (1.0 / self.model.polarizability(self.k)) * np.eye(3)
+        blocks[idx, idx] = self.model.inverse_polarizability(self.k) * np.eye(3)
         a = blocks.transpose(0, 2, 1, 3).reshape(3 * n, 3 * n)
         self.z = a / (1j * omega)
 

@@ -8,12 +8,14 @@ of the form -N / (N + jM) with real N, M and therefore sits on the lossless
 circle |2t + 1| = 1 to machine precision by construction.
 
 All channels travel together.  The Riccati functions are evaluated once per
-sphere, on a (radius, l) grid holding every radius the recursion visits; the
-pair (u, v) is carried as (2, l_max) arrays, rows tau=1 and tau=2; and each
-interface is one batched 2x2 solve.  Each channel sees the same floating-point
-operations as a scalar per-channel loop, so the results are bit-identical to
-it.  A channel that loses all significance is flagged rather than raised
-mid-batch, and MieOverflow reports the first one in (tau, l) order.
+sphere, on a (radius, l) grid holding every radius the recursion visits, and
+the pair (u, v) is carried as (2, l_max) arrays, rows tau=1 and tau=2.  Each
+layer's coefficients follow in closed form, since its transfer matrix has
+determinant -m by the Riccati-Bessel Wronskian psi chi' - chi psi' = -1
+(DLMF 10.50).  Each channel sees the same floating-point operations as a
+scalar per-channel loop, so the results are bit-identical to it.  A channel
+that loses all significance ends in a non-finite t, as NaN and inf travel
+through the layers; MieOverflow reports the first one in (tau, l) order.
 """
 
 from __future__ import annotations
@@ -36,8 +38,8 @@ from .modes import ModeSet
 class MieOverflow(ScatmodesError, RuntimeError):
     """Radial-function recursion lost all significance."""
 
-    def __init__(self, l, detail=""):
-        super().__init__(f"radial functions non-finite at degree l={l} {detail}")
+    def __init__(self, l):
+        super().__init__(f"radial functions non-finite at degree l={l}")
         self.l = l
 
 
@@ -109,21 +111,6 @@ def _admittance_ratio(lay: Layer) -> np.ndarray:
                      [m / lay.relative_permittivity]])
 
 
-def _batched_solve(mat: np.ndarray, rhs: np.ndarray):
-    """Solve every stacked 2x2 system; singular ones give NaN and a True mask."""
-    singular = np.zeros(mat.shape[:-2], dtype=bool)
-    try:
-        return np.linalg.solve(mat, rhs), singular
-    except np.linalg.LinAlgError:
-        out = np.full(rhs.shape, np.nan)
-        for idx in np.ndindex(singular.shape):
-            try:
-                out[idx] = np.linalg.solve(mat[idx], rhs[idx])
-            except np.linalg.LinAlgError:
-                singular[idx] = True
-        return out, singular
-
-
 def channel_eigenvalues(sphere: LayeredSphere, ka: float, l_max: int) -> np.ndarray:
     """t_{tau,l} as an array of shape (2, l_max), rows tau=1, tau=2.
 
@@ -144,13 +131,7 @@ def channel_eigenvalues(sphere: LayeredSphere, ka: float, l_max: int) -> np.ndar
         radii += [ka * prev.outer_boundary_fraction * m,
                   ka * lay.outer_boundary_fraction * m]
     radii.append(ka)
-    failures = {}  # (tau - 1, l - 1) -> detail of that channel's first failure
-
-    def flag(bad, detail):
-        for key in zip(*np.nonzero(bad)):
-            failures.setdefault(key, detail)
-
-    # overflow is detected per channel below; the batch runs to completion
+    # overflow shows as a non-finite t below; the batch runs to completion
     with np.errstate(all="ignore"):
         psi, dpsi, chi, dchi = _riccati(l_max, np.array(radii)[:, None])
         # admittance pair (u, v) ~ (scaled derivative, value), defined up to scale
@@ -159,29 +140,21 @@ def channel_eigenvalues(sphere: LayeredSphere, ka: float, l_max: int) -> np.ndar
         for i, lay in enumerate(layers[1:], start=1):
             a, b = 2 * i - 1, 2 * i
             mp = _admittance_ratio(lay)
-            # coefficients (c, d) in this layer from the inner-boundary pair
-            mat = np.empty(u.shape + (2, 2))
-            mat[..., 0, 0], mat[..., 0, 1] = psi[a], chi[a]
-            mat[..., 1, 0], mat[..., 1, 1] = mp * dpsi[a], mp * dchi[a]
-            rhs = np.empty(u.shape + (2, 1))
-            rhs[..., 0, 0], rhs[..., 1, 0] = v, u
-            cd, singular = _batched_solve(mat, rhs)
-            flag(singular, f"(layer transfer at x={radii[a]})")
-            c, d = cd[..., 0, 0], cd[..., 1, 0]
+            # coefficients (c, d) in this layer from the inner-boundary pair:
+            # [[psi, chi], [mp psi', mp chi']] (c, d) = (v, u), determinant -mp
+            w = u / mp
+            c = chi[a] * w - dchi[a] * v
+            d = dpsi[a] * v - psi[a] * w
             u = mp * (c * dpsi[b] + d * dchi[b])
             v = c * psi[b] + d * chi[b]
-            # max(|u|, |v|) with Python's max semantics, NaN included
-            au, av = np.abs(u), np.abs(v)
-            nrm = np.where(av > au, av, au)
-            flag(~(np.isfinite(nrm) & (nrm > 0)), "")
+            nrm = np.maximum(np.abs(u), np.abs(v))
             u, v = u / nrm, v / nrm
         num = u * psi[-1] - v * dpsi[-1]
         den_im = u * chi[-1] - v * dchi[-1]
         t = -num / (num + 1j * den_im)
-    flag(~np.isfinite(t), "(exterior match)")
-    if failures:
-        (_, l_index), detail = min(failures.items())
-        raise MieOverflow(int(l_index) + 1, detail)
+    bad = np.argwhere(~np.isfinite(t))
+    if bad.size:
+        raise MieOverflow(int(bad[0, 1]) + 1)
     return t
 
 

@@ -326,6 +326,12 @@ def quadrature_bound(ka: float) -> float:
     return bound
 
 
+def format_estimate(bound: float) -> str:
+    """A point-count estimate for messages: rounded up to an integer below
+    1e6, and in scientific notation from there on (5.857e+200)."""
+    return str(math.ceil(bound)) if bound < 1e6 else f"{bound:.3e}"
+
+
 def minimum_points(ka: float) -> int:
     """Smallest supported Lebedev size meeting the bound for this ka."""
     bound = quadrature_bound(ka)
@@ -333,7 +339,7 @@ def minimum_points(ka: float) -> int:
         if size >= bound:
             return size
     raise UnsupportedRuleSize(
-        f"ka = {ka} needs at least {math.ceil(bound)} points; the largest "
+        f"ka = {ka} needs at least {format_estimate(bound)} points; the largest "
         f"embedded rule has {SUPPORTED_SIZES[-1]}")
 
 

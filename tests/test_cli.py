@@ -255,7 +255,9 @@ def test_validate_bad_v2_body_fails_its_line(tmp_path, sweep_dir, capsys,
     assert captured.err == ""
 
 
-@pytest.mark.parametrize("manifest", [None, "{not json", '{"entries": 3}'])
+@pytest.mark.parametrize("manifest", [
+    None, "{not json", '{"entries": 3}', '{"entries": [{"dataset": 5}]}',
+    '{"entries": [{"dataset": null}]}'])
 def test_validate_bad_manifest_fails(tmp_path, capsys, manifest):
     if manifest is not None:
         (tmp_path / "manifest.json").write_text(manifest)
@@ -265,6 +267,33 @@ def test_validate_bad_manifest_fails(tmp_path, capsys, manifest):
     assert len(lines) == 1 and "manifest.json: " in lines[0]
     assert lines[0].endswith("-> FAIL")
     assert "Traceback" not in captured.err
+
+
+def test_validate_fails_a_dataset_it_cannot_check_and_goes_on(
+        tmp_path, sweep_dir, capsys):
+    # a rule without antipodes has no reciprocity check; it once ended the
+    # whole run as a compute error before the good dataset was read
+    out = tmp_path / "out"
+    shutil.copytree(sweep_dir, out)
+    third = 4.0 * math.pi / 3.0
+    rule = sm.QuadratureRule(theta=[0.0, 2.0, 2.0], phi=[0.0, 0.0, 3.0],
+                             weights=[third] * 3, order_capability=0)
+    sphere = sm.LayeredSphere.homogeneous(1.0, 3.0)
+    dataio.write_dataset(sm.MieBackend(sphere, 1).sample(rule, 1.0),
+                         str(out / "no_antipodes.csv"))
+    entries = dataio.read_manifest(str(out))["entries"]
+    (out / "manifest.json").write_text(json.dumps({"complete": True, "entries": [
+        {"dataset": "no_antipodes.csv"}, entries[0]]}))
+    capsys.readouterr()
+    assert main(["validate", str(out)]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert len(lines) == 2
+    assert lines[0] == (f"{out / 'no_antipodes.csv'}: no antipode for point 0 "
+                        f"of rule custom-3 -> FAIL")
+    assert lines[1].startswith(str(out / "dataset_0000.csv"))
+    assert lines[1].endswith("-> PASS")
+    assert captured.err == ""
 
 
 def test_validate_incomplete_manifest_fails(tmp_path, mie_config, capsys):
@@ -435,6 +464,39 @@ def test_single_dipole_sweep_on_an_explicit_rule_runs(tmp_path, capsys):
     assert main(["sweep", "--backend", backend, "--freq-start", "1e8",
                  "--nq", "14", "--out", str(tmp_path / "out")]) == EXIT_OK
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("nq", [[], ["--nq", "6"]], ids=["auto", "nq-6"])
+def test_dda_block_at_the_clausius_mossotti_pole_runs(tmp_path, nq):
+    # eps_r = -2 once divided by zero in the static polarizability
+    backend = json.dumps({"type": "dda", "extent": [2, 2, 2], "spacing": 0.1,
+                          "eps_r": -2})
+    out = str(tmp_path / "out")
+    assert main(["sweep", "--backend", backend, "--freq-start", "1e8", *nq,
+                 "--out", out]) == EXIT_OK
+    assert dataio.read_manifest(out)["complete"] is True
+
+
+_BIG_MIE = json.dumps({"type": "mie", "radius": 1e100})
+
+
+@pytest.mark.parametrize("command, code, stream, text", [
+    (["sweep"], EXIT_USAGE, "err",
+     "error: ka = 2.0958450219516815e+100 needs at least 5.857e+200 points; "
+     "the largest embedded rule has 302"),
+    (["sweep", "--nq", "38"], EXIT_OK, "err",
+     "warning: lebedev-38 is below the 5.857e+200-point estimate at the "
+     "largest ka=2.09585e+100"),
+    (["precision-study", "--nq-list", "26", "--reference", "38"], EXIT_OK,
+     "out", "below the 5.857e+200-point estimate"),
+], ids=["minimum-points", "explicit-rule", "precision-study"])
+def test_huge_point_estimates_print_in_scientific_notation(
+        tmp_path, capsys, command, code, stream, text):
+    # the estimate once printed as a 201-digit integer
+    assert main([*command, "--backend", _BIG_MIE, "--freq-start", "1e8",
+                 "--out", str(tmp_path / "out")]) == code
+    printed = getattr(capsys.readouterr(), stream)
+    assert text in printed and "58567551413861918802" not in printed
 
 
 _HUGE_MIE = {"type": "mie", "radius": 1e300}
@@ -611,7 +673,7 @@ def test_failed_frequency_keeps_the_finished_ones(tmp_path, mie_config,
 
     def fails_above_1_1(sphere, ka, l_max):
         if ka > 1.1:
-            raise MieOverflow(7, "(injected)")
+            raise MieOverflow(7)
         return real(sphere, ka, l_max)
 
     monkeypatch.setattr(mie, "layered_tmatrix", fails_above_1_1)

@@ -122,6 +122,22 @@ def test_single_dipole_triple_degenerate_mode():
     assert np.max(np.abs(modeset.eigenvalues[3:])) < 1e-12 * abs(t_ana)
 
 
+def test_clausius_mossotti_pole_is_a_full_strength_resonance():
+    # at eps_r = -2 the static polarizability diverges; its inverse, which
+    # the impedance diagonal holds, is finite, and one dipole scatters at
+    # the far point t = -1 of the lossless circle
+    model = sm.DipoleModel(np.zeros((1, 3)), 0.05, -2.0)
+    k = 1.0
+    assert math.isinf(model.static_polarizability)
+    assert model.polarizability(k) == pytest.approx(
+        -6j * math.pi * sm.EPS0 / k ** 3, rel=1e-15)
+    assert np.all(np.isfinite(sm.ImpedanceSystem(model, k).z))
+    rule = sm.lebedev_rule(14)
+    modeset = sm.decompose(sm.apply_weights(sm.scattering_matrix(model, rule, k)))
+    assert np.allclose(modeset.eigenvalues[:3], -1.0, rtol=1e-12)
+    assert np.max(np.abs(modeset.eigenvalues[3:])) < 1e-12
+
+
 def test_classical_modes_match_scattering_modes(dda_pipeline):
     k, rule, system, _, _, modeset = dda_pipeline
     lam, currents = sm.classical_cm(system)
