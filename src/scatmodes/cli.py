@@ -430,7 +430,7 @@ def cmd_precision_study(config: RunConfig, nq_list: list, reference: int) -> int
                 mag = float(np.mean(lossless_residual(modes)[:n]))
                 d = np.abs(_angles(modes, n) - ref_alpha[:n])
                 phase = float(np.mean(np.minimum(d, 2.0 * math.pi - d)))
-                writer.writerow([ka, n_q, f"{bound:.1f}", f"{mag:.6e}",
+                writer.writerow([ka, n_q, f"{bound:.6g}", f"{mag:.6e}",
                                  f"{phase:.6e}", note])
                 print(f"ka={ka:g} N_q={n_q}: |s|-1 error {mag:.3e}, "
                       f"phase error {phase:.3e} {note}")

@@ -11,6 +11,7 @@ All conventions follow the exp(+j omega t) time dependence.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -39,6 +40,14 @@ class DipoleModel:
             raise ValueError(f"spacing must be positive, got {self.spacing}")
         if self.relative_permittivity == 1.0:
             raise ZeroContrast("relative permittivity 1 scatters nothing")
+        # inverse_polarizability divides by the cell term 3 eps0 d^3
+        # (eps_r - 1), whose reciprocal overflows once it drops below
+        # 1 / float max (d below about 5e-100 at eps_r 3)
+        if (math.log(3.0 * EPS0 * abs(self.relative_permittivity - 1.0))
+                + 3.0 * math.log(self.spacing)
+                < -math.log(sys.float_info.max)):
+            raise ValueError(f"spacing {self.spacing!r} is too small: the "
+                             f"cell term 3 eps0 d^3 (eps_r - 1) underflows")
         object.__setattr__(self, "positions", pos)
 
     @property

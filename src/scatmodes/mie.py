@@ -30,7 +30,7 @@ from scipy.special._ufuncs import _spherical_jn, _spherical_yn
 
 from .errors import ScatmodesError
 from .quadrature import QuadratureRule
-from .swe import TransitionMatrix, synthesize, vsh_matrix
+from .swe import TransitionMatrix, default_l_max, synthesize, vsh_matrix
 from .scattering import ScatteringBackend, ScatteringMatrix
 from .modes import ModeSet
 
@@ -178,11 +178,6 @@ def analytic_modes(sphere: LayeredSphere, ka: float, l_max: int) -> ModeSet:
     vectors = np.eye(diag.size, dtype=complex)[:, order]
     return ModeSet(k=ka / sphere.outer_radius_a, eigenvalues=diag[order],
                    eigenvectors=vectors, rule=None)
-
-
-def default_l_max(rule: QuadratureRule) -> int:
-    """Largest degree the rule can carry without aliasing the projection."""
-    return max(1, rule.order_capability // 2)
 
 
 class MieBackend(ScatteringBackend):

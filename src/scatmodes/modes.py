@@ -13,12 +13,9 @@ from scipy.linalg import cython_blas, cython_lapack
 
 from .errors import BelowSignificanceThreshold, EigensolverFailure
 from .quadrature import QuadratureRule
-from .scattering import ScatteringMatrix
-
-# Shared physical constants
-Z0 = 376.730313668        # free-space impedance, ohm
-C0 = 299792458.0          # speed of light, m/s
-EPS0 = 1.0 / (Z0 * C0)    # vacuum permittivity, F/m
+# EPS0 and Z0 are re-exported: this module was their first home
+from .scattering import C0, EPS0, Z0, ScatteringMatrix  # noqa: F401
+from .swe import default_l_max, vsh_matrix
 
 #: below this modal significance the characteristic angle switches to the
 #: numerically robust reformulation; it also bounds the detectable |lambda|.
@@ -328,8 +325,8 @@ def _is_normal(q: np.ndarray, m: np.ndarray, rows: np.ndarray,
     rows = R_r P^T = Q_r^H N and the rank cut n eps |R_00|.
 
     The coupling Z = Q_r^H N Q_perp, by which range(N^H) leaves
-    range(Q_r), must be at most sqrt(n - r) cut in F-norm, and M's normality
-    defect at most NORMALITY_TOL.  A normal N meets the first bound:
+    range(Q_r), must be at most sqrt(n - r) cut in F-norm, and M must be
+    _normal_block.  A normal N meets the first bound:
     ||Z|| <= ||N Q_perp|| = ||N^H Q_perp|| = ||R_22||, and the pivoting
     keeps each of R_22's n - r columns below the cut.  Z^H is the part of
     rows^H = N^H Q_r outside range(Q_r), rows^H - Q_r M^H, so Q_perp is not
@@ -338,10 +335,15 @@ def _is_normal(q: np.ndarray, m: np.ndarray, rows: np.ndarray,
     of nearly full rank already fail it.
     """
     n, r = q.shape
+    return bool(np.linalg.norm(rows.conj().T - q @ m.conj().T)
+                <= math.sqrt(n - r) * cut and _normal_block(m))
+
+
+def _normal_block(m: np.ndarray) -> bool:
+    """Whether m's normality defect ||M M^H - M^H M||_F / ||M||_F^2 is at
+    most NORMALITY_TOL."""
     mh = m.conj().T
-    return bool(np.linalg.norm(rows.conj().T - q @ mh)
-                <= math.sqrt(n - r) * cut
-                and np.linalg.norm(m @ mh - mh @ m)
+    return bool(np.linalg.norm(m @ mh - mh @ m)
                 <= NORMALITY_TOL * np.linalg.norm(m) ** 2)
 
 
@@ -387,6 +389,111 @@ def _normal_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             y[:, lo:hi] = y[:, lo:hi] @ z
             b[:, lo:hi] = b[:, lo:hi] @ z
             b[lo:hi] = z.conj().T @ b[lo:hi]
+
+
+def _column_norms(x: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The 2-norms of the columns of W^1/2 x, from x's real and imaginary
+    parts in place: no scaled copy of x."""
+    return np.sqrt(np.einsum("i,ij,ij->j", weights, x.real, x.real)
+                   + np.einsum("i,ij,ij->j", weights, x.imag, x.imag))
+
+
+def _band_null_run(band: np.ndarray, scale: np.ndarray,
+                   out: np.ndarray) -> None:
+    """D^-1 times the last n - c columns of the Q of D band (n x c, D =
+    diag(scale)), which span the complement of range(D band), into out
+    (n x (n - c), Fortran order): one geqrf, and unmqr on [0; I]."""
+    n, c = band.shape
+    geqrf, unmqr = scipy.linalg.get_lapack_funcs(("geqrf", "unmqr"), (out,))
+    qr, tau = _lapack(geqrf, "geqrf",
+                      np.multiply(band, scale[:, None], order="F"),
+                      overwrite_a=1)
+    out[:] = 0.0
+    np.fill_diagonal(out[c:], 1.0)
+    (out[:],) = _lapack(unmqr, "unmqr", b"L", b"N", qr, tau, out,
+                        overwrite_c=1)
+    out *= (1.0 / scale)[:, None]
+
+
+def _band_pairs(matrix: np.ndarray, rule: QuadratureRule) -> tuple | None:
+    """All n eigenpairs of S = S_0 W from the rule's spherical-wave band,
+    unsorted, True (they are w-orthonormal) and the bound that certifies
+    them; None where the band does not hold the samples.
+
+    On a rule with positive weights that integrates degree 2 L, L =
+    default_l_max(rule) >= 1, the band A = vsh_matrix(L, rule) has
+    A^H W A = I, so B = D A, D = W^1/2, has orthonormal columns.  Samples
+    S_0 = A T A^H of a scatterer inside the band give N = D S_0 D = B T B^H,
+    so the band, not a pivoted QR, holds the range of N.  The walk forms
+    N B_l = D S A_l for l = 1, 2, ..., with no scaled copy of S, and stops
+    at the first degree whose block has no column norm above the floor
+    n eps max_j ||N e_j||, _eigenpairs' rank cut; the c columns A_c before
+    it are the cut.  M = B_c^H N B_c = A_c^H W S A_c carries the nonzero
+    eigenvalues, solved by _normal_eig, with eigenvectors A_c y.  The other
+    n - c modes get t = 0: D^-1 times a basis of the complement of
+    range(B_c) (_band_null_run), kept with the rule where the cut is the
+    whole band.
+
+    The route is refused before the eigensolve where the band leaks (the
+    probe of the whole band below, then a column of N B_c - B_c M above the
+    floor) or where M is not _normal_block: noisy, lossy and aliased
+    samples (content beyond L that the rule folds into the band).  N on the
+    complement is not formed here:
+    the caller certifies it from the t = 0 modes' residuals
+    ||S v|| = ||D^-1 N u||, which must be at most the returned bound,
+    floor / min(D).
+    """
+    weights = rule.doubled_weights
+    if rule.order_capability < 2 or not np.all(weights > 0):
+        return None
+    n = len(matrix)
+    # ||N e_j||^2 = sum_i w_i |S_ij|^2 / w_j
+    floor = n * np.finfo(float).eps * math.sqrt(np.max(
+        _column_norms(matrix, weights) ** 2 / weights))
+    if not math.isfinite(floor):
+        return None
+    l_max = default_l_max(rule)
+    band = vsh_matrix(l_max, rule)
+    # one probe x = B (1, ..., 1): N x leaves the band by more than m floor
+    # only where a column of N B leaves it by more than the floor, so
+    # content outside the band, as noise and aliasing bring, is refused by
+    # one matrix-vector product
+    probe = matrix @ band.sum(axis=1)
+    probe -= band @ (band.conj().T @ (weights * probe))
+    if _column_norms(probe[:, None], weights)[0] > band.shape[1] * floor:
+        return None
+    blocks = []  # S A_l
+    for l in range(1, l_max + 1):
+        block = matrix @ band[:, 2 * (l * l - 1):2 * l * (l + 2)]
+        if _column_norms(block, weights).max() <= floor:
+            break
+        blocks.append(block)
+    if not blocks:
+        return None
+    product = np.hstack(blocks)  # S A_c
+    c = product.shape[1]
+    cut = band[:, :c]
+    m = cut.conj().T @ (product * weights[:, None])
+    # D^-1 (N B_c - B_c M)
+    if (_column_norms(product - cut @ m, weights).max() > floor
+            or not _normal_block(m)):
+        return None
+    scale = np.sqrt(weights)
+    values = np.zeros(n, dtype=complex)
+    values[:c], y = _normal_eig(m)
+    vectors = np.empty((n, n), dtype=complex, order="F")
+    vectors[:, :c] = cut @ y
+    if c < band.shape[1]:
+        _band_null_run(cut, scale, vectors[:, c:])
+    else:
+        def build():
+            run = np.empty((n, n - c), dtype=complex, order="F")
+            _band_null_run(band, scale, run)
+            run.setflags(write=False)
+            return run
+
+        vectors[:, c:] = rule.cached(("band null run", l_max), build)
+    return values, vectors, True, floor / scale.min()
 
 
 def _eigenpairs(matrix: np.ndarray, weights: np.ndarray) -> tuple:
@@ -448,7 +555,9 @@ def _eigenpairs(matrix: np.ndarray, weights: np.ndarray) -> tuple:
     geqrf, orgqr, unmqr = scipy.linalg.get_lapack_funcs(
         ("geqrf", "orgqr", "unmqr"), (qr,))
     rows = np.triu(qr[:rank])[:, np.argsort(perm)]  # R_r P^T = Q_r^H N
-    (q,) = _lapack(orgqr, "orgqr", qr[:, :rank], tau[:rank])
+    # a copy that orgqr overwrites: without the flag its query copies too
+    (q,) = _lapack(orgqr, "orgqr", np.array(qr[:, :rank], order="F"),
+                   tau[:rank], overwrite_a=1)
     block = rows @ q  # M
     hermitian = positive and _is_normal(q, block, rows, cut)
     if hermitian:
@@ -481,24 +590,44 @@ def _eigenpairs(matrix: np.ndarray, weights: np.ndarray) -> tuple:
 
 def decompose(smat: ScatteringMatrix) -> ModeSet:
     """Eigendecomposition of the weighted matrix: all 2 N_q modes, the
-    null space carrying t = 0 exactly (see _eigenpairs).
+    null space carrying t = 0 exactly.
 
-    Each mode with t != 0 is scaled to unit radiated power and, unless the
-    Hermitian route of _eigenpairs gave them so, each multiplet of them
-    made w-orthonormal; the t = 0 run keeps the |w|-orthonormal basis of
-    _eigenpairs.  Every column is phase-fixed.  The residuals come from
-    S V in two row halves, which overlap runs side by side.
+    The eigenpairs come from the rule's spherical-wave band (_band_pairs)
+    where it holds the samples and the t = 0 modes' residuals certify it,
+    else from the pivoted QR of _eigenpairs.  Each mode with t != 0 is
+    scaled to unit radiated power and, unless the route gave them so, each
+    multiplet of them made w-orthonormal; the t = 0 run keeps its
+    |w|-orthonormal basis.  Every column is phase-fixed.  The residuals come
+    from S V in two row halves, which overlap runs side by side.
     """
     if not smat.weighted:
         raise ValueError("decompose expects a weighted scattering matrix")
-    w = smat.rule.doubled_weights
     try:
-        values, vectors, orthonormal = _eigenpairs(smat.matrix, w)
+        modeset = _modes(smat, _band_pairs)
+        if modeset is None:
+            modeset = _modes(smat, _qr_pairs)
     except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
         cond = np.linalg.cond(smat.matrix)
         raise EigensolverFailure(
             f"eigendecomposition failed (condition estimate {cond:.3e})") from exc
+    return modeset
 
+
+def _qr_pairs(matrix: np.ndarray, rule: QuadratureRule) -> tuple:
+    """_eigenpairs, with no bound on the t = 0 modes' residuals."""
+    return *_eigenpairs(matrix, rule.doubled_weights), math.inf
+
+
+def _modes(smat: ScatteringMatrix, route) -> ModeSet | None:
+    """decompose's modes from the raw eigenpairs of route(matrix, rule),
+    or None where the route refuses the samples or a t = 0 mode's residual
+    is above the bound the route returns."""
+    found = route(smat.matrix, smat.rule)
+    if found is None:
+        return None
+    values, vectors, orthonormal, bound = found
+    del found  # the unsorted vectors are freed once sorted
+    w = smat.rule.doubled_weights
     nrm = np.abs(w @ np.abs(vectors) ** 2)
     nrm[(nrm == 0) | (values == 0)] = 1.0
     vectors /= np.sqrt(nrm)
@@ -519,6 +648,8 @@ def decompose(smat: ScatteringMatrix) -> ModeSet:
             n)
     product -= vectors * values[None, :]
     residuals = np.linalg.norm(product, axis=0)
+    if np.max(residuals[values == 0], initial=0.0) > bound:
+        return None
     return ModeSet(k=smat.k, eigenvalues=values, eigenvectors=vectors,
                    rule=smat.rule, residuals=residuals)
 

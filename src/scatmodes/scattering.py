@@ -16,6 +16,11 @@ import numpy as np
 from .errors import AlreadyWeighted, RuleNotInversionSymmetric, ScatmodesError
 from .quadrature import QuadratureRule
 
+# Shared physical constants
+Z0 = 376.730313668        # free-space impedance, ohm
+C0 = 299792458.0          # speed of light, m/s
+EPS0 = 1.0 / (Z0 * C0)    # vacuum permittivity, F/m
+
 POLARIZATIONS = ("theta", "phi")
 
 

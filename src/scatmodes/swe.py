@@ -15,9 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientQuadrature
-from .modes import Z0
 from .quadrature import Direction, QuadratureRule
-from .scattering import ScatteringMatrix
+from .scattering import Z0, ScatteringMatrix
 
 # (-j)**e for integer e, via e mod 4
 _MINUS_J_POW = (1.0 + 0.0j, -1.0j, -1.0 + 0.0j, 1.0j)
@@ -143,21 +142,23 @@ def _tangential_components(l_max: int, theta: np.ndarray, phi: np.ndarray):
     na = n_swe(l_max)
     ct = np.zeros((npts, na), dtype=complex)
     cp = np.zeros((npts, na), dtype=complex)
-    for idx in swe_indices(l_max):
-        l, m, tau = idx.l, idx.m, idx.tau
+    norms = {l: (_phase(1, l) / math.sqrt(l * (l + 1.0)),
+                 _phase(2, l) / math.sqrt(l * (l + 1.0)))
+             for l in range(1, l_max + 1)}
+    for m in range(-l_max, l_max + 1):
         am = abs(m)
-        pib, taub = pibar[:, l, am], taubar[:, l, am]
-        if m < 0:
-            sign = (-1.0) ** am
-            pib, taub = -sign * pib, sign * taub
         azim = np.exp(1j * m * phi)
-        norm = _phase(tau, l) / math.sqrt(l * (l + 1.0))
-        if tau == 1:
-            ct[:, idx.alpha] = norm * 1j * pib * azim
-            cp[:, idx.alpha] = -norm * taub * azim
-        else:
-            ct[:, idx.alpha] = norm * taub * azim
-            cp[:, idx.alpha] = norm * 1j * pib * azim
+        for l in range(max(1, am), l_max + 1):
+            te, tm = norms[l]
+            pib, taub = pibar[:, l, am], taubar[:, l, am]
+            if m < 0:
+                sign = (-1.0) ** am
+                pib, taub = -sign * pib, sign * taub
+            alpha = 2 * (l * (l + 1) + m - 1)  # tau = 1; tau = 2 follows
+            ct[:, alpha] = te * 1j * pib * azim
+            cp[:, alpha] = -te * taub * azim
+            ct[:, alpha + 1] = tm * taub * azim
+            cp[:, alpha + 1] = tm * 1j * pib * azim
     return ct, cp
 
 
@@ -168,6 +169,11 @@ def eval_vsh(index: SweIndex, direction: Direction) -> np.ndarray:
     ct, cp = _tangential_components(index.l, theta, phi)
     a = index.alpha
     return ct[0, a] * direction.theta_hat + cp[0, a] * direction.phi_hat
+
+
+def default_l_max(rule: QuadratureRule) -> int:
+    """Largest degree the rule can carry without aliasing the projection."""
+    return max(1, rule.order_capability // 2)
 
 
 def vsh_matrix(l_max: int, rule: QuadratureRule) -> np.ndarray:

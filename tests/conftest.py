@@ -88,7 +88,8 @@ def _full_eig(matrix, weights):
 
 
 def _full_eig_decompose(weighted):
-    with mock.patch.object(modes, "_eigenpairs", _full_eig):
+    with mock.patch.object(modes, "_band_pairs", lambda matrix, rule: None), \
+            mock.patch.object(modes, "_eigenpairs", _full_eig):
         return sm.decompose(weighted)
 
 

@@ -477,6 +477,23 @@ def test_dda_block_at_the_clausius_mossotti_pole_runs(tmp_path, nq):
     assert dataio.read_manifest(out)["complete"] is True
 
 
+@pytest.mark.parametrize("spacing", [1e-120, 1e-102])
+def test_dda_spacing_that_underflows_the_cell_term_is_a_usage_error(
+        tmp_path, capsys, spacing):
+    # 3 eps0 d^3 (eps_r - 1) once underflowed to 0 and inverse_polarizability
+    # ended in a ZeroDivisionError traceback (1e-120), or to a subnormal
+    # whose reciprocal is inf, and the sweep lost its frequency (1e-102)
+    backend = json.dumps({"type": "dda", "extent": [2, 1, 1],
+                          "spacing": spacing, "eps_r": 3})
+    out = tmp_path / "out"
+    assert main(["sweep", "--backend", backend, "--freq-start", "1e8",
+                 "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: spacing {spacing!r} is too small: the cell term "
+                   f"3 eps0 d^3 (eps_r - 1) underflows"]
+    assert not out.exists()
+
+
 _BIG_MIE = json.dumps({"type": "mie", "radius": 1e100})
 
 
@@ -586,6 +603,21 @@ def test_precision_study_outputs_table(tmp_path, capsys):
     # the coarse rule sits below the sampling estimate and is annotated
     assert "below" in rows[0]["note"]
     assert float(rows[1]["magnitude_error"]) < float(rows[0]["magnitude_error"])
+
+
+def test_precision_study_writes_the_bound_estimate_as_a_short_number(
+        tmp_path, capsys):
+    # the radius-1e100 study once wrote the estimate as a 203-character
+    # fixed-point field
+    out = tmp_path / "prec"
+    assert main(["precision-study", "--backend", _BIG_MIE, "--freq-start",
+                 "1e8", "--nq-list", "26", "--reference", "38",
+                 "--out", str(out)]) == EXIT_OK
+    with open(out / "precision_study.csv", newline="") as fh:
+        (row,) = list(csv.DictReader(fh))
+    bound = sm.quadrature_bound(float(row["ka"]))
+    assert len(row["bound_estimate"]) <= 12
+    assert float(row["bound_estimate"]) == pytest.approx(bound, rel=1e-5)
 
 
 @pytest.mark.parametrize("quadrature", [27, 26])

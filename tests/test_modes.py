@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -100,13 +101,22 @@ def test_decompose_deterministic(mie_modes_ka1):
     assert np.array_equal(again.eigenvectors, modeset.eigenvectors)
 
 
+def _raw_eigenpairs(smat):
+    """The raw eigenpairs decompose starts from: the band route's where it
+    takes them, else _eigenpairs'."""
+    band = modes._band_pairs(smat.matrix, smat.rule)
+    if band is not None:
+        return band[:2]
+    return modes._eigenpairs(smat.matrix, smat.rule.doubled_weights)[:2]
+
+
 def _reference_decompose(smat):
     """decompose's post-processing as column loops on its raw eigenpairs:
     normalize each column with t != 0 and phase-fix every column, sort,
     then modified Gram-Schmidt inside each multiplet of nonzero values.
     The t = 0 run keeps the |w|-orthonormal basis of the solve."""
     w = smat.rule.doubled_weights
-    values, vectors, _ = modes._eigenpairs(smat.matrix, w)
+    values, vectors = _raw_eigenpairs(smat)
 
     def phase_fix(vec):
         pivot = vec[int(np.argmax(np.abs(vec)))]
@@ -239,13 +249,14 @@ def test_degenerate_groups_never_join_zero_with_nonzero():
 
 
 def test_decompose_sends_the_null_run_to_no_qr(sphere_eps3, monkeypatch):
-    """At N_q=302 the null run is 469 of 604 modes; the pivoted QR of N
-    stops once the rank has settled, and decompose makes no other QR: the
-    Hermitian route needs no Gram-Schmidt."""
+    """At N_q=302 the null run is 444 of 604 modes; decompose runs no
+    pivoted QR, and its one QR is the geqrf of the n x c band cut (c = 160
+    columns, degrees 1 to 8), whose unmqr gives the null run: no
+    Gram-Schmidt either."""
     rule = sm.lebedev_rule(302)
     weighted = sm.apply_weights(sm.MieBackend(sphere_eps3).sample(rule, 0.97))
-    calls, stops = [], []
-    real, real_qr = scipy.linalg.get_lapack_funcs, modes._pivoted_qr
+    calls = []
+    real = scipy.linalg.get_lapack_funcs
 
     def recording(names, arrays):
         def record(name, func):
@@ -257,22 +268,17 @@ def test_decompose_sends_the_null_run_to_no_qr(sphere_eps3, monkeypatch):
         return [record(name, func) if name in ("geqp3", "geqrf") else func
                 for name, func in zip(names, real(names, arrays))]
 
-    def pivoted_qr(matrix, scale):
-        out = real_qr(matrix, scale)
-        stops.append(out[3])
-        return out
+    def never(*args):
+        raise AssertionError("decompose ran a pivoted QR")
 
     monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", recording)
-    monkeypatch.setattr(modes, "_pivoted_qr", pivoted_qr)
+    monkeypatch.setattr(modes, "_pivoted_qr", never)
+    monkeypatch.setattr(modes, "_orthonormalize_degenerate", never)
     modeset = sm.decompose(weighted)
     null = int(np.count_nonzero(modeset.eigenvalues == 0))
     assert null > 400
+    assert calls == [("geqrf", (604, 604 - null))] and null == 604 - 160
     w = rule.doubled_weights
-    rank, settled, nb, _ = _settling(_solved(weighted.matrix, w))
-    assert rank == 604 - null
-    assert len(stops) == 1 and rank <= settled <= stops[0] <= settled + nb
-    assert stops[0] < 200  # of 604 columns
-    assert calls == []
     f = modeset.eigenvectors[:, -null:]
     assert np.max(np.abs(_gram(f, w) - np.eye(null))) <= 1e-12
     assert np.max(modeset.residuals[-null:]) <= 1e-12
@@ -618,25 +624,34 @@ def _full_rank_noise(n_q):
 @pytest.mark.parametrize("failing", ["geqp3", "orgqr", "unmqr", "geqrf",
                                      "geev"])
 def test_a_failed_lapack_call_is_an_eigensolver_failure(
-        failing, sphere_eps3, mie_modes_ka1, mie_eps3_110, monkeypatch):
+        failing, sphere_eps3, mie_eps3_110, dda_pipeline, monkeypatch):
     """A negative info is a bad argument; a positive one a numerical
-    failure, such as a geev that does not converge.  orgqr and unmqr run on
-    both routes: on the Hermitian route of N_q=26 and 110, and on the geev
+    failure, such as a geev that does not converge.  geqrf and unmqr run on
+    both routes: on the band route, per call beyond a cut inside the band
+    (N_q=110, ka 0.7) and once per rule for the whole band (N_q=26, ka 1,
+    a fresh rule each time, as a failed build is not kept), and on the geev
     route of N_q=230, which has negative weights, where geqrf forms the
-    null basis.  geev solves N_q=230's r x r block and the full-rank matrix
-    of noisy samples inside scipy.linalg.eig, which makes a LinAlgError of
-    a positive info only (a negative one is its ValueError).  On N_q=26
-    geqp3 runs itself; on N_q=110 the panel QR runs in its place, and
+    null basis.  geqp3, orgqr and unmqr run on _eigenpairs' Hermitian route
+    of the dipole block, whose samples alias out of the band.  geev solves
+    N_q=230's r x r block and the full-rank matrix of noisy samples inside
+    scipy.linalg.eig, which makes a LinAlgError of a positive info only (a
+    negative one is its ValueError).  On N_q=26 and 50 geqp3 runs itself;
+    on the noisy N_q=110 samples the panel QR runs in its place, and
     geqp3's workspace query is its one geqp3 call."""
     real = scipy.linalg.get_lapack_funcs
     signed = sm.MieBackend(sphere_eps3).sample(sm.lebedev_rule(230), 1.0)
-    cases = [mie_modes_ka1[1], mie_eps3_110]
-    if failing in ("geqrf", "geev"):
-        cases = [signed]
-    elif failing in ("orgqr", "unmqr"):
-        cases.append(signed)
-    if failing in ("geqp3", "geev"):
-        cases.append(_full_rank_noise(26))
+    block = dda_pipeline[4]
+
+    def band_route_cases():
+        return [sm.MieBackend(sphere_eps3).sample(sm.lebedev_rule(n_q), ka)
+                for n_q, ka in ((110, 0.7), (26, 1.0))]
+
+    cases = {"geqp3": [block, _noisy(mie_eps3_110, 1e-6),
+                       _full_rank_noise(26)],
+             "orgqr": [block, signed],
+             "unmqr": [block, signed, *band_route_cases()],
+             "geqrf": [signed, *band_route_cases()],
+             "geev": [signed, _full_rank_noise(26)]}[failing]
     for info in (2,) if failing == "geev" else (-1, 2):
         def with_failure(names, arrays):
             def fail(func):
@@ -655,6 +670,8 @@ def test_a_failed_lapack_call_is_an_eigensolver_failure(
             patched.setattr(sys.modules[scipy.linalg.eig.__module__],
                             "get_lapack_funcs", with_failure)
             threads = threading.active_count()
+            if failing in ("unmqr", "geqrf"):
+                cases[-2:] = band_route_cases()  # a fresh rule for each info
             for smat in cases:
                 with pytest.raises(EigensolverFailure) as excinfo:
                     sm.decompose(sm.apply_weights(smat))
@@ -1076,18 +1093,32 @@ def _recorded_blocks(monkeypatch):
     return blocks
 
 
+def _recorded_normal_blocks(monkeypatch):
+    """The blocks whose normality defect either route measures, recorded:
+    the band's c x c block and _eigenpairs' r x r one."""
+    blocks, real = [], modes._normal_block
+
+    def recording(m):
+        blocks.append(m.copy())
+        return real(m)
+
+    monkeypatch.setattr(modes, "_normal_block", recording)
+    return blocks
+
+
 def test_clean_data_takes_the_hermitian_route(every_rule, dda_pipeline,
                                               magnetodielectric_matrices,
                                               monkeypatch):
     """Lossless samples on every rule with positive weights at three ka,
-    the 201 sweep steps and the dipole block: each r x r block is normal
-    well inside NORMALITY_TOL, and decompose solves it with no geev and no
+    the 201 sweep steps and the dipole block: each block, the band's c x c
+    one and the dipole block's r x r one, is normal well inside
+    NORMALITY_TOL, and decompose solves it with no geev and no
     Gram-Schmidt, the modes w-orthonormal."""
     cases = [smat for (n_q, _), smat in every_rule.items()
              if n_q not in (74, 230, 266)]
     cases += [*magnetodielectric_matrices[1],
               sm.apply_weights(dda_pipeline[4])]
-    blocks = _recorded_blocks(monkeypatch)
+    blocks = _recorded_normal_blocks(monkeypatch)
 
     def never(*args):
         raise AssertionError("the Hermitian route ran a geev route step")
@@ -1201,3 +1232,95 @@ def test_normal_eig_separates_eigenvalues_the_first_solve_merges():
         <= 1e-14
     assert np.max(np.abs(y.conj().T @ y - np.eye(9))) <= 1e-14
     assert np.max(np.abs(m @ y - y * values)) <= 1e-14
+
+
+def test_clean_samples_take_the_band_route(every_rule, dielectric_matrices,
+                                           magnetodielectric_matrices,
+                                           monkeypatch):
+    """Lossless samples on every rule with positive weights at three ka and
+    the 201 steps of both acceptance-6 sweeps: decompose takes the band
+    route, with no pivoted QR (no geqp3 call) and no _eigenpairs."""
+    cases = [smat for smat in every_rule.values()
+             if np.all(smat.rule.weights > 0)]
+    cases += [*dielectric_matrices[1], *magnetodielectric_matrices[1]]
+    real = scipy.linalg.get_lapack_funcs
+
+    def never(*args):
+        raise AssertionError("clean samples left the band route")
+
+    def no_geqp3(names, arrays):
+        assert "geqp3" not in names
+        return real(names, arrays)
+
+    monkeypatch.setattr(modes, "_eigenpairs", never)
+    monkeypatch.setattr(modes, "_pivoted_qr", never)
+    monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", no_geqp3)
+    for smat in cases:
+        sm.decompose(smat)
+    assert len(cases) == 33 + 2 * 201
+
+
+def _without_the_band_route(smat):
+    """decompose as it runs with the band route refused: _eigenpairs."""
+    with mock.patch.object(modes, "_band_pairs", lambda matrix, rule: None):
+        return sm.decompose(smat)
+
+
+def _assert_same_modeset(got, ref):
+    assert _same_bits(got.eigenvalues, ref.eigenvalues)
+    assert _same_bits(got.eigenvectors, ref.eigenvectors)
+    assert _same_bits(got.residuals, ref.residuals)
+
+
+def test_samples_outside_the_band_keep_the_qr_routes_bits(
+        sphere_eps3, mie_eps3_110, dda_pipeline):
+    """Noise of 1e-6 max|S| on 110 and 302 points, a sphere sampled to
+    l_max 9 on 50 points as the precision study samples it, the dipole
+    block on 50 points, the rules with negative weights and a custom rule
+    with order_capability 0: the band route is refused before any
+    eigensolve, and decompose gives _eigenpairs' modes bit for bit."""
+    rule_302 = sm.lebedev_rule(302)
+    rule_110 = sm.lebedev_rule(110)
+    custom = sm.QuadratureRule(theta=rule_110.theta, phi=rule_110.phi,
+                               weights=rule_110.weights, order_capability=0,
+                               name="custom-110")
+    cases = [_noisy(mie_eps3_110, 1e-6),
+             _noisy(sm.MieBackend(sphere_eps3).sample(rule_302, 1.0), 1e-6),
+             *(sm.MieBackend(sphere_eps3, 9).sample(sm.lebedev_rule(50), ka)
+               for ka in (1.0, 2.0)),
+             dda_pipeline[4],
+             *(sm.MieBackend(sphere_eps3).sample(sm.lebedev_rule(n_q), 1.0)
+               for n_q in (74, 230, 266)),
+             sm.MieBackend(sphere_eps3, 8).sample(custom, 1.0)]
+    for smat in map(sm.apply_weights, cases):
+        assert modes._band_pairs(smat.matrix, smat.rule) is None
+        _assert_same_modeset(sm.decompose(smat), _without_the_band_route(smat))
+
+
+def test_out_of_band_perturbations_are_refused(sphere_eps3):
+    """N = W^1/2 S_0 W^1/2 of clean N_q=110 samples plus a rank-one term
+    of 1e-10 max|S| that leaves the band: u b^H, with b a degree-1 vector
+    of the band and u outside it, is refused by the leak check before the
+    eigensolve (b is orthogonal to the probe); u u^H does not touch the
+    band, so only the t = 0 modes' residuals see it, and the certificate
+    refuses it.  Both then take _eigenpairs, bit for bit."""
+    rule = sm.lebedev_rule(110)
+    smat = sm.apply_weights(sm.MieBackend(sphere_eps3).sample(rule, 1.0))
+    scale = np.sqrt(rule.doubled_weights)
+    band = scale[:, None] * sm.vsh_matrix(default_l_max(rule), rule)
+    u = [1, 1j] @ np.random.default_rng(5).standard_normal((2, len(scale)))
+    for _ in range(2):
+        u -= band @ (band.conj().T @ u)
+    u /= np.linalg.norm(u)
+    b = (band[:, 0] - band[:, 1]) / math.sqrt(2)
+    eps = 1e-10 * np.max(np.abs(smat.matrix))
+    assert modes._band_pairs(smat.matrix, rule) is not None
+    for v, before_the_solve in ((b, True), (u, False)):
+        # S' = D^-1 (N + eps u v^H) D
+        perturbed = sm.ScatteringMatrix(
+            rule=rule, k=smat.k, weighted=True,
+            matrix=smat.matrix + eps * np.outer(u / scale, v.conj() * scale))
+        band_pairs = modes._band_pairs(perturbed.matrix, rule)
+        assert (band_pairs is None) == before_the_solve
+        _assert_same_modeset(sm.decompose(perturbed),
+                             _without_the_band_route(perturbed))
