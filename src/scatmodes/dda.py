@@ -41,11 +41,18 @@ class DipoleModel:
         if self.relative_permittivity == 1.0:
             raise ZeroContrast("relative permittivity 1 scatters nothing")
         # inverse_polarizability divides by the cell term 3 eps0 d^3
-        # (eps_r - 1), whose reciprocal overflows once it drops below
-        # 1 / float max (d below about 5e-100 at eps_r 3)
-        if (math.log(3.0 * EPS0 * abs(self.relative_permittivity - 1.0))
-                + 3.0 * math.log(self.spacing)
-                < -math.log(sys.float_info.max)):
+        # (eps_r - 1), as it computes it here: d^3 overflows past float max
+        # (d above about 5.6e102), and the reciprocal overflows once the
+        # term drops below 1 / float max (d below about 5e-100 at eps_r 3)
+        try:
+            cell = abs(3.0 * EPS0 * float(self.spacing) ** 3
+                       * (self.relative_permittivity - 1.0))
+        except OverflowError:
+            cell = math.inf
+        if not math.isfinite(cell):
+            raise ValueError(f"spacing {self.spacing!r} is too large: the "
+                             f"cell term 3 eps0 d^3 (eps_r - 1) overflows")
+        if cell < 1.0 / sys.float_info.max:
             raise ValueError(f"spacing {self.spacing!r} is too small: the "
                              f"cell term 3 eps0 d^3 (eps_r - 1) underflows")
         object.__setattr__(self, "positions", pos)

@@ -398,21 +398,39 @@ def _column_norms(x: np.ndarray, weights: np.ndarray) -> np.ndarray:
                    + np.einsum("i,ij,ij->j", weights, x.imag, x.imag))
 
 
-def _band_null_run(band: np.ndarray, scale: np.ndarray,
-                   out: np.ndarray) -> None:
-    """D^-1 times the last n - c columns of the Q of D band (n x c, D =
-    diag(scale)), which span the complement of range(D band), into out
-    (n x (n - c), Fortran order): one geqrf, and unmqr on [0; I]."""
-    n, c = band.shape
-    geqrf, unmqr = scipy.linalg.get_lapack_funcs(("geqrf", "unmqr"), (out,))
-    qr, tau = _lapack(geqrf, "geqrf",
-                      np.multiply(band, scale[:, None], order="F"),
-                      overwrite_a=1)
+def _null_run(reflectors: tuple, root: np.ndarray, out: np.ndarray) -> None:
+    """root^-1 times the last n - r columns of the Q of r Householder
+    reflectors (geqrf's (qr, tau)), which span the complement of their
+    range, into out (n x (n - r), Fortran order): unmqr on [0; I], in
+    place."""
+    r = out.shape[0] - out.shape[1]
+    (unmqr,) = scipy.linalg.get_lapack_funcs(("unmqr",), (out,))
     out[:] = 0.0
-    np.fill_diagonal(out[c:], 1.0)
-    (out[:],) = _lapack(unmqr, "unmqr", b"L", b"N", qr, tau, out,
+    np.fill_diagonal(out[r:], 1.0)
+    (out[:],) = _lapack(unmqr, "unmqr", b"L", b"N", *reflectors, out,
                         overwrite_c=1)
-    out *= (1.0 / scale)[:, None]
+    out *= (1.0 / root)[:, None]
+
+
+def _complement_probe(n: int) -> np.ndarray:
+    """The fixed vector g whose part outside the band _band_pairs probes:
+    standard normal entries, so no symmetry of a rule or a scatterer makes
+    it orthogonal to what it has to find."""
+    return np.random.default_rng(0).standard_normal(n)
+
+
+def _band_walk(matrix: np.ndarray, band: np.ndarray, l_max: int,
+               weights: np.ndarray, floor: float) -> np.ndarray | None:
+    """S A_c: the degrees l = 1, 2, ..., l_max of the band A up to the
+    first one whose block N B_l = D S A_l has no column norm above floor;
+    None where that is the first."""
+    blocks = []
+    for l in range(1, l_max + 1):
+        block = matrix @ band[:, 2 * (l * l - 1):2 * l * (l + 2)]
+        if _column_norms(block, weights).max() <= floor:
+            break
+        blocks.append(block)
+    return np.hstack(blocks) if blocks else None
 
 
 def _band_pairs(matrix: np.ndarray, rule: QuadratureRule) -> tuple | None:
@@ -424,24 +442,28 @@ def _band_pairs(matrix: np.ndarray, rule: QuadratureRule) -> tuple | None:
     default_l_max(rule) >= 1, the band A = vsh_matrix(L, rule) has
     A^H W A = I, so B = D A, D = W^1/2, has orthonormal columns.  Samples
     S_0 = A T A^H of a scatterer inside the band give N = D S_0 D = B T B^H,
-    so the band, not a pivoted QR, holds the range of N.  The walk forms
-    N B_l = D S A_l for l = 1, 2, ..., with no scaled copy of S, and stops
-    at the first degree whose block has no column norm above the floor
-    n eps max_j ||N e_j||, _eigenpairs' rank cut; the c columns A_c before
-    it are the cut.  M = B_c^H N B_c = A_c^H W S A_c carries the nonzero
-    eigenvalues, solved by _normal_eig, with eigenvectors A_c y.  The other
-    n - c modes get t = 0: D^-1 times a basis of the complement of
-    range(B_c) (_band_null_run), kept with the rule where the cut is the
-    whole band.
+    so the band, not a pivoted QR, holds the range of N.  The walk
+    (_band_walk) forms N B_l = D S A_l for l = 1, 2, ..., with no scaled
+    copy of S, and stops at the first degree whose block has no column
+    norm above the floor n eps max_j ||N e_j||, _eigenpairs' rank cut; the
+    c columns A_c before it are the cut.  M = B_c^H N B_c = A_c^H W S A_c
+    carries the nonzero eigenvalues, solved by _normal_eig, with
+    eigenvectors A_c y.  The other n - c modes get t = 0: D^-1 times a
+    basis of the complement of range(B_c), from one geqrf of B_c
+    (_null_run).
 
-    The route is refused before the eigensolve where the band leaks (the
-    probe of the whole band below, then a column of N B_c - B_c M above the
-    floor) or where M is not _normal_block: noisy, lossy and aliased
-    samples (content beyond L that the rule folds into the band).  N on the
-    complement is not formed here:
-    the caller certifies it from the t = 0 modes' residuals
-    ||S v|| = ||D^-1 N u||, which must be at most the returned bound,
-    floor / min(D).
+    The route is refused before the walk by two probes of N, one matrix
+    product with two columns, each held to the floor per unit length, as
+    the walk holds each unit column beyond the cut: N x for x = B (1, ...,
+    1) leaving the band by more than ||x|| floor, or N u for u, the part of
+    D g (_complement_probe) outside the band, above ||u|| floor.  Noise,
+    losses, aliasing (content beyond L that the rule folds into the band)
+    and content outside the band are refused there, for O(n^2).  After the
+    walk the route is refused where a column of N B_c - B_c M is above the
+    floor, or where M is not _normal_block; that is still before the
+    eigensolve.  The caller certifies the rest from the t = 0 modes'
+    residuals ||S v|| = ||D^-1 N u||, which must be at most the returned
+    bound, floor / min(D).
     """
     weights = rule.doubled_weights
     if rule.order_capability < 2 or not np.all(weights > 0):
@@ -454,23 +476,23 @@ def _band_pairs(matrix: np.ndarray, rule: QuadratureRule) -> tuple | None:
         return None
     l_max = default_l_max(rule)
     band = vsh_matrix(l_max, rule)
-    # one probe x = B (1, ..., 1): N x leaves the band by more than m floor
-    # only where a column of N B leaves it by more than the floor, so
-    # content outside the band, as noise and aliasing bring, is refused by
-    # one matrix-vector product
-    probe = matrix @ band.sum(axis=1)
-    probe -= band @ (band.conj().T @ (weights * probe))
-    if _column_norms(probe[:, None], weights)[0] > band.shape[1] * floor:
+
+    def build():
+        g = _complement_probe(n)
+        probes = np.column_stack([band.sum(axis=1),
+                                  g - band @ (band.conj().T @ (weights * g))])
+        probes.setflags(write=False)
+        return probes, _column_norms(probes, weights)
+
+    # D S x for both probes x: the first less its part in the band
+    probes, sizes = rule.cached(("band probes", l_max), build)
+    images = matrix @ probes
+    images[:, 0] -= band @ (band.conj().T @ (weights * images[:, 0]))
+    if np.any(_column_norms(images, weights) > sizes * floor):
         return None
-    blocks = []  # S A_l
-    for l in range(1, l_max + 1):
-        block = matrix @ band[:, 2 * (l * l - 1):2 * l * (l + 2)]
-        if _column_norms(block, weights).max() <= floor:
-            break
-        blocks.append(block)
-    if not blocks:
+    product = _band_walk(matrix, band, l_max, weights, floor)  # S A_c
+    if product is None:
         return None
-    product = np.hstack(blocks)  # S A_c
     c = product.shape[1]
     cut = band[:, :c]
     m = cut.conj().T @ (product * weights[:, None])
@@ -483,16 +505,11 @@ def _band_pairs(matrix: np.ndarray, rule: QuadratureRule) -> tuple | None:
     values[:c], y = _normal_eig(m)
     vectors = np.empty((n, n), dtype=complex, order="F")
     vectors[:, :c] = cut @ y
-    if c < band.shape[1]:
-        _band_null_run(cut, scale, vectors[:, c:])
-    else:
-        def build():
-            run = np.empty((n, n - c), dtype=complex, order="F")
-            _band_null_run(band, scale, run)
-            run.setflags(write=False)
-            return run
-
-        vectors[:, c:] = rule.cached(("band null run", l_max), build)
+    (geqrf,) = scipy.linalg.get_lapack_funcs(("geqrf",), (vectors,))
+    _null_run(_lapack(geqrf, "geqrf",
+                      np.multiply(cut, scale[:, None], order="F"),
+                      overwrite_a=1),
+              scale, vectors[:, c:])
     return values, vectors, True, floor / scale.min()
 
 
@@ -552,8 +569,7 @@ def _eigenpairs(matrix: np.ndarray, weights: np.ndarray) -> tuple:
     values = np.zeros(n, dtype=complex)
     if rank == 0:
         return values, np.diag(1.0 / root + 0j), True
-    geqrf, orgqr, unmqr = scipy.linalg.get_lapack_funcs(
-        ("geqrf", "orgqr", "unmqr"), (qr,))
+    geqrf, orgqr = scipy.linalg.get_lapack_funcs(("geqrf", "orgqr"), (qr,))
     rows = np.triu(qr[:rank])[:, np.argsort(perm)]  # R_r P^T = Q_r^H N
     # a copy that orgqr overwrites: without the flag its query copies too
     (q,) = _lapack(orgqr, "orgqr", np.array(qr[:, :rank], order="F"),
@@ -568,15 +584,12 @@ def _eigenpairs(matrix: np.ndarray, weights: np.ndarray) -> tuple:
                                             check_finite=False)
         reflectors = _lapack(geqrf, "geqrf",
                              (rows * (scale / root)).conj().T, overwrite_a=1)
-    vectors = np.zeros((n, n), dtype=complex, order="F")
+    vectors = np.empty((n, n), dtype=complex, order="F")
     vectors[:, :rank] = q @ y
-    np.fill_diagonal(vectors[rank:, rank:], 1.0)
+    vectors[:, :rank] *= (1.0 / scale)[:, None]
     # the last n - r columns of Q, in place: at N_q=302 unmqr takes a third
     # of the time orgqr takes to form all n columns
-    (vectors[:, rank:],) = _lapack(unmqr, "unmqr", b"L", b"N", *reflectors,
-                                   vectors[:, rank:], overwrite_c=1)
-    vectors[:, :rank] *= (1.0 / scale)[:, None]
-    vectors[:, rank:] *= (1.0 / root)[:, None]
+    _null_run(reflectors, root, vectors[:, rank:])
 
     # the weak modes' null-space component is rounding (see above)
     weak = np.flatnonzero(np.abs(values[:rank]) <= SIGNIFICANCE_FLOOR)

@@ -494,6 +494,22 @@ def test_dda_spacing_that_underflows_the_cell_term_is_a_usage_error(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("nq", [[], ["--nq", "38"]], ids=["auto", "38"])
+def test_dda_spacing_whose_cube_overflows_is_a_usage_error(tmp_path, capsys,
+                                                           nq):
+    # d^3 of a spacing of 1e103 overflows: with an explicit rule the sweep
+    # once ended in an OverflowError traceback from inverse_polarizability
+    backend = json.dumps({"type": "dda", "extent": [2, 1, 1],
+                          "spacing": 1e103, "eps_r": 3})
+    out = tmp_path / "out"
+    assert main(["sweep", "--backend", backend, "--freq-start", "1e8", *nq,
+                 "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: spacing 1e+103 is too large: the cell term "
+                   "3 eps0 d^3 (eps_r - 1) overflows"]
+    assert not out.exists()
+
+
 _BIG_MIE = json.dumps({"type": "mie", "radius": 1e100})
 
 
@@ -538,7 +554,11 @@ def test_scatterer_too_large_for_the_estimate_is_a_usage_error(
         assert main([*command, "--backend", json.dumps(backend),
                      "--freq-start", "1e8", "--out", str(out)]) == EXIT_USAGE
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: ka = ")
+    # a dda block past ka 1e154 has a spacing whose cube overflows, which
+    # the model refuses before the estimate is made
+    start = ("error: spacing 1e+300 is too large: the cell term" if
+             backend is _HUGE_DDA else "error: ka = ")
+    assert len(err) == 1 and err[0].startswith(start)
     assert "too large" in err[0]
     assert not out.exists()
 

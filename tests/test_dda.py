@@ -190,6 +190,8 @@ def test_model_validation():
         sm.DipoleModel(np.zeros((1, 3)), -0.1, 3.0)
     with pytest.raises(ValueError, match="spacing 1e-120 is too small"):
         sm.DipoleModel(np.zeros((1, 3)), 1e-120, 3.0)
+    with pytest.raises(ValueError, match=r"spacing 1e\+103 is too large"):
+        sm.DipoleModel(np.zeros((1, 3)), 1e103, 3.0)
     with pytest.raises(ValueError, match="extent"):
         sm.build_block((0, 2, 2), 0.1, 3.0)
     with pytest.raises(ValueError, match="k must be positive"):

@@ -624,33 +624,29 @@ def _full_rank_noise(n_q):
 @pytest.mark.parametrize("failing", ["geqp3", "orgqr", "unmqr", "geqrf",
                                      "geev"])
 def test_a_failed_lapack_call_is_an_eigensolver_failure(
-        failing, sphere_eps3, mie_eps3_110, dda_pipeline, monkeypatch):
+        failing, sphere_eps3, mie_modes_ka1, mie_eps3_110, dda_pipeline,
+        monkeypatch):
     """A negative info is a bad argument; a positive one a numerical
     failure, such as a geev that does not converge.  geqrf and unmqr run on
-    both routes: on the band route, per call beyond a cut inside the band
-    (N_q=110, ka 0.7) and once per rule for the whole band (N_q=26, ka 1,
-    a fresh rule each time, as a failed build is not kept), and on the geev
-    route of N_q=230, which has negative weights, where geqrf forms the
-    null basis.  geqp3, orgqr and unmqr run on _eigenpairs' Hermitian route
-    of the dipole block, whose samples alias out of the band.  geev solves
-    N_q=230's r x r block and the full-rank matrix of noisy samples inside
-    scipy.linalg.eig, which makes a LinAlgError of a positive info only (a
-    negative one is its ValueError).  On N_q=26 and 50 geqp3 runs itself;
-    on the noisy N_q=110 samples the panel QR runs in its place, and
-    geqp3's workspace query is its one geqp3 call."""
+    both routes: on the band route of N_q=26 and 110, where they form the
+    null run, and on the geev route of N_q=230, which has negative
+    weights, where geqrf forms the null basis.  geqp3, orgqr and unmqr run
+    on _eigenpairs' Hermitian route of the dipole block, whose samples
+    alias out of the band.  geev solves N_q=230's r x r block and the
+    full-rank matrix of noisy samples inside scipy.linalg.eig, which makes
+    a LinAlgError of a positive info only (a negative one is its
+    ValueError).  On N_q=26 and 50 geqp3 runs itself; on the noisy N_q=110
+    samples the panel QR runs in its place, and geqp3's workspace query is
+    its one geqp3 call."""
     real = scipy.linalg.get_lapack_funcs
     signed = sm.MieBackend(sphere_eps3).sample(sm.lebedev_rule(230), 1.0)
     block = dda_pipeline[4]
-
-    def band_route_cases():
-        return [sm.MieBackend(sphere_eps3).sample(sm.lebedev_rule(n_q), ka)
-                for n_q, ka in ((110, 0.7), (26, 1.0))]
-
+    band = [mie_modes_ka1[1], mie_eps3_110]
     cases = {"geqp3": [block, _noisy(mie_eps3_110, 1e-6),
                        _full_rank_noise(26)],
              "orgqr": [block, signed],
-             "unmqr": [block, signed, *band_route_cases()],
-             "geqrf": [signed, *band_route_cases()],
+             "unmqr": [block, signed, *band],
+             "geqrf": [signed, *band],
              "geev": [signed, _full_rank_noise(26)]}[failing]
     for info in (2,) if failing == "geev" else (-1, 2):
         def with_failure(names, arrays):
@@ -670,8 +666,6 @@ def test_a_failed_lapack_call_is_an_eigensolver_failure(
             patched.setattr(sys.modules[scipy.linalg.eig.__module__],
                             "get_lapack_funcs", with_failure)
             threads = threading.active_count()
-            if failing in ("unmqr", "geqrf"):
-                cases[-2:] = band_route_cases()  # a fresh rule for each info
             for smat in cases:
                 with pytest.raises(EigensolverFailure) as excinfo:
                     sm.decompose(sm.apply_weights(smat))
@@ -1266,6 +1260,24 @@ def _without_the_band_route(smat):
         return sm.decompose(smat)
 
 
+def _band_stages(smat):
+    """_band_pairs on smat, and the stages it reached: "walk" where it
+    walked the band's degrees, "eigensolve" where it solved the cut."""
+    stages = []
+
+    def spy(name, func):
+        def call(*args):
+            stages.append(name)
+            return func(*args)
+        return call
+
+    with mock.patch.object(modes, "_band_walk",
+                           spy("walk", modes._band_walk)), \
+            mock.patch.object(modes, "_normal_eig",
+                              spy("eigensolve", modes._normal_eig)):
+        return modes._band_pairs(smat.matrix, smat.rule), stages
+
+
 def _assert_same_modeset(got, ref):
     assert _same_bits(got.eigenvalues, ref.eigenvalues)
     assert _same_bits(got.eigenvectors, ref.eigenvectors)
@@ -1277,8 +1289,9 @@ def test_samples_outside_the_band_keep_the_qr_routes_bits(
     """Noise of 1e-6 max|S| on 110 and 302 points, a sphere sampled to
     l_max 9 on 50 points as the precision study samples it, the dipole
     block on 50 points, the rules with negative weights and a custom rule
-    with order_capability 0: the band route is refused before any
-    eigensolve, and decompose gives _eigenpairs' modes bit for bit."""
+    with order_capability 0: the band route is refused before its walk,
+    for a few matrix-vector products, and decompose gives _eigenpairs'
+    modes bit for bit."""
     rule_302 = sm.lebedev_rule(302)
     rule_110 = sm.lebedev_rule(110)
     custom = sm.QuadratureRule(theta=rule_110.theta, phi=rule_110.phi,
@@ -1293,34 +1306,47 @@ def test_samples_outside_the_band_keep_the_qr_routes_bits(
                for n_q in (74, 230, 266)),
              sm.MieBackend(sphere_eps3, 8).sample(custom, 1.0)]
     for smat in map(sm.apply_weights, cases):
-        assert modes._band_pairs(smat.matrix, smat.rule) is None
+        assert _band_stages(smat) == (None, [])
         _assert_same_modeset(sm.decompose(smat), _without_the_band_route(smat))
 
 
 def test_out_of_band_perturbations_are_refused(sphere_eps3):
     """N = W^1/2 S_0 W^1/2 of clean N_q=110 samples plus a rank-one term
-    of 1e-10 max|S| that leaves the band: u b^H, with b a degree-1 vector
-    of the band and u outside it, is refused by the leak check before the
-    eigensolve (b is orthogonal to the probe); u u^H does not touch the
-    band, so only the t = 0 modes' residuals see it, and the certificate
-    refuses it.  Both then take _eigenpairs, bit for bit."""
+    of 1e-10 max|S| that leaves the band, u b^H with b a degree-1 vector of
+    the band and u outside it, or u u^H, which does not touch the band: the
+    probes refuse both before the walk.  Where b is orthogonal to the probe
+    of the band, the leak check refuses u b^H after the walk, still before
+    the eigensolve.  Where u is also orthogonal to the probe of the
+    complement, only the t = 0 modes' residuals see u u^H, and the
+    certificate refuses it.  Each then takes _eigenpairs, bit for bit."""
     rule = sm.lebedev_rule(110)
     smat = sm.apply_weights(sm.MieBackend(sphere_eps3).sample(rule, 1.0))
     scale = np.sqrt(rule.doubled_weights)
     band = scale[:, None] * sm.vsh_matrix(default_l_max(rule), rule)
-    u = [1, 1j] @ np.random.default_rng(5).standard_normal((2, len(scale)))
-    for _ in range(2):
-        u -= band @ (band.conj().T @ u)
-    u /= np.linalg.norm(u)
+
+    def outside(vectors):
+        """The last of vectors, orthonormal to the band and the others."""
+        basis = band
+        for u in vectors:
+            for _ in range(2):
+                u = u - basis @ (basis.conj().T @ u)
+            basis = np.column_stack([basis, u / np.linalg.norm(u)])
+        return basis[:, -1]
+
+    u = outside([[1, 1j] @ np.random.default_rng(5).standard_normal(
+        (2, len(scale)))])
+    hidden = outside([scale * modes._complement_probe(len(scale)), u])
     b = (band[:, 0] - band[:, 1]) / math.sqrt(2)
     eps = 1e-10 * np.max(np.abs(smat.matrix))
-    assert modes._band_pairs(smat.matrix, rule) is not None
-    for v, before_the_solve in ((b, True), (u, False)):
-        # S' = D^-1 (N + eps u v^H) D
+    assert _band_stages(smat)[1] == ["walk", "eigensolve"]
+    for x, y, stages in ((u, band[:, 0], []), (u, u, []), (u, b, ["walk"]),
+                         (hidden, hidden, ["walk", "eigensolve"])):
+        # S' = D^-1 (N + eps x y^H) D
         perturbed = sm.ScatteringMatrix(
             rule=rule, k=smat.k, weighted=True,
-            matrix=smat.matrix + eps * np.outer(u / scale, v.conj() * scale))
-        band_pairs = modes._band_pairs(perturbed.matrix, rule)
-        assert (band_pairs is None) == before_the_solve
+            matrix=smat.matrix + eps * np.outer(x / scale, y.conj() * scale))
+        band_pairs, reached = _band_stages(perturbed)
+        assert reached == stages
+        assert (band_pairs is None) == ("eigensolve" not in stages)
         _assert_same_modeset(sm.decompose(perturbed),
                              _without_the_band_route(perturbed))
