@@ -191,6 +191,13 @@ def read_dataset(path: str) -> ScatteringMatrix:
     return ScatteringMatrix(rule=rule, k=k, matrix=matrix, weighted=False)
 
 
+def _is_file_name(name) -> bool:
+    """Whether name is a plain file name: a string with no directory part
+    that is not "", "." or ".."."""
+    return (isinstance(name, str) and name not in ("", ".", "..")
+            and os.path.basename(name) == name)
+
+
 def _read_npy_body(path: str, body, n2: int) -> np.ndarray:
     """The n2 x n2 matrix of the version 2 body ``body`` beside ``path``.
 
@@ -199,8 +206,7 @@ def _read_npy_body(path: str, body, n2: int) -> np.ndarray:
     ParseError or DimensionMismatch and never allocates more than the
     dataset's own rule calls for.
     """
-    if not (isinstance(body, str) and body not in ("", ".", "..")
-            and os.path.basename(body) == body):
+    if not _is_file_name(body):
         raise ParseError(f"\"body\" must name a file beside the header, "
                          f"got {body!r}", line=1)
     try:
@@ -321,7 +327,8 @@ def write_manifest(directory: str, entries: list, complete: bool) -> str:
 
 def read_manifest(directory: str) -> dict:
     """The sweep manifest; ParseError unless it is a JSON object whose
-    "entries" list names a "dataset" file (a string) in every item."""
+    "entries" list names a "dataset" file in the directory in every item:
+    a file name, not a path."""
     path = os.path.join(directory, "manifest.json")
     try:
         with open(path) as fh:
@@ -330,8 +337,8 @@ def read_manifest(directory: str) -> dict:
         raise ParseError(f"manifest is not valid JSON: {exc}") from exc
     entries = manifest.get("entries") if isinstance(manifest, dict) else None
     if not (isinstance(entries, list) and all(
-            isinstance(e, dict) and isinstance(e.get("dataset"), str)
+            isinstance(e, dict) and _is_file_name(e.get("dataset"))
             for e in entries)):
         raise ParseError("manifest needs an \"entries\" list whose items "
-                         "name a \"dataset\" file")
+                         "name a \"dataset\" file in the directory")
     return manifest

@@ -2,14 +2,11 @@
 
 from __future__ import annotations
 
-import ctypes
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg import cython_blas, cython_lapack
 
 from .errors import BelowSignificanceThreshold, EigensolverFailure
 from .quadrature import QuadratureRule
@@ -108,47 +105,6 @@ def _sort_order(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
                        -np.abs(values)))
 
 
-#: matrix size 2 N_q from which overlap runs f and g side by side; below
-#: it the helper thread costs about what it saves (measured on 2 cores)
-OVERLAP_MIN_SIZE = 200
-
-
-def overlap(f, g, size: int) -> tuple:
-    """(f(), g()), with f on a helper thread while g runs on the caller
-    when size >= OVERLAP_MIN_SIZE, else both here, g first.
-
-    f and g must not share writable state; the work that overlaps is native
-    code that releases the GIL.  The thread is joined even when g raises;
-    an exception of f is re-raised here, after any exception of g, as on
-    the inline path.  No thread outlives the call, so none survives a fork.
-    """
-    if size < OVERLAP_MIN_SIZE:
-        second = g()
-        return f(), second
-    box = {}
-
-    def run():
-        try:
-            box["result"] = f()
-        except BaseException as exc:  # re-raised on the caller below
-            box["error"] = exc
-
-    worker = threading.Thread(target=run, name="scatmodes-overlap")
-    worker.start()
-    try:
-        second = g()
-    finally:
-        worker.join()
-    if "error" in box:
-        raise box["error"]
-    return box["result"], second
-
-
-def _check_lapack(name: str, info: int) -> None:
-    if info != 0:
-        raise scipy.linalg.LinAlgError(f"LAPACK {name} failed (info {info})")
-
-
 def _lapack(func, name: str, *args, **kwargs) -> list:
     """Outputs of a LAPACK routine run with the workspace its own query
     (lwork=-1) asks for, as scipy.linalg's wrappers run it: blocking, and
@@ -156,67 +112,18 @@ def _lapack(func, name: str, *args, **kwargs) -> list:
     flags, so an overwrite flag spares it the copy too."""
     lwork = int(func(*args, lwork=-1, **kwargs)[-2][0].real)
     *out, _, info = func(*args, lwork=lwork, **kwargs)
-    _check_lapack(name, info)
+    if info != 0:
+        raise scipy.linalg.LinAlgError(f"LAPACK {name} failed (info {info})")
     return out
 
 
-_CAPSULE_NAME = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
-    ("PyCapsule_GetName", ctypes.pythonapi))
-_CAPSULE_POINTER = ctypes.PYFUNCTYPE(
-    ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-    ("PyCapsule_GetPointer", ctypes.pythonapi))
-
-
-def _native(module, name: str, restype, nargs: int):
-    """A ctypes caller of the routine that SciPy's cython_blas or
-    cython_lapack module exports as name, so of SciPy's own BLAS and LAPACK.
-
-    Every argument is a pointer, passed as an address (an int).  Only
-    _pivoted_qr calls these: SciPy's f2py wrappers do not export zlaqps and
-    zlaqp2, the panels of geqp3's own loop, and dznrm2 runs the same way,
-    on columns in place.
-    """
-    capsule = module.__pyx_capi__[name]
-    address = _CAPSULE_POINTER(capsule, _CAPSULE_NAME(capsule))
-    return ctypes.CFUNCTYPE(restype, *[ctypes.c_void_p] * nargs)(address)
-
-
-_ZLAQPS = _native(cython_lapack, "zlaqps", None, 14)
-_ZLAQP2 = _native(cython_lapack, "zlaqp2", None, 10)
-_DZNRM2 = _native(cython_blas, "dznrm2", ctypes.c_double, 3)
-
-
-def _address(array: np.ndarray) -> int:
-    """The address of the first element of a writable array that is 1-D
-    and contiguous, or 2-D in Fortran order, as LAPACK takes a matrix;
-    any other array is a TypeError."""
-    return ctypes.addressof(ctypes.c_char.from_buffer(array.T))
-
-
-#: geqp3's crossover from blocked to unblocked code (LAPACK ilaenv's NX
-#: for geqrf): its last columns go to zlaqp2 in one call
-_QP3_CROSSOVER = 128
-
-
 def _pivoted_qr(matrix: np.ndarray, scale: np.ndarray) -> tuple:
-    """N P = Q R by LAPACK geqp3, for N = D matrix D^-1 with D = diag(scale),
-    stopped once the rank has settled.
+    """N P = Q R by one LAPACK geqp3 call, for N = D matrix D^-1 with
+    D = diag(scale): geqp3's packed qr, the 0-based pivots and tau.
 
-    N is formed in the one Fortran-ordered copy that LAPACK factors in
-    place.  Returns geqp3's packed qr, the 0-based pivots, tau and the
-    count `done` of columns factored.  Up to _QP3_CROSSOVER + nb columns
-    geqp3 blocks at most once and runs as it is (done = n).  Above that this
-    is geqp3's own driver loop: dznrm2 column norms, zlaqps panels of up to
-    nb columns (nb from geqp3's workspace query, lwork = (n + 1) nb), and
-    zlaqp2 for the last _QP3_CROSSOVER columns, so run to the end it gives
-    geqp3's bits.  It stops after the first panel at which every trailing
-    column's 2-norm is at most thr/2, thr = n eps |R_00| being
-    _eigenpairs' rank cut: each later |R_kk| is at most the largest
-    trailing norm, so none can exceed thr.  The rank, rows
-    0..done-1 of qr (their trailing entries up to the column order of
-    later pivots, which only swap columns), tau[:done] and perm[:done]
-    are then geqp3's bits; the rest of qr is partly reduced and the rest of
-    perm holds the unpivoted columns.
+    N is formed in the one Fortran-ordered copy that geqp3 factors in
+    place, with the workspace its own query asks for, as scipy.linalg.qr
+    runs it.
     """
     n = matrix.shape[0]
     a = np.empty((n, n), dtype=complex, order="F")
@@ -224,51 +131,9 @@ def _pivoted_qr(matrix: np.ndarray, scale: np.ndarray) -> tuple:
     np.multiply(matrix, scale[:, None], out=a)
     a *= 1.0 / scale
     (geqp3,) = scipy.linalg.get_lapack_funcs(("geqp3",), (a,))
-    # the one geqp3 call the panels make; overwrite_a spares it a copy of a
-    *_, work, info = geqp3(a, lwork=-1, overwrite_a=1)
-    _check_lapack("geqp3", info)
-    lwork = int(work[0].real)
-    nb = lwork // (n + 1)
-    if not 2 <= nb < n - _QP3_CROSSOVER:  # one panel at most: geqp3 itself
-        qr, perm, tau, _, info = geqp3(a, lwork=lwork, overwrite_a=1)
-        _check_lapack("geqp3", info)
-        perm -= 1
-        return qr, perm, tau, n
-    jpvt = np.arange(1, n + 1, dtype=np.intc)
-    tau = np.zeros(n, dtype=complex)
-    vn = np.empty(2 * n)  # partial column norms, then their reference
-    work = np.empty(lwork, dtype=complex)
-    ints = np.array([n, n, 0, 0, 0, 1], dtype=np.intc)
-    ap, jp, tp, vp, wp, i = (_address(x) for x in (a, jpvt, tau, vn, work,
-                                                   ints))
-    # rows and lda, trailing columns (= ldf), offset, jb, kb, and 1
-    m, cols, offset, jb, kb, one = range(i, i + 24, 4)
-
-    def norms(j):  # dznrm2 of rows j.. of each column from j on
-        ints[1] = n - j
-        return [_DZNRM2(cols, ap + 16 * (k * n + j), one)
-                for k in range(j, n)]
-
-    vn[:n] = norms(0)
-    vn[n:] = vn[:n]
-    cut = n * np.finfo(float).eps
-    j = 0
-    while j < n - _QP3_CROSSOVER:
-        ints[1:4] = n - j, j, min(nb, n - _QP3_CROSSOVER - j)
-        _ZLAQPS(m, cols, offset, jb, kb, ap + 16 * n * j, m, jp + 4 * j,
-                tp + 16 * j, vp + 8 * j, vp + 8 * (n + j), wp,
-                wp + 16 * int(ints[3]), cols)
-        j += int(ints[4])
-        thr = cut * abs(a[0, 0])
-        # the partial norms only decide when to take the exact ones
-        if vn[j:n].max() <= thr and max(norms(j)) <= thr / 2:
-            jpvt -= 1
-            return a, jpvt, tau, j
-    ints[1:3] = n - j, j
-    _ZLAQP2(m, cols, offset, ap + 16 * n * j, m, jp + 4 * j, tp + 16 * j,
-            vp + 8 * j, vp + 8 * (n + j), wp)
-    jpvt -= 1
-    return a, jpvt, tau, n
+    qr, perm, tau = _lapack(geqp3, "geqp3", a, overwrite_a=1)
+    perm -= 1
+    return qr, perm, tau
 
 
 def _orthonormalize_degenerate(values, vectors, weights) -> None:
@@ -524,12 +389,12 @@ def _eigenpairs(matrix: np.ndarray, weights: np.ndarray) -> tuple:
     S's.  With signed weights N would not be normal, and it is S itself
     (D = I).  Every eigenvector with t != 0 lies in range(N), whose rank r
     is bounded by the radiating channel count, well below n = 2 N_q.  One
-    column-pivoted QR N P = Q R (_pivoted_qr, stopped once r has settled)
-    gives r as the count of |R_ii| > n eps |R_00| (the
-    numpy.linalg.matrix_rank convention).  The r x r matrix M = Q_r^H N Q_r,
-    formed as R_r P^T Q_r from only the r columns Q_r of Q, carries the
-    nonzero eigenvalues, with eigenvectors Q_r y; the other n - r modes get
-    t = 0.  At full rank, as on noisy solver data, this is eig(S) itself.
+    column-pivoted QR N P = Q R (_pivoted_qr, LAPACK geqp3) gives r as the
+    count of |R_ii| > n eps |R_00| (the numpy.linalg.matrix_rank
+    convention).  The r x r matrix M = Q_r^H N Q_r, formed as R_r P^T Q_r
+    from only the r columns Q_r of Q, carries the nonzero eigenvalues,
+    with eigenvectors Q_r y; the other n - r modes get t = 0.  At full
+    rank, as on noisy solver data, this is eig(S) itself.
 
     Where all weights are positive and N is normal to rounding (_is_normal:
     M is normal to NORMALITY_TOL and N couples range(Q_r)'s complement into
@@ -559,10 +424,10 @@ def _eigenpairs(matrix: np.ndarray, weights: np.ndarray) -> tuple:
     matrix = np.asarray_chkfinite(matrix)
     positive = bool(np.all(weights > 0))
     scale = np.sqrt(weights) if positive else np.ones(n)  # D
-    qr, perm, tau, done = _pivoted_qr(matrix, scale)
+    qr, perm, tau = _pivoted_qr(matrix, scale)
     diag = np.abs(np.diag(qr))
     cut = n * np.finfo(float).eps * diag[0]
-    rank = int(np.count_nonzero(diag[:done] > cut))
+    rank = int(np.count_nonzero(diag > cut))
     if rank == n:
         return *scipy.linalg.eig(matrix, check_finite=False), False
     root = np.sqrt(np.abs(weights))  # |W|^1/2, equal to D where D = W^1/2
@@ -610,8 +475,9 @@ def decompose(smat: ScatteringMatrix) -> ModeSet:
     else from the pivoted QR of _eigenpairs.  Each mode with t != 0 is
     scaled to unit radiated power and, unless the route gave them so, each
     multiplet of them made w-orthonormal; the t = 0 run keeps its
-    |w|-orthonormal basis.  Every column is phase-fixed.  The residuals come
-    from S V in two row halves, which overlap runs side by side.
+    |w|-orthonormal basis.  Every column is phase-fixed.  The residuals are
+    the column norms of S V - V diag(t).  Every step runs on the caller's
+    thread: the only concurrency is the BLAS's own.
     """
     if not smat.weighted:
         raise ValueError("decompose expects a weighted scattering matrix")
@@ -651,14 +517,7 @@ def _modes(smat: ScatteringMatrix, route) -> ModeSet | None:
     if not orthonormal:
         _orthonormalize_degenerate(values, vectors, w)
 
-    # S V in two row halves into one C-ordered buffer: the same bits as
-    # S @ V (a column split or an F-ordered buffer gives other bits)
-    n = len(values)
-    half = n // 2
-    product = np.empty((n, n), dtype=complex)
-    overlap(lambda: np.matmul(smat.matrix[:half], vectors, out=product[:half]),
-            lambda: np.matmul(smat.matrix[half:], vectors, out=product[half:]),
-            n)
+    product = smat.matrix @ vectors
     product -= vectors * values[None, :]
     residuals = np.linalg.norm(product, axis=0)
     if np.max(residuals[values == 0], initial=0.0) > bound:

@@ -59,9 +59,7 @@ def mie_modes_ka1(sphere_eps3):
 
 @pytest.fixture(scope="session")
 def mie_eps3_110(sphere_eps3):
-    """Unweighted samples of the eps_r=3 sphere at ka=1, N_q=110: a matrix
-    large enough for decompose to run half its residual product on a
-    helper thread."""
+    """Unweighted samples of the eps_r=3 sphere at ka=1, N_q=110."""
     return sm.MieBackend(sphere_eps3).sample(sm.lebedev_rule(110), 1.0)
 
 

@@ -269,6 +269,33 @@ def test_validate_bad_manifest_fails(tmp_path, capsys, manifest):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("where", ["parent", "absolute", "subdirectory",
+                                   "empty"])
+def test_validate_fails_a_manifest_dataset_that_is_not_a_file_name(
+        tmp_path, sweep_dir, capsys, where):
+    """A manifest lists the datasets beside it: an entry that leads out of
+    its directory or into a subdirectory fails the manifest, though the
+    file it names is a good dataset."""
+    shutil.copytree(sweep_dir, tmp_path / "a")
+    (tmp_path / "c" / "sub").mkdir(parents=True)
+    shutil.copy(tmp_path / "a" / "dataset_0000.csv", tmp_path / "c" / "sub")
+    shutil.copy(tmp_path / "a" / "dataset_0000.npy", tmp_path / "c" / "sub")
+    dataset = {"parent": "../a/dataset_0000.csv",
+               "absolute": str(tmp_path / "a" / "dataset_0000.csv"),
+               "subdirectory": "sub/dataset_0000.csv",
+               "empty": ""}[where]
+    (tmp_path / "c" / "manifest.json").write_text(json.dumps(
+        {"complete": True, "entries": [{"dataset": dataset}]}))
+    with pytest.raises(ParseError, match="in the directory"):
+        dataio.read_manifest(str(tmp_path / "c"))
+    capsys.readouterr()
+    assert main(["validate", str(tmp_path / "c")]) == EXIT_VALIDATION
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"{tmp_path / 'c' / 'manifest.json'}: ")
+    assert lines[0].endswith("-> FAIL")
+
+
 def test_validate_fails_a_dataset_it_cannot_check_and_goes_on(
         tmp_path, sweep_dir, capsys):
     # a rule without antipodes has no reciprocity check; it once ended the

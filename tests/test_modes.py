@@ -1,4 +1,5 @@
 import math
+import multiprocessing
 import sys
 import threading
 from unittest import mock
@@ -635,9 +636,8 @@ def test_a_failed_lapack_call_is_an_eigensolver_failure(
     alias out of the band.  geev solves N_q=230's r x r block and the
     full-rank matrix of noisy samples inside scipy.linalg.eig, which makes
     a LinAlgError of a positive info only (a negative one is its
-    ValueError).  On N_q=26 and 50 geqp3 runs itself; on the noisy N_q=110
-    samples the panel QR runs in its place, and geqp3's workspace query is
-    its one geqp3 call."""
+    ValueError).  geqp3 runs on the dipole block, the noisy N_q=110
+    samples and the full-rank N_q=26 noise."""
     real = scipy.linalg.get_lapack_funcs
     signed = sm.MieBackend(sphere_eps3).sample(sm.lebedev_rule(230), 1.0)
     block = dda_pipeline[4]
@@ -827,9 +827,7 @@ def test_eigenpairs_equal_the_scipy_wrapper_path(magnetodielectric_matrices,
     not normal, though a 1 x 1 block always is.  The geev route gives the
     reference's eigenvalues and its modes with |t| > 1e-6 bit for bit; its
     t = 0 basis, built another way, and the weak modes projected against
-    it meet the oracle.  On 230 points the pivoted QR stops once the rank
-    has settled, so there all the modes meet the oracle instead, as the
-    Hermitian route's modes do everywhere."""
+    it meet the oracle, as the Hermitian route's modes do everywhere."""
     _, weighted = magnetodielectric_matrices
     cases = [(m.matrix, m.rule.doubled_weights) for m in weighted]
     for n_q in (6, 26, 74, 110, 230):
@@ -849,13 +847,12 @@ def test_eigenpairs_equal_the_scipy_wrapper_path(magnetodielectric_matrices,
         u, v = rng.standard_normal((2, 28, rank)) \
             + 1j * rng.standard_normal((2, 28, rank))
         cases.append((u @ v.conj().T / w, w))
-    routes = {"hermitian": 0, "geev": 0, "stopped": 0}
+    routes = {"hermitian": 0, "geev": 0}
     for matrix, weights in cases:
         *got, hermitian = modes._eigenpairs(matrix, weights)
         ref = _scipy_eigenpairs(matrix, weights)
-        full = modes._pivoted_qr(matrix, _scale(weights))[3] == len(matrix)
-        if hermitian or not full:
-            routes["hermitian" if hermitian else "stopped"] += 1
+        if hermitian:
+            routes["hermitian"] += 1
             _assert_same_spectrum(weights, got, ref)
         else:
             routes["geev"] += 1
@@ -863,8 +860,7 @@ def test_eigenpairs_equal_the_scipy_wrapper_path(magnetodielectric_matrices,
             assert _same_bits(got[0], ref[0])
             assert _same_bits(got[1][:, live], ref[1][:, live])
             _assert_same_spectrum(weights, got, ref)
-    assert routes == {"hermitian": 201 + 3 + 1 + 12, "geev": 1 + 12 + 3,
-                      "stopped": 1}
+    assert routes == {"hermitian": 201 + 3 + 1 + 12, "geev": 2 + 12 + 3}
 
 
 def test_lapack_runs_each_routine_with_the_lwork_its_query_gives():
@@ -889,8 +885,7 @@ def test_lapack_runs_each_routine_with_the_lwork_its_query_gives():
     assert _same_bits(product, scipy.linalg.qr_multiply(a, c, mode="left")[0])
 
 
-#: every rule at three sizes: ka 2.3 keeps the pivoted QR of 146 to 194
-#: points running to the end, ka 0.7 and 1 stop it from 146 points on
+#: every rule at three electrical sizes
 _EVERY_RULE = [(n_q, ka) for n_q in sm.quadrature.SUPPORTED_SIZES
                for ka in (0.7, 1.0, 2.3)]
 
@@ -901,66 +896,6 @@ def every_rule(sphere_eps3):
     _EVERY_RULE, keyed by (n_q, ka)."""
     return {(n_q, ka): sm.apply_weights(sm.MieBackend(sphere_eps3).sample(
         sm.lebedev_rule(n_q), ka)) for n_q, ka in _EVERY_RULE}
-
-
-def _full_geqp3(matrix):
-    """qr, tau and 0-based pivots of scipy.linalg.qr's geqp3."""
-    (qr, tau), _, perm = scipy.linalg.qr(matrix, pivoting=True, mode="raw")
-    return qr, tau, perm
-
-
-def _settling(matrix):
-    """(rank, settled, nb, thr) of the full geqp3: |R_kk| > thr = n eps |R_00|
-    for the rank's k, |R_kk| <= thr / 2 for every k >= settled, and nb the
-    panel width geqp3's workspace query implies."""
-    n = len(matrix)
-    diag = np.abs(np.diag(_full_geqp3(matrix)[0]))
-    thr = n * np.finfo(float).eps * diag[0]
-    above = np.flatnonzero(diag > thr / 2)
-    *_, work, info = scipy.linalg.lapack.zgeqp3(matrix, lwork=-1)
-    assert info == 0
-    return (int(np.count_nonzero(diag > thr)), int(above[-1]) + 1,
-            int(work[0].real) // (n + 1), thr)
-
-
-def test_settled_pivoted_qr_keeps_geqp3s_rank_and_leading_factor(every_rule):
-    """Stopped once the rank has settled, the pivoted QR of N = D S D^-1
-    keeps the full geqp3's rank and, in its first `done` columns, the
-    reflectors, R, tau and the pivots; R's first `done` rows equal geqp3's
-    up to the order of the columns that later pivots would swap.  It stops
-    at a panel end after which every |R_kk| is at most thr / 2, within one
-    panel (nb columns) of the first column from which that holds.  It
-    stops from 146 points on at ka 0.7 and 1 and from 230 points on at
-    ka 2.3.  Everywhere else it runs to the end and so gives geqp3's R, tau
-    and pivots bit for bit: at 146 to 194 points at ka 2.3 and on
-    full-rank noise of 86 points and up through the panel loop and its
-    zlaqp2 tail."""
-    cases = {key: (smat.matrix, smat.rule.doubled_weights)
-             for key, smat in every_rule.items()}
-    for n_q in (26, 86, 110, 302):
-        smat = sm.apply_weights(_full_rank_noise(n_q))
-        cases[(n_q, "noise")] = smat.matrix, smat.rule.doubled_weights
-    stopped = set()
-    for key, (matrix, weights) in cases.items():
-        n = len(matrix)
-        similar = _solved(matrix, weights)
-        qr, perm, tau, done = modes._pivoted_qr(matrix, _scale(weights))
-        ref_qr, ref_tau, ref_perm = _full_geqp3(similar)
-        rank, settled, nb, thr = _settling(similar)
-        diag = np.abs(np.diag(qr))
-        assert np.count_nonzero(diag[:done] > n * np.finfo(float).eps
-                                * diag[0]) == rank
-        assert _same_bits(qr[:, :done], ref_qr[:, :done])
-        assert _same_bits(tau[:done], ref_tau[:done])
-        assert _same_bits(perm[:done], ref_perm[:done])
-        assert _same_bits(qr[:done, np.argsort(perm)],
-                          ref_qr[:done, np.argsort(ref_perm)])
-        if done < n:
-            stopped.add(key)
-            assert rank <= settled <= done <= settled + nb
-            assert np.max(np.abs(np.diag(ref_qr))[done:]) <= thr / 2
-    assert stopped == {(n_q, ka) for n_q, ka in _EVERY_RULE
-                       if n_q >= 146 and (ka <= 1 or n_q >= 230)}
 
 
 def _assert_same_spectrum(w, got, ref):
@@ -1350,3 +1285,79 @@ def test_out_of_band_perturbations_are_refused(sphere_eps3):
         assert (band_pairs is None) == ("eigensolve" not in stages)
         _assert_same_modeset(sm.decompose(perturbed),
                              _without_the_band_route(perturbed))
+
+
+def test_decompose_starts_no_thread(sphere_eps3, mie_eps3_110, monkeypatch):
+    """decompose and validation_report run on the caller's thread: clean
+    samples on 110 and 302 points, which take the band route, and noisy
+    samples on 302 points, which take the pivoted QR.  The report's
+    reciprocity check is reciprocity_residual's own."""
+    clean_302 = sm.MieBackend(sphere_eps3).sample(sm.lebedev_rule(302), 1.0)
+
+    def refuse(thread):
+        raise AssertionError(f"decompose started thread {thread.name}")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    for smat in (mie_eps3_110, clean_302, _noisy(clean_302, 1e-6)):
+        modeset = sm.decompose(sm.apply_weights(smat))
+        report = dataio.validation_report(smat)
+        assert report["eigenpair_residual_max"] == np.max(modeset.residuals)
+        assert report["reciprocity_residual"] == sm.reciprocity_residual(smat)
+
+
+def test_many_threads_decompose_at_once_with_the_bits_of_a_lone_call(
+        sphere_eps3):
+    """More threads than cores decompose at once, with a short switch
+    interval: every result has the bits of a lone decompose."""
+    cases = [sm.apply_weights(sm.MieBackend(sphere_eps3).sample(
+        sm.lebedev_rule(n_q), 1.0)) for n_q in (26, 38, 110)]
+    want = [sm.decompose(smat) for smat in cases]
+    results = {}
+
+    def work(i):
+        results[i] = sm.decompose(cases[i % len(cases)])
+
+    workers = [threading.Thread(target=work, args=(i,)) for i in range(9)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert sorted(results) == list(range(9))
+    for i, got in results.items():
+        ref = want[i % len(cases)]
+        for name in ("eigenvalues", "eigenvectors", "residuals"):
+            assert _same_bits(getattr(got, name), getattr(ref, name))
+
+
+def _decompose_in_child(smat, conn):
+    conn.send(sm.decompose(sm.apply_weights(smat)).eigenvalues)
+    conn.close()
+
+
+def test_decompose_in_a_forked_child_after_a_decompose_in_the_parent(
+        mie_eps3_110):
+    """A thread pool made before a fork leaves the child waiting on
+    workers that do not exist: a child forked after a decompose gets the
+    parent's eigenvalues."""
+    want = sm.decompose(sm.apply_weights(mie_eps3_110)).eigenvalues
+    ctx = multiprocessing.get_context("fork")
+    receive, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_decompose_in_child, args=(mie_eps3_110, send))
+    child.start()
+    send.close()
+    try:
+        assert receive.poll(60), "the forked decompose did not finish"
+        got = receive.recv()
+    finally:
+        child.join(10)
+        if child.is_alive():
+            child.kill()
+            child.join()
+    assert not child.is_alive() and child.exitcode == 0
+    assert np.array_equal(got, want)
